@@ -7,8 +7,9 @@ let factor lin =
     La.Mat.add_to g k k 1e-12
   done;
   (* The susceptance matrix is a few entries per device: the moment loop
-     multiplies by it once per moment, so keep it in CSR. *)
-  { lu = La.Lu.factor g; c_sparse = La.Sparse.of_dense lin.Mna.Linearize.c }
+     multiplies by it once per moment, so keep it in CSR. The regularized
+     copy is ours, so it is factored in place. *)
+  { lu = La.Lu.factor_in_place g; c_sparse = La.Sparse.of_dense lin.Mna.Linearize.c }
 
 (* The one recurrence, shared by every entry point so they stay
    bit-identical: r_0 = G^-1 b, r_(k+1) = -G^-1 C r_k, m_k = sel . r_k.
@@ -82,22 +83,12 @@ type update = { u_solver : solver; u_c : La.Sparse.t; u_c_changed : bool; u_rank
 
 let bits_eq (x : float) (y : float) = Int64.bits_of_float x = Int64.bits_of_float y
 
-let mat_bits_eq a b =
-  let m = La.Mat.rows a and n = La.Mat.cols a in
-  m = La.Mat.rows b && n = La.Mat.cols b
+let mat_bits_eq (a : La.Mat.t) (b : La.Mat.t) =
+  a.La.Mat.m = b.La.Mat.m && a.La.Mat.n = b.La.Mat.n
   &&
-  let ok = ref true in
-  (try
-     for i = 0 to m - 1 do
-       for j = 0 to n - 1 do
-         if not (bits_eq (La.Mat.get a i j) (La.Mat.get b i j)) then begin
-           ok := false;
-           raise Exit
-         end
-       done
-     done
-   with Exit -> ());
-  !ok
+  let aa = a.La.Mat.a and ba = b.La.Mat.a in
+  let rec go k = k < 0 || (bits_eq (Array.unsafe_get aa k) (Array.unsafe_get ba k) && go (k - 1)) in
+  go (Array.length aa - 1)
 
 let vec_bits_eq a b =
   Array.length a = Array.length b
@@ -114,35 +105,43 @@ let vec_bits_eq a b =
    with Exit -> ());
   !ok
 
-let prepare_update ?rcond_min ?growth_max fac ~g_old ~g_new ~c_old ~c_new =
+let prepare_update ?rcond_min ?growth_max fac ~(g_old : La.Mat.t) ~(g_new : La.Mat.t) ~c_old
+    ~c_new =
   let n = La.Mat.rows g_old in
-  if La.Mat.rows g_new <> n then Error "moments: system size changed"
+  if La.Mat.rows g_new <> n || La.Mat.cols g_old <> n || La.Mat.cols g_new <> n then
+    Error "moments: system size changed"
   else begin
     (* Column-wise bitwise diff of the conductance stamps. The 1e-12
        regularization diagonal cancels in the delta: fac.lu factors
        g_old + eI and the probe target is g_new + eI. *)
+    let oa = g_old.La.Mat.a and na = g_new.La.Mat.a in
     let cols = ref [] in
     for j = n - 1 downto 0 do
       let dirty = ref false in
       for i = 0 to n - 1 do
-        if not (bits_eq (La.Mat.get g_old i j) (La.Mat.get g_new i j)) then dirty := true
+        let k = (i * n) + j in
+        if not (bits_eq (Array.unsafe_get oa k) (Array.unsafe_get na k)) then dirty := true
       done;
       if !dirty then cols := j :: !cols
     done;
     let cols = Array.of_list !cols in
     let c_changed = not (mat_bits_eq c_old c_new) in
     let c_sparse = if c_changed then La.Sparse.of_dense c_new else fac.c_sparse in
-    if Array.length cols = 0 then
+    let r = Array.length cols in
+    if r = 0 then
       Ok { u_solver = Base fac.lu; u_c = c_sparse; u_c_changed = c_changed; u_rank = 0 }
     else begin
-      let delta = La.Mat.create n n in
-      Array.iter
-        (fun j ->
-          for i = 0 to n - 1 do
-            La.Mat.set delta i j (La.Mat.get g_new i j -. La.Mat.get g_old i j)
-          done)
-        cols;
-      match La.Lowrank.update_cols ?rcond_min ?growth_max fac.lu ~cols ~delta with
+      (* The n x r update block: column jj is the change to column
+         cols.(jj) of G. *)
+      let u = La.Mat.create n r in
+      let ua = u.La.Mat.a in
+      for i = 0 to n - 1 do
+        for jj = 0 to r - 1 do
+          let k = (i * n) + cols.(jj) in
+          Array.unsafe_set ua ((i * r) + jj) (Array.unsafe_get na k -. Array.unsafe_get oa k)
+        done
+      done;
+      match La.Lowrank.update_cols ?rcond_min ?growth_max fac.lu ~cols ~u with
       | Error e -> Error e
       | Ok lr ->
           Ok

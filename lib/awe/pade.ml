@@ -19,7 +19,7 @@ let fit_coeffs ~q moments =
        Q(s) = 1 + a1 s + ... + aq s^q from the moment-cancellation rows. *)
     let a_mat = La.Mat.init q q (fun r c -> m.(q + r - (c + 1))) in
     let rhs = Array.init q (fun r -> -.m.(q + r)) in
-    match La.Lu.factor a_mat with
+    match La.Lu.factor_in_place a_mat with
     | exception La.Lu.Singular _ -> Error "pade: singular Hankel system"
     | lu ->
         let a = La.Lu.solve lu rhs in

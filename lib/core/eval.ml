@@ -394,6 +394,19 @@ type spec_ctx = {
   mutable cx_ops : (string * Mna.Dc.op_info) list;
   mutable cx_node_leaving : float array;
   mutable cx_roms : (string * (Awe.Rom.t, string) result) list;
+  mutable cx_trans : (string * (tran_wave, string) result) list;
+      (* transients run for this context's state, per tf: [slew_rate] and
+         [settle] of one tf read one simulation. Emptied whenever the
+         context is repointed. *)
+}
+
+(* One in-loop transient as the spec functions read it: the owning jig's
+   .tran card, the output waveform and the step onset. *)
+and tran_wave = {
+  tw_card : Netlist.Ast.tran_card;
+  tw_times : float array;
+  tw_v : float array;
+  tw_t_step : float;
 }
 
 let spec_ctx_env (p : Problem.t) (cx : spec_ctx) =
@@ -419,8 +432,9 @@ let spec_ctx_env (p : Problem.t) (cx : spec_ctx) =
   let valuef e = Netlist.Expr.eval base e in
   (* Transient waveform of [tf] under the owning jig's .tran budget; the
      in-loop step size is the coarse [dtloop] when declared, else the
-     exact [dt] (Verify always re-measures at the exact [dt]). *)
-  let tran_of tfn =
+     exact [dt] (Verify always re-measures at the exact [dt]). Simulated
+     once per tf and context state, failure included. *)
+  let simulate_tran tfn =
     let tc = tran_card_of p tfn in
     let dt =
       match tc.Netlist.Ast.tr_dtloop with Some d -> d | None -> tc.Netlist.Ast.tr_dt
@@ -430,11 +444,22 @@ let spec_ctx_env (p : Problem.t) (cx : spec_ctx) =
         ~tstop:tc.Netlist.Ast.tr_tstop ~dt
     in
     let v = Mna.Tran.waveform_of r ~pos:ports.Problem.out_pos ~neg:ports.Problem.out_neg in
-    (tc, r, v, t_step)
+    { tw_card = tc; tw_times = r.Mna.Tran.times; tw_v = v; tw_t_step = t_step }
+  in
+  let tran_of tfn =
+    let w =
+      match List.assoc_opt tfn cx.cx_trans with
+      | Some w -> w
+      | None ->
+          let w = try Ok (simulate_tran tfn) with Measurement_failed m -> Error m in
+          cx.cx_trans <- (tfn, w) :: cx.cx_trans;
+          w
+    in
+    match w with Ok w -> w | Error m -> raise (Measurement_failed m)
   in
   let settle_of tfn tol =
-    let _, r, v, t_step = tran_of tfn in
-    Mna.Tran.settling_time ~times:r.Mna.Tran.times v ~t_from:t_step ~tol
+    let w = tran_of tfn in
+    Mna.Tran.settling_time ~times:w.tw_times w.tw_v ~t_from:w.tw_t_step ~tol
   in
   let call name args =
     let tfarg = function
@@ -460,9 +485,9 @@ let spec_ctx_env (p : Problem.t) (cx : spec_ctx) =
     | "gain_margin_db", [ tf ] ->
         Option.value ~default:60.0 (Awe.Rom.gain_margin_db (rom_of cx.cx_roms (tfarg tf)))
     | "slew_rate", [ tf ] ->
-        let tc, r, v, t_step = tran_of (tfarg tf) in
-        Mna.Tran.peak_slew ~times:r.Mna.Tran.times v ~t_from:t_step
-          ~t_to:tc.Netlist.Ast.tr_tstop
+        let w = tran_of (tfarg tf) in
+        Mna.Tran.peak_slew ~times:w.tw_times w.tw_v ~t_from:w.tw_t_step
+          ~t_to:w.tw_card.Netlist.Ast.tr_tstop
     | "settle", [ tf ] -> settle_of (tfarg tf) 0.01
     | "settle", [ tf; tol ] -> settle_of (tfarg tf) (numarg tol)
     | "noise_out_uv", [ tf ] -> begin
@@ -527,6 +552,7 @@ let spec_env (p : Problem.t) (st : State.t) (bp : bias_point) roms =
       cx_ops = bp.ops;
       cx_node_leaving = bp.node_leaving;
       cx_roms = roms;
+      cx_trans = [];
     }
 
 (* One spec under an environment: failures and non-finite results both
@@ -832,6 +858,8 @@ module Incr = struct
     jig_lin : Mna.Linearize.t option array;
     jig_fac : Awe.Moments.factored option array;
     jig_mom : Awe.Moments.cache array array;  (* per jig, per tf *)
+    jig_plin : Mna.Linearize.t option array;
+        (* per jig: the buffer probe candidates are restamped into *)
     (* Probe scratch: candidate screening writes here, never into the
        exact caches above, so an arbitrary number of probes can run
        between two exact evaluations without perturbing them. *)
@@ -928,6 +956,7 @@ module Incr = struct
         cx_ops = [];
         cx_node_leaving = [||];
         cx_roms = [];
+        cx_trans = [];
       }
     in
     let spec_envv = spec_ctx_env p spec_cx in
@@ -994,6 +1023,7 @@ module Incr = struct
              (fun (j : Problem.jig) ->
                Array.init (List.length j.Problem.tfs) (fun _ -> Awe.Moments.cache_create ()))
              p.Problem.jigs);
+      jig_plin = Array.make n_jigs None;
       p_nv = Array.make n_nodes 0.0;
       p_cur = Array.make n_nodes 0.0;
       p_mag = Array.make n_nodes 0.0;
@@ -1046,6 +1076,7 @@ module Incr = struct
     ss.spec_cx.cx_ops <- [];
     ss.spec_cx.cx_node_leaving <- [||];
     ss.spec_cx.cx_roms <- [];
+    ss.spec_cx.cx_trans <- [];
     Array.iter
       (fun ec ->
         ec.flen <- 0;
@@ -1502,6 +1533,7 @@ module Incr = struct
     cx.cx_ops <- bp.ops;
     cx.cx_node_leaving <- bp.node_leaving;
     cx.cx_roms <- roms;
+    cx.cx_trans <- [];
     let env = ss.spec_envv in
     (* Corner rows bypass the session caches entirely: the same full
        recompute the from-scratch evaluator does, so both paths agree bit
@@ -1703,45 +1735,53 @@ module Incr = struct
   let probe_qmax = 3
   let probe_count = (2 * probe_qmax) + 2
 
-  (* Fresh probe-side fit when no retained factorization serves (the jig
-     never built exactly, or the low-rank guard refused the update). *)
-  let probe_jig_fresh (jig : Problem.jig) ~value ~ops =
-    match Mna.Linearize.build ~value ~ops jig.Problem.jig_circuit with
-    | exception Failure m -> List.map (fun (tfname, _) -> (tfname, Error m)) jig.Problem.tfs
-    | lin -> begin
-        match Awe.Moments.factor lin with
-        | exception La.Lu.Singular _ ->
-            List.map (fun (tfname, _) -> (tfname, Error "singular AWE system")) jig.Problem.tfs
-        | fac ->
-            List.map
-              (fun (tfname, (tf : Problem.tf)) ->
-                let rom =
-                  try
-                    let b = Mna.Linearize.excitation_of lin ~src:tf.src in
-                    let sel = Mna.Linearize.output_vector lin ~pos:tf.out_pos ~neg:tf.out_neg in
-                    Awe.Rom.build_with ~qmax:probe_qmax fac ~b ~sel
-                  with
-                  | Failure m -> Error m
-                  | La.Lu.Singular _ -> Error "singular AWE system"
-                in
-                (tfname, rom))
-              jig.Problem.tfs
-      end
+  (* Restamp a probe candidate of jig [j] into the session's probe buffer
+     for that jig (built on its first use). The exact path's retained
+     system is never written here. *)
+  let probe_restamp ss j (jig : Problem.jig) ~value ~ops =
+    match ss.jig_plin.(j) with
+    | Some lin ->
+        Mna.Linearize.restamp lin ~value ~ops jig.Problem.jig_circuit;
+        lin
+    | None ->
+        let lin = Mna.Linearize.build ~value ~ops jig.Problem.jig_circuit in
+        ss.jig_plin.(j) <- Some lin;
+        lin
 
-  (* Probe ROM list of one touched jig: restamp against the retained
-     layout, diff the matrices bitwise, and solve the moment recurrence
-     through the retained factorization plus a low-rank update — falling
-     back to a fresh (still reduced-order) factorization when the guard
-     refuses. *)
+  (* Fresh probe-side fit of a restamped candidate when no retained
+     factorization serves (the jig never built exactly, or the low-rank
+     guard refused the update). *)
+  let probe_jig_fresh (jig : Problem.jig) lin =
+    match Awe.Moments.factor lin with
+    | exception La.Lu.Singular _ ->
+        List.map (fun (tfname, _) -> (tfname, Error "singular AWE system")) jig.Problem.tfs
+    | fac ->
+        List.map
+          (fun (tfname, (tf : Problem.tf)) ->
+            let rom =
+              try
+                let b = Mna.Linearize.excitation_of lin ~src:tf.src in
+                let sel = Mna.Linearize.output_vector lin ~pos:tf.out_pos ~neg:tf.out_neg in
+                Awe.Rom.build_with ~qmax:probe_qmax fac ~b ~sel
+              with
+              | Failure m -> Error m
+              | La.Lu.Singular _ -> Error "singular AWE system"
+            in
+            (tfname, rom))
+          jig.Problem.tfs
+
+  (* Probe ROM list of one touched jig: restamp into the probe buffer,
+     diff the matrices bitwise against the retained system, and solve the
+     moment recurrence through the retained factorization plus a low-rank
+     update — falling back to a fresh (still reduced-order) factorization
+     when the guard refuses. *)
   let probe_jig_roms ss j (jig : Problem.jig) ~value ~ops =
     ss.c_probe_rom_builds <- ss.c_probe_rom_builds + 1;
+    let stamp_failed m = List.map (fun (tfname, _) -> (tfname, Error m)) jig.Problem.tfs in
     match (ss.jig_lin.(j), ss.jig_fac.(j)) with
     | Some lin_old, Some fac -> begin
-        match
-          Mna.Linearize.stamp_reuse ~idx:lin_old.Mna.Linearize.idx ~value ~ops
-            jig.Problem.jig_circuit
-        with
-        | exception Failure m -> List.map (fun (tfname, _) -> (tfname, Error m)) jig.Problem.tfs
+        match probe_restamp ss j jig ~value ~ops with
+        | exception Failure m -> stamp_failed m
         | lin_new -> begin
             match
               Awe.Moments.prepare_update fac ~g_old:lin_old.Mna.Linearize.g
@@ -1774,12 +1814,15 @@ module Incr = struct
                   jig.Problem.tfs
             | Error _ ->
                 ss.c_probe_fallbacks <- ss.c_probe_fallbacks + 1;
-                probe_jig_fresh jig ~value ~ops
+                probe_jig_fresh jig lin_new
           end
       end
-    | _ ->
+    | _ -> begin
         ss.c_probe_fallbacks <- ss.c_probe_fallbacks + 1;
-        probe_jig_fresh jig ~value ~ops
+        match probe_restamp ss j jig ~value ~ops with
+        | exception Failure m -> stamp_failed m
+        | lin -> probe_jig_fresh jig lin
+      end
 
   (* Screening cost of a candidate state: approximate by design (probe
      ROMs are reduced-order and solved through low-rank updates), cheap by
@@ -1907,6 +1950,7 @@ module Incr = struct
       cx.cx_ops <- ops_list;
       cx.cx_node_leaving <- ss.p_cur;
       cx.cx_roms <- roms;
+      cx.cx_trans <- [];
       let senv = ss.spec_envv in
       let spec_values =
         List.mapi

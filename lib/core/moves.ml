@@ -205,7 +205,7 @@ let newton_step_with ?session (p : Problem.t) (st : State.t) ~damping =
   else begin
     let res = residuals_of ?session p st in
     let j = jacobian_of ?session p st in
-    match La.Lu.factor j with
+    match La.Lu.factor_in_place j with
     | exception La.Lu.Singular _ -> None
     | lu ->
         let delta = La.Lu.solve lu res in

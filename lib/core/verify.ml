@@ -14,11 +14,30 @@ type jig_sim = {
   tf_ports : (string * Problem.tf) list;
 }
 
+(* DC operating point of [circuit] by a cold solve. Where that fails, one
+   retry starts from the design's own relaxed-dc node voltages, mapped by
+   node name like a SPICE .nodeset: a winner whose bias point already
+   satisfies KCL can still sit where the cold gmin schedule does not lead.
+   A cold solve that converges is used as is. *)
+let dc_solve (p : Problem.t) st ~value circuit =
+  match Mna.Dc.solve ~value ~registry:p.Problem.registry circuit with
+  | Ok sol -> Ok sol
+  | Error e -> (
+      match Eval.node_voltages p st with
+      | exception (Failure _ | Netlist.Expr.Eval_error _) -> Error e
+      | nv ->
+          let names = p.Problem.bias.Netlist.Circuit.node_names in
+          let hint name = Option.map (Array.get nv) (Array.find_index (String.equal name) names) in
+          let x0 = Mna.Dc.nodeset circuit hint in
+          match Mna.Dc.solve ~x0 ~value ~registry:p.Problem.registry circuit with
+          | Ok sol -> Ok sol
+          | Error _ -> Error e)
+
 let solve_jigs p st =
   let value = value_of p st in
   List.map
     (fun (j : Problem.jig) ->
-      match Mna.Dc.solve ~value ~registry:p.Problem.registry j.jig_circuit with
+      match dc_solve p st ~value j.jig_circuit with
       | Error e -> raise (Sim_failed (j.jig_name ^ ": " ^ e))
       | Ok sol ->
           let ops name = List.assoc_opt name sol.Mna.Dc.ops in
@@ -39,7 +58,7 @@ let make_env (p : Problem.t) (st : State.t) =
   let jigs = solve_jigs p st in
   (* Exact bias operating point for device refs and power. *)
   let bias_sol =
-    match Mna.Dc.solve ~value ~registry:p.Problem.registry p.Problem.bias with
+    match dc_solve p st ~value p.Problem.bias with
     | Ok s -> s
     | Error e -> raise (Sim_failed ("bias: " ^ e))
   in
@@ -92,21 +111,34 @@ let make_env (p : Problem.t) (st : State.t) =
        through the same shared stimulus helper the in-loop evaluator uses
        (Eval.transient_response) — the verification differs only in step
        size (tr_dt, never the coarse tr_dtloop). *)
-    let tran_of tfn =
+    let simulate_tran tfn =
       match Eval.tran_card_of p tfn with
-      | exception Eval.Measurement_failed m -> raise (Sim_failed m)
+      | exception Eval.Measurement_failed m -> Error m
       | tc -> begin
           match
             Eval.transient_response p ~value ~tf:tfn ~vstep:tc.Netlist.Ast.tr_vstep
               ~tstop:tc.Netlist.Ast.tr_tstop ~dt:tc.Netlist.Ast.tr_dt
           with
-          | exception Eval.Measurement_failed m -> raise (Sim_failed m)
+          | exception Eval.Measurement_failed m -> Error m
           | r, ports, t_step ->
               let v =
                 Mna.Tran.waveform_of r ~pos:ports.Problem.out_pos ~neg:ports.Problem.out_neg
               in
-              (tc, r, v, t_step)
+              Ok (tc, r, v, t_step)
         end
+    in
+    (* [slew_rate] and [settle] of one tf read one simulation. *)
+    let trans = ref [] in
+    let tran_of tfn =
+      let w =
+        match List.assoc_opt tfn !trans with
+        | Some w -> w
+        | None ->
+            let w = simulate_tran tfn in
+            trans := (tfn, w) :: !trans;
+            w
+      in
+      match w with Ok w -> w | Error m -> raise (Sim_failed m)
     in
     let settle_of tfn tol =
       let _, r, v, t_step = tran_of tfn in

@@ -31,20 +31,22 @@ let dim t = Lu.dim t.base
    an ill-conditioned capacitance matrix by reciprocal-condition estimate. *)
 let make ~rcond_min ~growth_max base ~u ~v =
   let n = Lu.dim base in
-  let r = Mat.cols u in
-  if Mat.rows u <> n then invalid_arg "Lowrank: U row dim mismatch";
+  let r = u.Mat.n in
+  if u.Mat.m <> n then invalid_arg "Lowrank: U row dim mismatch";
   (match v with
   | Dense vm ->
-      if Mat.rows vm <> n || Mat.cols vm <> r then
-        invalid_arg "Lowrank: V dim mismatch"
+      if vm.Mat.m <> n || vm.Mat.n <> r then invalid_arg "Lowrank: V dim mismatch"
   | Cols cols ->
       if Array.length cols <> r then invalid_arg "Lowrank: V column count mismatch";
       Array.iter
         (fun c -> if c < 0 || c >= n then invalid_arg "Lowrank: V column index out of range")
         cols);
+  (* Every n x r block below is row-major with row stride r, so entry
+     (i, j) sits at [(i * r) + j]; the shapes were checked above. *)
   let col = Vec.create n in
-  let solve_cols dst transposed src_col growth =
+  let solve_cols (dst : Mat.t) transposed src_col growth =
     (* dst.(.,j) <- A^{-1} (or A^{-T}) src_col j; tracks the largest entry. *)
+    let d = dst.Mat.a in
     let ok = ref true in
     for j = 0 to r - 1 do
       if !ok then begin
@@ -55,13 +57,13 @@ let make ~rcond_min ~growth_max base ~u ~v =
          with Lu.Singular _ -> ok := false);
         if !ok then
           for i = 0 to n - 1 do
-            let x = col.(i) in
+            let x = Array.unsafe_get col i in
             if not (Float.is_finite x) then ok := false
             else begin
               let a = Float.abs x in
               if a > !growth then growth := a
             end;
-            Mat.set dst i j x
+            Array.unsafe_set d ((i * r) + j) x
           done
       end
     done;
@@ -70,15 +72,17 @@ let make ~rcond_min ~growth_max base ~u ~v =
   let growth = ref 0.0 in
   let ainv_u = Mat.create n r in
   let u_col j dst =
+    let ua = u.Mat.a in
     for i = 0 to n - 1 do
-      dst.(i) <- Mat.get u i j
+      Array.unsafe_set dst i (Array.unsafe_get ua ((i * r) + j))
     done
   in
   let v_col j dst =
     match v with
     | Dense vm ->
+        let va = vm.Mat.a in
         for i = 0 to n - 1 do
-          dst.(i) <- Mat.get vm i j
+          Array.unsafe_set dst i (Array.unsafe_get va ((i * r) + j))
         done
     | Cols cols ->
         Vec.fill dst 0.0;
@@ -94,22 +98,29 @@ let make ~rcond_min ~growth_max base ~u ~v =
     else begin
       (* cap = I + V^T A^{-1} U  (r x r). *)
       let cap = Mat.create r r in
+      let ca = cap.Mat.a and aua = ainv_u.Mat.a in
       for i = 0 to r - 1 do
         for j = 0 to r - 1 do
           let s =
             match v with
-            | Cols cols -> Mat.get ainv_u cols.(i) j
+            | Cols cols -> aua.((cols.(i) * r) + j)
             | Dense vm ->
+                let va = vm.Mat.a in
                 let acc = ref 0.0 in
                 for k = 0 to n - 1 do
-                  acc := !acc +. (Mat.get vm k i *. Mat.get ainv_u k j)
+                  acc :=
+                    !acc
+                    +. (Array.unsafe_get va ((k * r) + i) *. Array.unsafe_get aua ((k * r) + j))
                 done;
                 !acc
           in
-          Mat.set cap i j (if i = j then 1.0 +. s else s)
+          ca.((i * r) + j) <- (if i = j then 1.0 +. s else s)
         done
       done;
-      match Lu.factor cap with
+      (* The scale is read before the in-place factorization overwrites
+         the capacitance matrix with its factors. *)
+      let scale = Float.max 1.0 (Mat.norm_inf cap) in
+      match Lu.factor_in_place cap with
       | exception Lu.Singular _ -> Error "lowrank: singular capacitance matrix"
       | cap_lu ->
           (* Condition the capacitance matrix against its *natural* scale:
@@ -122,7 +133,6 @@ let make ~rcond_min ~growth_max base ~u ~v =
           (try Lu.solve_in_place cap_lu probe
            with Lu.Singular _ -> Vec.fill probe Float.infinity);
           let ninv = Vec.norm_inf probe in
-          let scale = Float.max 1.0 (Mat.norm_inf cap) in
           let rcond =
             if ninv = 0.0 || not (Float.is_finite ninv) then 0.0
             else 1.0 /. (scale *. ninv)
@@ -136,17 +146,7 @@ let make ~rcond_min ~growth_max base ~u ~v =
 let update ?(rcond_min = 1e-10) ?(growth_max = 1e12) base ~u ~v =
   make ~rcond_min ~growth_max base ~u ~v:(Dense v)
 
-let update_cols ?(rcond_min = 1e-10) ?(growth_max = 1e12) base ~cols ~delta =
-  let n = Lu.dim base in
-  if Mat.rows delta <> n || Mat.cols delta <> n then
-    invalid_arg "Lowrank.update_cols: delta dim mismatch";
-  let r = Array.length cols in
-  let u = Mat.create n r in
-  for j = 0 to r - 1 do
-    for i = 0 to n - 1 do
-      Mat.set u i j (Mat.get delta i cols.(j))
-    done
-  done;
+let update_cols ?(rcond_min = 1e-10) ?(growth_max = 1e12) base ~cols ~u =
   make ~rcond_min ~growth_max base ~u ~v:(Cols cols)
 
 let solve_in_place t b =
@@ -162,20 +162,23 @@ let solve_in_place t b =
           w.(j) <- b.(cols.(j))
         done
     | Dense vm ->
+        let va = vm.Mat.a in
         for j = 0 to r - 1 do
           let acc = ref 0.0 in
           for i = 0 to n - 1 do
-            acc := !acc +. (Mat.get vm i j *. b.(i))
+            acc := !acc +. (Array.unsafe_get va ((i * r) + j) *. Array.unsafe_get b i)
           done;
           w.(j) <- !acc
         done);
     Lu.solve_in_place t.cap_lu w;
+    let aua = t.ainv_u.Mat.a in
     for i = 0 to n - 1 do
+      let ri = i * r in
       let acc = ref 0.0 in
       for j = 0 to r - 1 do
-        acc := !acc +. (Mat.get t.ainv_u i j *. w.(j))
+        acc := !acc +. (Array.unsafe_get aua (ri + j) *. Array.unsafe_get w j)
       done;
-      b.(i) <- b.(i) -. !acc
+      Array.unsafe_set b i (Array.unsafe_get b i -. !acc)
     done
   end
 
@@ -195,22 +198,25 @@ let solve_transposed_in_place t b =
   else begin
     (* U^T A^{-T} b = (A^{-1} U)^T b, so the capacitance right-hand side
        comes from the original b, before the base solve consumes it. *)
+    let aua = t.ainv_u.Mat.a in
     let w = Vec.create r in
     for j = 0 to r - 1 do
       let acc = ref 0.0 in
       for i = 0 to n - 1 do
-        acc := !acc +. (Mat.get t.ainv_u i j *. b.(i))
+        acc := !acc +. (Array.unsafe_get aua ((i * r) + j) *. Array.unsafe_get b i)
       done;
       w.(j) <- !acc
     done;
     Lu.solve_transposed_in_place t.base b;
     Lu.solve_transposed_in_place t.cap_lu w;
+    let ava = t.ainvT_v.Mat.a in
     for i = 0 to n - 1 do
+      let ri = i * r in
       let acc = ref 0.0 in
       for j = 0 to r - 1 do
-        acc := !acc +. (Mat.get t.ainvT_v i j *. w.(j))
+        acc := !acc +. (Array.unsafe_get ava (ri + j) *. Array.unsafe_get w j)
       done;
-      b.(i) <- b.(i) -. !acc
+      Array.unsafe_set b i (Array.unsafe_get b i -. !acc)
     done
   end
 

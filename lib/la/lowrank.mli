@@ -31,14 +31,14 @@ val update :
   ?rcond_min:float -> ?growth_max:float -> Lu.t -> u:Mat.t -> v:Mat.t ->
   (t, string) result
 
-(** [update_cols base ~cols ~delta] is the element-stamp special case:
-    the perturbation is [delta] (dense n x n) known to be nonzero only in
-    the columns listed in [cols], so A' = A + U V^T with U the selected
-    columns of [delta] and V the matching unit vectors. The capacitance
-    matrix then needs no inner products, just row picks of A^{-1}U. *)
+(** [update_cols base ~cols ~u] is the element-stamp special case:
+    A' = A + U V^T with V the unit vectors e_[cols.(j)], so column j of
+    the dense n x r [u] is the change to column [cols.(j)] of A. The
+    capacitance matrix then needs no inner products, just row picks of
+    A^{-1}U. *)
 val update_cols :
   ?rcond_min:float -> ?growth_max:float -> Lu.t -> cols:int array ->
-  delta:Mat.t -> (t, string) result
+  u:Mat.t -> (t, string) result
 
 (** [solve t b] solves (A + U V^T) x = b. *)
 val solve : t -> Vec.t -> Vec.t

@@ -4,59 +4,84 @@ exception Singular of int
 
 (* Doolittle factorization with partial pivoting. The pivot threshold is
    relative to the largest entry of the column to tolerate badly scaled MNA
-   matrices (conductances span ~1e-12 .. 1e3 siemens). *)
-let factor a =
-  let n = Mat.rows a in
-  if n <> Mat.cols a then invalid_arg "Lu.factor: not square";
-  let lu = Mat.copy a in
+   matrices (conductances span ~1e-12 .. 1e3 siemens).
+
+   The kernels below index the row-major storage directly: row offsets are
+   hoisted out of the inner loops, and once the dimensions are checked on
+   entry every index is in range, so the element accesses skip the bounds
+   check. Each floating-point operation is the one the element-wise
+   formulation performs, in the same order, so the factors are the same
+   bits (test_kernels pins this against a reference copy). *)
+let factor_in_place (lu : Mat.t) =
+  let n = lu.Mat.m in
+  if n <> lu.Mat.n then invalid_arg "Lu.factor: not square";
+  let a = lu.Mat.a in
   let piv = Array.init n (fun k -> k) in
   let sign = ref 1.0 in
   for k = 0 to n - 1 do
     let p = ref k in
+    let best = ref (Float.abs (Array.unsafe_get a ((k * n) + k))) in
     for i = k + 1 to n - 1 do
-      if Float.abs (Mat.get lu i k) > Float.abs (Mat.get lu !p k) then p := i
+      let v = Float.abs (Array.unsafe_get a ((i * n) + k)) in
+      if v > !best then begin
+        p := i;
+        best := v
+      end
     done;
+    let rk = k * n in
     if !p <> k then begin
+      let rp = !p * n in
       for j = 0 to n - 1 do
-        let tmp = Mat.get lu k j in
-        Mat.set lu k j (Mat.get lu !p j);
-        Mat.set lu !p j tmp
+        let tmp = Array.unsafe_get a (rk + j) in
+        Array.unsafe_set a (rk + j) (Array.unsafe_get a (rp + j));
+        Array.unsafe_set a (rp + j) tmp
       done;
       let tp = piv.(k) in
       piv.(k) <- piv.(!p);
       piv.(!p) <- tp;
       sign := -. !sign
     end;
-    let pivot = Mat.get lu k k in
+    let pivot = Array.unsafe_get a (rk + k) in
     if Float.abs pivot < 1e-300 || not (Float.is_finite pivot) then raise (Singular k);
     for i = k + 1 to n - 1 do
-      let f = Mat.get lu i k /. pivot in
-      Mat.set lu i k f;
-      if f <> 0.0 then
+      let ri = i * n in
+      let f = Array.unsafe_get a (ri + k) /. pivot in
+      Array.unsafe_set a (ri + k) f;
+      if f <> 0.0 then begin
+        let mf = -.f in
         for j = k + 1 to n - 1 do
-          Mat.add_to lu i j (-.f *. Mat.get lu k j)
+          Array.unsafe_set a (ri + j)
+            (Array.unsafe_get a (ri + j) +. (mf *. Array.unsafe_get a (rk + j)))
         done
+      end
     done
   done;
   { lu; piv; sign = !sign }
 
-let dim t = Mat.rows t.lu
+let factor a = factor_in_place (Mat.copy a)
+let dim t = t.lu.Mat.m
 
 let solve_in_place t b =
   let n = dim t in
   if Array.length b <> n then invalid_arg "Lu.solve: dim mismatch";
+  let a = t.lu.Mat.a in
   (* Apply the permutation, then forward- and back-substitute. *)
   let y = Array.init n (fun i -> b.(t.piv.(i))) in
   for i = 0 to n - 1 do
+    let ri = i * n in
+    let s = ref (Array.unsafe_get y i) in
     for j = 0 to i - 1 do
-      y.(i) <- y.(i) -. (Mat.get t.lu i j *. y.(j))
-    done
+      s := !s -. (Array.unsafe_get a (ri + j) *. Array.unsafe_get y j)
+    done;
+    Array.unsafe_set y i !s
   done;
   for i = n - 1 downto 0 do
+    let ri = i * n in
+    let s = ref (Array.unsafe_get y i) in
     for j = i + 1 to n - 1 do
-      y.(i) <- y.(i) -. (Mat.get t.lu i j *. y.(j))
+      s := !s -. (Array.unsafe_get a (ri + j) *. Array.unsafe_get y j)
     done;
-    y.(i) <- y.(i) /. Mat.get t.lu i i
+    Array.unsafe_set y i (!s /. Array.unsafe_get a (ri + i))
   done;
   Array.blit y 0 b 0 n
 
@@ -68,18 +93,23 @@ let solve t b =
 let solve_transposed_in_place t b =
   let n = dim t in
   if Array.length b <> n then invalid_arg "Lu.solve_transposed: dim mismatch";
-  (* A^T = U^T L^T P, so solve U^T z = b, L^T w = z, then x = P^T w. *)
+  let a = t.lu.Mat.a in
+  (* A^T = U^T L^T P, so solve U^T z = b, L^T w = z, then x = P^T w. Entry
+     (j, i) of the factors is column i of row j. *)
   let z = Array.copy b in
   for i = 0 to n - 1 do
+    let s = ref (Array.unsafe_get z i) in
     for j = 0 to i - 1 do
-      z.(i) <- z.(i) -. (Mat.get t.lu j i *. z.(j))
+      s := !s -. (Array.unsafe_get a ((j * n) + i) *. Array.unsafe_get z j)
     done;
-    z.(i) <- z.(i) /. Mat.get t.lu i i
+    Array.unsafe_set z i (!s /. Array.unsafe_get a ((i * n) + i))
   done;
   for i = n - 1 downto 0 do
+    let s = ref (Array.unsafe_get z i) in
     for j = i + 1 to n - 1 do
-      z.(i) <- z.(i) -. (Mat.get t.lu j i *. z.(j))
-    done
+      s := !s -. (Array.unsafe_get a ((j * n) + i) *. Array.unsafe_get z j)
+    done;
+    Array.unsafe_set z i !s
   done;
   for i = 0 to n - 1 do
     b.(t.piv.(i)) <- z.(i)

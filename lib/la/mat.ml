@@ -47,19 +47,23 @@ let mul t1 t2 =
 
 let mul_vec t x =
   if t.n <> Array.length x then invalid_arg "Mat.mul_vec: dim mismatch";
+  let a = t.a and n = t.n in
   Array.init t.m (fun i ->
+      let ri = i * n in
       let s = ref 0.0 in
-      for j = 0 to t.n - 1 do
-        s := !s +. (get t i j *. x.(j))
+      for j = 0 to n - 1 do
+        s := !s +. (Array.unsafe_get a (ri + j) *. Array.unsafe_get x j)
       done;
       !s)
 
 let norm_inf t =
+  let a = t.a and n = t.n in
   let best = ref 0.0 in
   for i = 0 to t.m - 1 do
+    let ri = i * n in
     let s = ref 0.0 in
-    for j = 0 to t.n - 1 do
-      s := !s +. Float.abs (get t i j)
+    for j = 0 to n - 1 do
+      s := !s +. Float.abs (Array.unsafe_get a (ri + j))
     done;
     if !s > !best then best := !s
   done;

@@ -3,7 +3,12 @@
     Nomenclature: [a] is a matrix, [x], [y], [b] are vectors, [i] a row
     index, [j] a column index. *)
 
-type t
+(** The storage is exposed read-only so the numeric kernels ({!Lu},
+    {!Lowrank}, {!Sparse}, AWE moments) can index it directly: entry
+    (i, j) lives at [a.((i * n) + j)], [Array.length a = m * n]. Only
+    this module builds values of the type, so that layout always holds;
+    writing through [a] is how a kernel updates a matrix it owns. *)
+type t = private { m : int; n : int; a : float array }
 
 (** [create m n] is an [m] x [n] zero matrix. *)
 val create : int -> int -> t

@@ -46,15 +46,29 @@ let compress ~rows ~cols t =
     entries;
   { m = rows; n = cols; row_start; col_index; values }
 
-let of_dense dm =
-  let t = triplets () in
-  for i = 0 to Mat.rows dm - 1 do
-    for j = 0 to Mat.cols dm - 1 do
-      let v = Mat.get dm i j in
-      if v <> 0.0 then add t i j v
-    done
+(* A row-major scan meets the nonzeros already sorted by (row, col) and
+   unique, so the CSR arrays fill directly: the same entries [compress]
+   produces from their triplets, without the list and the sort. *)
+let of_dense (dm : Mat.t) =
+  let rows = dm.Mat.m and cols = dm.Mat.n and a = dm.Mat.a in
+  let nnz = ref 0 in
+  Array.iter (fun v -> if v <> 0.0 then incr nnz) a;
+  let row_start = Array.make (rows + 1) 0 in
+  let col_index = Array.make !nnz 0 and values = Array.make !nnz 0.0 in
+  let k = ref 0 in
+  for i = 0 to rows - 1 do
+    let ri = i * cols in
+    for j = 0 to cols - 1 do
+      let v = Array.unsafe_get a (ri + j) in
+      if v <> 0.0 then begin
+        col_index.(!k) <- j;
+        values.(!k) <- v;
+        incr k
+      end
+    done;
+    row_start.(i + 1) <- !k
   done;
-  compress ~rows:(Mat.rows dm) ~cols:(Mat.cols dm) t
+  { m = rows; n = cols; row_start; col_index; values }
 
 let rows t = t.m
 let cols t = t.n

@@ -4,16 +4,10 @@
 type t
 
 val create : int -> int -> t
-val rows : t -> int
-val cols : t -> int
-val get : t -> int -> int -> Cpx.t
 val set : t -> int -> int -> Cpx.t -> unit
-val add_to : t -> int -> int -> Cpx.t -> unit
 
 (** [of_real_pair g c w] builds G + jwC from real matrices of equal shape. *)
 val of_real_pair : Mat.t -> Mat.t -> float -> t
-
-val mul_vec : t -> Cpx.t array -> Cpx.t array
 
 exception Singular of int
 

@@ -29,11 +29,14 @@ let supply_power sol ~value =
     0.0 sol.index.Sysmat.circuit.Netlist.Circuit.elements
 
 (* One Newton iteration: assemble J and RHS at the linearization point [x],
-   with sources scaled by [srcscale] and [gmin] to ground on every node. *)
-let assemble idx ~value ~registry ~gmin ~srcscale (x : float array) =
+   with sources scaled by [srcscale] and [gmin] to ground on every node.
+   J is stamped into the caller's [jac], cleared first. *)
+let assemble idx ~value ~registry ~gmin ~srcscale ~jac (x : float array) =
   let t = idx in
   let n = t.Sysmat.size in
-  let j = La.Mat.create n n in
+  if La.Mat.rows jac <> n || La.Mat.cols jac <> n then invalid_arg "Dc.assemble: jac size";
+  let j = jac in
+  La.Mat.fill j 0.0;
   let b = La.Vec.create n in
   let v node = if node = 0 then 0.0 else x.(Sysmat.node_row t node) in
   let add_j = Sysmat.add_g t j in
@@ -163,7 +166,7 @@ let assemble idx ~value ~registry ~gmin ~srcscale (x : float array) =
         stamp_bjt name c bb e model (value area)
   in
   Array.iter handle t.Sysmat.circuit.Netlist.Circuit.elements;
-  (j, b)
+  b
 
 let collect_ops idx ~value ~registry (x : float array) =
   let v node = if node = 0 then 0.0 else x.(Sysmat.node_row idx node) in
@@ -197,16 +200,18 @@ let collect_ops idx ~value ~registry (x : float array) =
           (Array.to_seq idx.Sysmat.circuit.Netlist.Circuit.elements)))
 
 (* Newton loop at fixed gmin/srcscale, warm-started from [x]. Returns the
-   iterate and whether it converged. *)
+   iterate and whether it converged. One Jacobian buffer serves every
+   iteration: each is factored in place once its stamps are complete. *)
 let newton idx ~value ~registry ~gmin ~srcscale ~max_iter x =
   let n = idx.Sysmat.size in
   let x = Array.copy x in
+  let jac = La.Mat.create n n in
   let vstep_limit = 0.5 in
   let rec loop it =
     if it >= max_iter then (x, false, it)
     else begin
-      let j, b = assemble idx ~value ~registry ~gmin ~srcscale x in
-      match La.Lu.factor j with
+      let b = assemble idx ~value ~registry ~gmin ~srcscale ~jac x in
+      match La.Lu.factor_in_place jac with
       | exception La.Lu.Singular _ -> (x, false, it)
       | lu ->
           let xnew = La.Lu.solve lu b in
@@ -226,13 +231,36 @@ let newton idx ~value ~registry ~gmin ~srcscale ~max_iter x =
   in
   loop 0
 
+let nodeset (circuit : Netlist.Circuit.t) hint =
+  let idx = Sysmat.of_circuit circuit in
+  let x = Array.make idx.Sysmat.size 0.0 in
+  Array.iteri
+    (fun node name ->
+      if node > 0 then
+        match hint name with Some v -> x.(Sysmat.node_row idx node) <- v | None -> ())
+    circuit.Netlist.Circuit.node_names;
+  x
+
 let solve ?(max_iter = 200) ?x0 ~value ~registry circuit =
   let idx = Sysmat.of_circuit circuit in
   let x = match x0 with Some v -> Array.copy v | None -> Array.make idx.Sysmat.size 0.0 in
+  if Array.length x <> idx.Sysmat.size then invalid_arg "Dc.solve: x0 size";
   try
+    let total_iters = ref 0 in
+    (* A start point given by the caller is tried first with a plain
+       Newton at the final gmin: from a point that already solves the
+       circuit it converges at once, where the gmin schedule's heavy first
+       damping would pull it away. *)
+    let direct =
+      match x0 with
+      | None -> None
+      | Some _ ->
+          let x', ok, it = newton idx ~value ~registry ~gmin:1e-12 ~srcscale:1.0 ~max_iter x in
+          total_iters := it;
+          if ok then Some x' else None
+    in
     (* gmin stepping: solve a heavily damped system first, then relax. *)
     let gmins = [ 1e-3; 1e-6; 1e-9; 1e-12 ] in
-    let total_iters = ref 0 in
     let run_schedule x =
       List.fold_left
         (fun (x, ok_all) gmin ->
@@ -243,7 +271,9 @@ let solve ?(max_iter = 200) ?x0 ~value ~registry circuit =
           (x', ok_all && ok))
         (x, true) gmins
     in
-    let x_final, ok = run_schedule x in
+    let x_final, ok =
+      match direct with Some x' -> (x', true) | None -> run_schedule x
+    in
     let x_final, ok =
       if ok then (x_final, ok)
       else begin

@@ -27,7 +27,11 @@ val supply_power : solution -> value:(Netlist.Expr.t -> float) -> float
 
 (** [solve ~value ~registry circuit] computes the operating point.
     [value] evaluates element-value expressions (design variables bound by
-    the caller). [x0] warm-starts the Newton iteration. *)
+    the caller). [x0] warm-starts the Newton iteration: a plain Newton at
+    the final gmin (1e-12) from [x0] is tried first, then the gmin
+    schedule from [x0], then source stepping from zero. Without [x0] the
+    schedule starts from zero.
+    @raise Invalid_argument if [x0] does not have one entry per unknown. *)
 val solve :
   ?max_iter:int ->
   ?x0:float array ->
@@ -36,18 +40,25 @@ val solve :
   Netlist.Circuit.t ->
   (solution, string) result
 
+(** [nodeset circuit hint] is a start point for [solve ~x0], in the
+    style of a SPICE [.nodeset]: node [k]'s voltage is [hint] of its name
+    (0 where [hint] gives [None]), every branch current 0. *)
+val nodeset : Netlist.Circuit.t -> (string -> float option) -> float array
+
 (** Low-level hooks shared with the transient engine. *)
 
-(** [assemble idx ~value ~registry ~gmin ~srcscale x] stamps the Newton
-    Jacobian and right-hand side at the linearization point [x]. *)
+(** [assemble idx ~value ~registry ~gmin ~srcscale ~jac x] stamps the
+    Newton Jacobian into [jac] (cleared first; [Sysmat.size] square) and
+    returns the right-hand side, at the linearization point [x]. *)
 val assemble :
   Sysmat.t ->
   value:(Netlist.Expr.t -> float) ->
   registry:Devices.Registry.t ->
   gmin:float ->
   srcscale:float ->
+  jac:La.Mat.t ->
   float array ->
-  La.Mat.t * La.Vec.t
+  La.Vec.t
 
 (** [collect_ops idx ~value ~registry x] evaluates every nonlinear device at
     the state [x]. *)

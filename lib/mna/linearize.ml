@@ -1,12 +1,14 @@
 type t = { idx : Sysmat.t; g : La.Mat.t; c : La.Mat.t; b : La.Vec.t }
 
-(* Stamp every element of [circuit]; when [only_src] is given, AC
-   excitations are taken from that source alone with unit magnitude. *)
-let stamp_into idx ~value ~ops ?only_src circuit =
-  let n = idx.Sysmat.size in
-  let g = La.Mat.create n n in
-  let c = La.Mat.create n n in
-  let b = La.Vec.create n in
+(* Stamp every element of [circuit] into [t]'s matrices, cleared first.
+   [Sysmat.of_circuit] depends only on element kinds, names and node
+   connectivity — never on values or operating points — so a system built
+   from a jig circuit has the layout of every later state of that jig: the
+   incremental probe path restamps one buffer thousands of times. *)
+let restamp { idx; g; c; b } ~value ~ops circuit =
+  La.Mat.fill g 0.0;
+  La.Mat.fill c 0.0;
+  La.Vec.fill b 0.0;
   let nrow = Sysmat.node_row idx in
   let add_g = Sysmat.add_g idx g in
   let brow name =
@@ -23,7 +25,6 @@ let stamp_into idx ~value ~ops ?only_src circuit =
       La.Mat.add_to c j i (-.cv)
     end
   in
-  let ac_of name ac = match only_src with Some s when s <> name -> 0.0 | Some _ | None -> ac in
   let handle (e : Netlist.Circuit.element) =
     match e with
     | Netlist.Circuit.Resistor { name; n1; n2; value = ve } ->
@@ -44,11 +45,10 @@ let stamp_into idx ~value ~ops ?only_src circuit =
         add_g row (nrow nn) (-1.0);
         add_g (nrow np) row 1.0;
         add_g (nrow nn) row (-1.0);
-        Sysmat.add_vec row (ac_of name ac) b
-    | Netlist.Circuit.Isource { name; np; nn; ac; _ } ->
-        let i = ac_of name ac in
-        Sysmat.add_vec (nrow np) (-.i) b;
-        Sysmat.add_vec (nrow nn) i b
+        Sysmat.add_vec row ac b
+    | Netlist.Circuit.Isource { np; nn; ac; _ } ->
+        Sysmat.add_vec (nrow np) (-.ac) b;
+        Sysmat.add_vec (nrow nn) ac b
     | Netlist.Circuit.Vcvs { name; np; nn; ncp; ncn; gain } ->
         let row = brow name in
         let gv = value gain in
@@ -104,20 +104,14 @@ let stamp_into idx ~value ~ops ?only_src circuit =
             failwith ("linearize: no BJT operating point for " ^ name)
       end
   in
-  Array.iter handle circuit.Netlist.Circuit.elements;
-  { idx; g; c; b }
+  Array.iter handle circuit.Netlist.Circuit.elements
 
-let stamp ~value ~ops ?only_src circuit =
-  stamp_into (Sysmat.of_circuit circuit) ~value ~ops ?only_src circuit
-
-(* [Sysmat.of_circuit] depends only on element kinds, names and node
-   connectivity — never on values or operating points — so the layout of a
-   jig circuit is reusable across every annealing move: the incremental
-   probe path restamps thousands of times per layout. *)
-let stamp_reuse ~idx ~value ~ops ?only_src circuit =
-  stamp_into idx ~value ~ops ?only_src circuit
-
-let build ~value ~ops circuit = stamp ~value ~ops circuit
+let build ~value ~ops circuit =
+  let idx = Sysmat.of_circuit circuit in
+  let n = idx.Sysmat.size in
+  let t = { idx; g = La.Mat.create n n; c = La.Mat.create n n; b = La.Vec.create n } in
+  restamp t ~value ~ops circuit;
+  t
 
 let output_vector t ~pos ~neg =
   let sel = La.Vec.create t.idx.Sysmat.size in

@@ -19,15 +19,16 @@ type t = {
 val build :
   value:(Netlist.Expr.t -> float) -> ops:(string -> Dc.op_info option) -> Netlist.Circuit.t -> t
 
-(** [stamp_reuse ~idx ...] is [build] against a previously computed
-    {!Sysmat.of_circuit} layout of the same circuit. The layout depends
+(** [restamp t ~value ~ops circuit] overwrites [t]'s [g], [c] and [b]
+    in place with the stamps of [circuit] — the circuit [t] was built
+    from, at other element values or operating points. The layout depends
     only on topology (element kinds, names, node connectivity), never on
-    values or operating points, so it is reusable across every annealing
-    move — the incremental probe path restamps thousands of times per
-    layout. [only_src] keeps the AC excitation of that source alone. *)
-val stamp_reuse :
-  idx:Sysmat.t -> value:(Netlist.Expr.t -> float) ->
-  ops:(string -> Dc.op_info option) -> ?only_src:string -> Netlist.Circuit.t -> t
+    values, so the result has the bits [build] gives, without allocating:
+    the incremental probe path restamps thousands of times per layout.
+    On [Failure] the buffers are left partly stamped. *)
+val restamp :
+  t -> value:(Netlist.Expr.t -> float) -> ops:(string -> Dc.op_info option) ->
+  Netlist.Circuit.t -> unit
 
 (** [output_vector t ~pos ~neg] is the selector row picking
     v(pos) - v(neg); [neg = None] means ground. *)

@@ -116,16 +116,18 @@ let stamp_caps idx ~value ~ops ~h (xold : float array) j b =
           ())
     idx.Sysmat.circuit.Netlist.Circuit.elements
 
-let step ~value ~registry ~h ~stimulus ~t circuit (xold : float array) ops_prev =
+(* One backward-Euler timestep. Every Newton iteration stamps into the
+   caller's [jac] and factors it in place. *)
+let step ~value ~registry ~h ~stimulus ~t ~jac circuit (xold : float array) ops_prev =
   let ckt_t = circuit_at stimulus t circuit in
   let idx = Sysmat.of_circuit ckt_t in
   let x = Array.copy xold in
   let rec newton it =
     if it > 60 then Error "tran: Newton failed in timestep"
     else begin
-      let j, b = Dc.assemble idx ~value ~registry ~gmin:1e-12 ~srcscale:1.0 x in
-      stamp_caps idx ~value ~ops:ops_prev ~h xold j b;
-      match La.Lu.factor j with
+      let b = Dc.assemble idx ~value ~registry ~gmin:1e-12 ~srcscale:1.0 ~jac x in
+      stamp_caps idx ~value ~ops:ops_prev ~h xold jac b;
+      match La.Lu.factor_in_place jac with
       | exception La.Lu.Singular _ -> Error "tran: singular Jacobian"
       | lu ->
           let xnew = La.Lu.solve lu b in
@@ -158,11 +160,13 @@ let simulate ~value ~registry ~tstop ~dt ~stimulus circuit =
          its own h below. *)
       let times = Array.init (nsteps + 1) (fun k -> Float.min (float_of_int k *. dt) tstop) in
       let states = Array.make (nsteps + 1) sol0.Dc.x in
+      (* Every timestep's system has the layout of the initial one. *)
+      let jac = La.Mat.create idx.Sysmat.size idx.Sysmat.size in
       let rec run k x ops =
         if k > nsteps then Ok { index = idx; times; states }
         else begin
           let h = times.(k) -. times.(k - 1) in
-          match step ~value ~registry ~h ~stimulus ~t:times.(k) circuit x ops with
+          match step ~value ~registry ~h ~stimulus ~t:times.(k) ~jac circuit x ops with
           | Error e -> Error e
           | Ok (x', ops') ->
               states.(k) <- x';

@@ -149,6 +149,34 @@ let test_manual_novel_cascode_simulates () =
           | Error e -> Alcotest.failf "adm: %s" e
         end)
 
+let test_nodeset_retry_verifies () =
+  (* folded-cascode, seed 705, 2000 moves: the winner's relaxed-dc point
+     already satisfies KCL, yet a cold DC solve of its jig and bias
+     network does not converge. Verify retries from the design's own node
+     voltages, so the winner now verifies and simulation agrees with the
+     prediction. *)
+  match Core.Compile.compile_source Suite.Folded_cascode.source with
+  | Error e -> Alcotest.fail e
+  | Ok p -> (
+      let best, _ = Core.Oblx.best_of ~seed:705 ~moves:2000 ~jobs:1 ~runs:1 p in
+      let st = best.Core.Oblx.final in
+      let value e = Netlist.Expr.eval (Core.Eval.value_env p st) e in
+      (match Mna.Dc.solve ~value ~registry:p.Core.Problem.registry p.Core.Problem.bias with
+      | Ok _ -> Alcotest.fail "cold bias solve converges: the retry is no longer exercised"
+      | Error _ -> ());
+      match Core.Verify.simulate_specs p st with
+      | Error e -> Alcotest.failf "winner does not verify: %s" e
+      | Ok sims ->
+          List.iter
+            (fun (name, r) ->
+              match (r, List.assoc_opt name best.Core.Oblx.predicted) with
+              | Ok sim, Some (Some pred) ->
+                  if Float.abs (sim -. pred) > 1e-3 *. (1.0 +. Float.abs sim) then
+                    Alcotest.failf "%s: predicted %g, simulated %g" name pred sim
+              | Error e, _ -> Alcotest.failf "%s: %s" name e
+              | Ok _, _ -> ())
+            sims)
+
 let () =
   Alcotest.run "integration"
     [
@@ -160,5 +188,6 @@ let () =
           Alcotest.test_case "suite compiles" `Quick test_quickstart_compiles;
           Alcotest.test_case "multi-start smoke" `Slow test_multi_start_smoke;
           Alcotest.test_case "manual novel cascode" `Slow test_manual_novel_cascode_simulates;
+          Alcotest.test_case "nodeset retry verifies" `Slow test_nodeset_retry_verifies;
         ] );
     ]

@@ -69,6 +69,10 @@ let stamp_delta rng n r =
   let cols = List.sort_uniq compare !cols in
   (d, Array.of_list cols)
 
+(* The n x r block [update_cols] takes: columns [cols] of [delta]. *)
+let cols_of delta cols =
+  La.Mat.init (La.Mat.rows delta) (Array.length cols) (fun i j -> La.Mat.get delta i cols.(j))
+
 let fresh_solve a b =
   La.Lu.solve (La.Lu.factor a) b
 
@@ -116,7 +120,7 @@ let prop_update_cols_matches_fresh =
       let delta, cols = stamp_delta rng n r in
       let a' = La.Mat.add a delta in
       let b = random_rhs rng n in
-      match La.Lowrank.update_cols base ~cols ~delta with
+      match La.Lowrank.update_cols base ~cols ~u:(cols_of delta cols) with
       | Error _ ->
           (* The guard refused: the caller falls back to a fresh
              factorization, which is always safe. Acceptance coverage is
@@ -169,7 +173,7 @@ let prop_wellscaled_accepts =
       let cols = Array.of_list (List.sort_uniq compare !cols) in
       let a' = La.Mat.add g delta in
       let b = random_rhs rng n in
-      match La.Lowrank.update_cols base ~cols ~delta with
+      match La.Lowrank.update_cols base ~cols ~u:(cols_of delta cols) with
       | Error e -> QCheck.Test.fail_reportf "guard refused a benign update: %s" e
       | Ok lr ->
           let x = La.Lowrank.solve lr b in
@@ -221,7 +225,7 @@ let prop_transposed_consistent =
       let delta, cols = stamp_delta rng n r in
       let a' = La.Mat.add a delta in
       let b = random_rhs rng n in
-      match La.Lowrank.update_cols base ~cols ~delta with
+      match La.Lowrank.update_cols base ~cols ~u:(cols_of delta cols) with
       | Error _ -> true
       | Ok lr -> (
           match La.Lu.solve_transposed (La.Lu.factor a') b with
@@ -254,7 +258,7 @@ let prop_permuted_pivots =
           let delta, cols = stamp_delta rng n 2 in
           let a' = La.Mat.add a delta in
           let b = random_rhs rng n in
-          (match La.Lowrank.update_cols base ~cols ~delta with
+          (match La.Lowrank.update_cols base ~cols ~u:(cols_of delta cols) with
           | Error _ -> true
           | Ok lr -> (
               match fresh_solve a' b with
@@ -274,14 +278,14 @@ let test_fallback_singularizing_update () =
   let base = La.Lu.factor a in
   let delta = La.Mat.create 2 2 in
   La.Mat.set delta 0 0 (-1.0);
-  (match La.Lowrank.update_cols base ~cols:[| 0 |] ~delta with
+  (match La.Lowrank.update_cols base ~cols:[| 0 |] ~u:(cols_of delta [| 0 |]) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected the guard to refuse a singularizing update");
   (* Nearly singularizing: delta = diag(-1 + 1e-14) leaves cap ~ 1e-14,
      far below the default rcond_min of 1e-10. *)
   let delta2 = La.Mat.create 2 2 in
   La.Mat.set delta2 0 0 (-1.0 +. 1e-14);
-  match La.Lowrank.update_cols base ~cols:[| 0 |] ~delta:delta2 with
+  match La.Lowrank.update_cols base ~cols:[| 0 |] ~u:(cols_of delta2 [| 0 |]) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected the rcond guard to refuse an ill-conditioned update"
 
@@ -293,10 +297,10 @@ let test_fallback_growth () =
   let delta = La.Mat.create 2 2 in
   La.Mat.set delta 0 0 1.0;
   (* A^{-1} column 0 scale is 1e6: refused at growth_max 1e3, fine at 1e12. *)
-  (match La.Lowrank.update_cols ~growth_max:1e3 base ~cols:[| 0 |] ~delta with
+  (match La.Lowrank.update_cols ~growth_max:1e3 base ~cols:[| 0 |] ~u:(cols_of delta [| 0 |]) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected the growth guard to trip");
-  match La.Lowrank.update_cols base ~cols:[| 0 |] ~delta with
+  match La.Lowrank.update_cols base ~cols:[| 0 |] ~u:(cols_of delta [| 0 |]) with
   | Error e -> Alcotest.failf "default growth bound should accept: %s" e
   | Ok lr ->
       let x = La.Lowrank.solve lr [| 1.0; 1.0 |] in
@@ -309,7 +313,7 @@ let test_rank0_update_is_base () =
   let a = mna_matrix rng 6 in
   let base = La.Lu.factor a in
   let delta = La.Mat.create 6 6 in
-  match La.Lowrank.update_cols base ~cols:[||] ~delta with
+  match La.Lowrank.update_cols base ~cols:[||] ~u:(cols_of delta [||]) with
   | Error e -> Alcotest.failf "rank-0 update refused: %s" e
   | Ok lr ->
       Alcotest.(check int) "rank" 0 (La.Lowrank.rank lr);
@@ -327,7 +331,7 @@ let test_in_place_matches_pure () =
   let a = mna_matrix rng 8 in
   let base = La.Lu.factor a in
   let delta, cols = stamp_delta rng 8 2 in
-  match La.Lowrank.update_cols base ~cols ~delta with
+  match La.Lowrank.update_cols base ~cols ~u:(cols_of delta cols) with
   | Error e -> Alcotest.failf "update refused: %s" e
   | Ok lr ->
       let b = random_rhs rng 8 in

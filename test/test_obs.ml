@@ -672,25 +672,38 @@ let golden_circuit = "simple-ota"
 let golden_seed = 11
 let golden_moves = 600
 
-let compile_golden () =
-  match Suite.Ckts.find golden_circuit with
-  | None -> Alcotest.failf "unknown circuit %s" golden_circuit
+(* Stage-level goldens of the larger circuits: (file, circuit, seed, moves).
+   They pin every stage's costs, penalty weights and evaluator counters,
+   so a numeric kernel that reorders a single operation fails here. *)
+let stage_goldens =
+  [
+    ("golden/folded_cascode_stage.jsonl", "folded-cascode", 3, 1200);
+    ("golden/bicmos_two_stage_stage.jsonl", "bicmos-two-stage", 5, 1200);
+    ("golden/tran_buffer_stage.jsonl", "tran-buffer", 7, 400);
+  ]
+
+let compile_named circuit =
+  match Suite.Ckts.find circuit with
+  | None -> Alcotest.failf "unknown circuit %s" circuit
   | Some e -> begin
       match Core.Compile.compile_source e.Suite.Ckts.source with
       | Ok p -> p
       | Error msg -> Alcotest.failf "compile: %s" msg
     end
 
-let test_golden_trace_matches () =
+let compile_golden () = compile_named golden_circuit
+
+(* Re-run [circuit] at [level] and diff every event against [path]. *)
+let check_golden ~path ~circuit ~seed ~moves ~level =
   let golden =
-    match Obs.Replay.read_file golden_path with
+    match Obs.Replay.read_file path with
     | Ok evs -> evs
     | Error e -> Alcotest.failf "golden trace unreadable (regenerate with test/gen_golden.exe): %s" e
   in
-  let p = compile_golden () in
+  let p = compile_named circuit in
   let ring = Obs.Sink.Ring.create ~capacity:100_000 in
-  let obs = Obs.Trace.make ~level:Obs.Event.Moves [ Obs.Sink.Ring.sink ring ] in
-  let _ = Core.Oblx.synthesize ~seed:golden_seed ~moves:golden_moves ~obs p in
+  let obs = Obs.Trace.make ~level [ Obs.Sink.Ring.sink ring ] in
+  let _ = Core.Oblx.synthesize ~seed ~moves ~obs p in
   let fresh = Obs.Sink.Ring.contents ring in
   Alcotest.(check int) "same event count" (List.length golden) (List.length fresh);
   (* The tolerance absorbs last-bit libm drift when the golden file was
@@ -703,6 +716,17 @@ let test_golden_trace_matches () =
       | None -> ()
       | Some d -> Alcotest.failf "golden event %d differs: %s" !i d)
     golden fresh
+
+let test_golden_trace_matches () =
+  check_golden ~path:golden_path ~circuit:golden_circuit ~seed:golden_seed ~moves:golden_moves
+    ~level:Obs.Event.Moves
+
+let stage_golden_cases =
+  List.map
+    (fun (path, circuit, seed, moves) ->
+      Alcotest.test_case (circuit ^ " stage trace matches") `Slow (fun () ->
+          check_golden ~path ~circuit ~seed ~moves ~level:Obs.Event.Stage))
+    stage_goldens
 
 let test_golden_trace_replays () =
   let p = compile_golden () in
@@ -767,5 +791,6 @@ let () =
         [
           Alcotest.test_case "matches regenerated run" `Slow test_golden_trace_matches;
           Alcotest.test_case "replays against cost function" `Slow test_golden_trace_replays;
-        ] );
+        ]
+        @ stage_golden_cases );
     ]
