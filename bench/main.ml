@@ -1055,11 +1055,9 @@ let perf_incremental () =
         Printf.printf "   probed      %8.0f moves/s (%.2f s)  -> %.2fx vs full\n" probed_rate
           probed_wall speedup;
         Printf.printf "   verified replay bit-identical: %b\n" identical;
-        Printf.printf
-          "   %d screens, %d probe refits (%d fresh fallbacks); moments %d reused, %d refreshed\n"
+        Printf.printf "   %d screens, %d probe refits (%d fresh fallbacks)\n"
           sp.Core.Eval.Incr.probes sp.Core.Eval.Incr.probe_rom_builds
-          sp.Core.Eval.Incr.probe_fallbacks sp.Core.Eval.Incr.mom_reuses
-          sp.Core.Eval.Incr.mom_refreshes;
+          sp.Core.Eval.Incr.probe_fallbacks;
         Printf.printf "   exact rom_builds per 4k moves: %.1f (plain incr %.1f) -> %.1fx drop\n"
           (4000.0 *. rb_rate_probed) (4000.0 *. rb_rate_incr) rom_builds_drop;
         if sp.Core.Eval.Incr.resync_mismatches > 0 then
@@ -1184,8 +1182,6 @@ let perf_incremental () =
                      ("probes", int s.probes);
                      ("probe_rom_builds", int s.probe_rom_builds);
                      ("probe_fallbacks", int s.probe_fallbacks);
-                     ("mom_reuses", int s.mom_reuses);
-                     ("mom_refreshes", int s.mom_refreshes);
                      ("resyncs", int s.resyncs);
                      ("resync_mismatches", int s.resync_mismatches);
                    ])

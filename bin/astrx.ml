@@ -204,12 +204,9 @@ let synth_source name src seed moves runs jobs early_stop no_incremental probe_b
             (pct es.Core.Eval.Incr.spec_reuses es.Core.Eval.Incr.spec_evals)
             es.Core.Eval.Incr.resyncs es.Core.Eval.Incr.resync_mismatches;
           if es.Core.Eval.Incr.probes > 0 then
-            Printf.printf
-              "probe: %d screens, %d jig refits (%d fresh fallbacks); moments %d reused, %d \
-               refreshed\n"
+            Printf.printf "probe: %d screens, %d jig refits (%d fresh fallbacks)\n"
               es.Core.Eval.Incr.probes es.Core.Eval.Incr.probe_rom_builds
-              es.Core.Eval.Incr.probe_fallbacks es.Core.Eval.Incr.mom_reuses
-              es.Core.Eval.Incr.mom_refreshes
+              es.Core.Eval.Incr.probe_fallbacks
       | Some _ | None -> ());
       (match dump with
       | Some path ->
@@ -1036,11 +1033,8 @@ let stats_cmd =
             (n ev "resync_mismatches");
           (match jnum ev "probes" with
           | Some p when p > 0.0 ->
-              Printf.printf
-                "probe: %s screens, %s jig refits (%s fresh fallbacks); moments %s reused, %s \
-                 refreshed\n"
+              Printf.printf "probe: %s screens, %s jig refits (%s fresh fallbacks)\n"
                 (n ev "probes") (n ev "probe_rom_builds") (n ev "probe_fallbacks")
-                (n ev "mom_reuses") (n ev "mom_refreshes")
           | Some _ | None -> ())
       | Some (Json.Str mode), _ -> Printf.printf "evals: mode %s\n" mode
       | _ -> ());

@@ -21,29 +21,6 @@ type factored
 val factor : Mna.Linearize.t -> factored
 val compute_with : factored -> b:La.Vec.t -> sel:La.Vec.t -> count:int -> float array
 
-(** {2 Moment-vector cache}
-
-    The incremental evaluator records the solution vectors r_k of the
-    exact moment recurrence per transfer function, then serves probe
-    evaluations from them: untouched systems reuse every vector,
-    capacitance-only moves keep r_0 and re-solve the tail, and
-    conductance moves solve through a Sherman-Morrison-Woodbury update
-    of the retained factorization ({!La.Lowrank}). *)
-
-type cache
-
-val cache_create : unit -> cache
-
-(** [cache_clear c] forgets the recorded vectors (e.g. after the exact
-    path failed and the cached state no longer matches). *)
-val cache_clear : cache -> unit
-
-(** [compute_record f cache ~b ~sel ~count] is bit-identical to
-    {!compute_with} (both run the same recurrence code) and additionally
-    records each solution vector plus [b] into [cache]. *)
-val compute_record :
-  factored -> cache -> b:La.Vec.t -> sel:La.Vec.t -> count:int -> float array
-
 (** {2 Low-rank probe updates} *)
 
 type update
@@ -62,14 +39,10 @@ val prepare_update :
 (** [update_rank u] is the rank of the conductance delta (0 = G untouched). *)
 val update_rank : update -> int
 
-(** [compute_probe u cache ~b ~sel ~count] computes screening moments for
-    the perturbed system, reading (never writing) [cache]:
-    [`Reused] — rank 0, C unchanged, cached excitation matches: dot
-    products against the recorded vectors only; [`Refreshed] — rank 0
-    with C changed: r_0 reused, tail re-solved; [`Updated] — SMW (or
-    excitation-changed) solves throughout. Probe moments are approximate
-    by design; only the confirm path's exact recompute feeds accepted
-    costs. *)
-val compute_probe :
-  update -> cache -> b:La.Vec.t -> sel:La.Vec.t -> count:int ->
-  float array * [ `Reused | `Refreshed | `Updated ]
+(** [compute_probe u ~b ~sel ~count] computes screening moments for the
+    perturbed system: the same recurrence as {!compute_with}, solved
+    through the retained factorization when no conductance column moved
+    (then the bits equal a fresh {!compute_with} on the perturbed system)
+    and through the SMW update otherwise. Probe moments are approximate by
+    design; only the confirm path's exact recompute feeds accepted costs. *)
+val compute_probe : update -> b:La.Vec.t -> sel:La.Vec.t -> count:int -> float array

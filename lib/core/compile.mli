@@ -7,9 +7,12 @@
     the large-signal bias network with device templates expanded,
     (c) derive the KCL constraints, (d) generate the small-signal AWE
     circuits for every test jig, (e) generate cost terms for each
-    performance specification, and (f) emit the cost-function evaluator
-    (an OCaml closure graph here; the original emitted C — see DESIGN.md),
-    whose size is reported in the analysis record. *)
+    performance specification, and (f) assemble the cost function: the
+    {!Problem.t} plus its {!Depgraph} dependency graph, which {!Eval}
+    interprets by walking the expression trees on each evaluation (the
+    original emitted C — see DESIGN.md). The analysis record's
+    [lines_of_c] is a weighted estimate of that C's size, computed from
+    the sizes of the compiled parts. *)
 
 exception Error of string
 

@@ -42,22 +42,131 @@ let value_env (p : Problem.t) (st : State.t) = value_env_get p (fun () -> st)
 
 (* --- Node voltages from the tree-link assignment. --- *)
 
+let node_voltage_of (p : Problem.t) (st : State.t) env node =
+  let base = Problem.node_var_base p in
+  match p.Problem.tl.Treelink.of_node.(node) with
+  | Treelink.Fixed e -> Netlist.Expr.eval env e
+  | Treelink.Free (k, off) -> st.State.values.(base + k) +. Netlist.Expr.eval env off
+
 let node_voltages (p : Problem.t) (st : State.t) =
   let env = value_env p st in
-  let base = Problem.node_var_base p in
-  Array.map
-    (fun a ->
-      match a with
-      | Treelink.Fixed e -> Netlist.Expr.eval env e
-      | Treelink.Free (k, off) -> st.State.values.(base + k) +. Netlist.Expr.eval env off)
-    p.Problem.tl.Treelink.of_node
+  Array.init (Array.length p.Problem.tl.Treelink.of_node) (node_voltage_of p st env)
+
+(* --- The element kernel. ---
+
+   One element's KCL flow contributions: current [fv.(k)] leaves node
+   [fn.(k)] into the element, for k < [flen], in emission order (voltage
+   sources emit none: inside a supernode they cancel). *)
+type flows = { fn : int array; fv : float array; mutable flen : int }
+
+let flows_create cap = { fn = Array.make cap 0; fv = Array.make cap 0.0; flen = 0 }
+
+let set_flow2 fl n1 n2 i =
+  fl.fn.(0) <- n1;
+  fl.fv.(0) <- i;
+  fl.fn.(1) <- n2;
+  fl.fv.(1) <- -.i;
+  fl.flen <- 2
+
+(* Fold one element's flows into the per-node current sums and the sums
+   of magnitudes (the normalization scale), in emission order. *)
+let add_flows cur mag fl =
+  for k = 0 to fl.flen - 1 do
+    let node = fl.fn.(k) and i = fl.fv.(k) in
+    cur.(node) <- cur.(node) +. i;
+    mag.(node) <- mag.(node) +. Float.abs i
+  done
+
+(* Element [i]'s flows into [fl] from node voltages [nv], and its
+   operating point when it is a device. The full evaluator, the
+   incremental session and the probe all run this one function; they
+   differ in where the flows land and in [device]: a device's exact model
+   inputs are written to [key] (w l m vd vg vs vb for a MOS, area vc vb
+   ve for a BJT) and [device i key model] returns its operating point,
+   [model key] being the model evaluation itself. *)
+let elem_kernel (p : Problem.t) ~value ~(nv : float array) ~key ~device (fl : flows) i
+    (e : Netlist.Circuit.element) =
+  match e with
+  | Netlist.Circuit.Resistor { n1; n2; value = ve; _ } ->
+      set_flow2 fl n1 n2 ((nv.(n1) -. nv.(n2)) /. value ve);
+      None
+  | Netlist.Circuit.Capacitor _ | Netlist.Circuit.Vsource _ ->
+      fl.flen <- 0;
+      None
+  | Netlist.Circuit.Isource { np; nn; dc; _ } ->
+      set_flow2 fl np nn (value dc);
+      None
+  | Netlist.Circuit.Vccs { np; nn; ncp; ncn; gm; _ } ->
+      set_flow2 fl np nn (value gm *. (nv.(ncp) -. nv.(ncn)));
+      None
+  | Netlist.Circuit.Mosfet { name; d; g; s; b; model; w; l; mult } -> begin
+      match Devices.Registry.find_exn p.Problem.registry model with
+      | Devices.Sig.Mos { eval; _ } ->
+          key.(0) <- value w;
+          key.(1) <- value l;
+          key.(2) <- value mult;
+          key.(3) <- nv.(d);
+          key.(4) <- nv.(g);
+          key.(5) <- nv.(s);
+          key.(6) <- nv.(b);
+          let oi =
+            device i key (fun k ->
+                Mna.Dc.Mos_op
+                  (eval ~w:k.(0) ~l:k.(1) ~m:k.(2) ~vd:k.(3) ~vg:k.(4) ~vs:k.(5) ~vb:k.(6)))
+          in
+          (match oi with
+          | Mna.Dc.Mos_op op ->
+              let open Devices.Sig in
+              fl.fn.(0) <- d;
+              fl.fv.(0) <- op.id_;
+              fl.fn.(1) <- s;
+              fl.fv.(1) <- -.op.id_;
+              fl.fn.(2) <- b;
+              fl.fv.(2) <- op.ibd_ +. op.ibs_;
+              fl.fn.(3) <- d;
+              fl.fv.(3) <- -.op.ibd_;
+              fl.fn.(4) <- s;
+              fl.fv.(4) <- -.op.ibs_;
+              fl.flen <- 5
+          | Mna.Dc.Bjt_op _ -> assert false);
+          Some oi
+      | Devices.Sig.Bjt _ -> failwith (name ^ ": MOS element with BJT model")
+    end
+  | Netlist.Circuit.Bjt { name; c; b; e = ne; model; area } -> begin
+      match Devices.Registry.find_exn p.Problem.registry model with
+      | Devices.Sig.Bjt { eval; _ } ->
+          key.(0) <- value area;
+          key.(1) <- nv.(c);
+          key.(2) <- nv.(b);
+          key.(3) <- nv.(ne);
+          let oi =
+            device i key (fun k -> Mna.Dc.Bjt_op (eval ~area:k.(0) ~vc:k.(1) ~vb:k.(2) ~ve:k.(3)))
+          in
+          (match oi with
+          | Mna.Dc.Bjt_op op ->
+              let open Devices.Sig in
+              fl.fn.(0) <- c;
+              fl.fv.(0) <- op.ic;
+              fl.fn.(1) <- b;
+              fl.fv.(1) <- op.ib;
+              fl.fn.(2) <- ne;
+              fl.fv.(2) <- -.(op.ic +. op.ib);
+              fl.flen <- 3
+          | Mna.Dc.Mos_op _ -> assert false);
+          Some oi
+      | Devices.Sig.Mos _ -> failwith (name ^ ": BJT element with MOS model")
+    end
+  | Netlist.Circuit.Inductor { name; _ }
+  | Netlist.Circuit.Vcvs { name; _ }
+  | Netlist.Circuit.Cccs { name; _ }
+  | Netlist.Circuit.Ccvs { name; _ } ->
+      failwith (name ^ ": unsupported element in bias network")
 
 (* --- KCL currents over the bias network. ---
 
-   [currents] accumulates, per node, the sum of currents leaving the node
-   into elements (voltage sources excluded: inside a supernode they cancel)
-   and the sum of magnitudes (the normalization scale). Device operating
-   points fall out of the same sweep. *)
+   [sweep_bias] accumulates, per node, the sum of currents leaving the
+   node into elements and the sum of magnitudes. Device operating points
+   fall out of the same sweep; the full path calls the models directly. *)
 
 let sweep_bias (p : Problem.t) (st : State.t) ~want_ops =
   let env = value_env p st in
@@ -67,59 +176,14 @@ let sweep_bias (p : Problem.t) (st : State.t) ~want_ops =
   let cur = Array.make n 0.0 in
   let mag = Array.make n 0.0 in
   let ops = ref [] in
-  let flow node i =
-    cur.(node) <- cur.(node) +. i;
-    mag.(node) <- mag.(node) +. Float.abs i
-  in
-  Array.iter
-    (fun (e : Netlist.Circuit.element) ->
-      match e with
-      | Netlist.Circuit.Resistor { n1; n2; value = ve; _ } ->
-          let i = (nv.(n1) -. nv.(n2)) /. value ve in
-          flow n1 i;
-          flow n2 (-.i)
-      | Netlist.Circuit.Capacitor _ -> ()
-      | Netlist.Circuit.Vsource _ -> ()
-      | Netlist.Circuit.Isource { np; nn; dc; _ } ->
-          let i = value dc in
-          flow np i;
-          flow nn (-.i)
-      | Netlist.Circuit.Vccs { np; nn; ncp; ncn; gm; _ } ->
-          let i = value gm *. (nv.(ncp) -. nv.(ncn)) in
-          flow np i;
-          flow nn (-.i)
-      | Netlist.Circuit.Mosfet { name; d; g; s; b; model; w; l; mult } -> begin
-          match Devices.Registry.find_exn p.Problem.registry model with
-          | Devices.Sig.Mos { eval; _ } ->
-              let op =
-                eval ~w:(value w) ~l:(value l) ~m:(value mult) ~vd:nv.(d) ~vg:nv.(g)
-                  ~vs:nv.(s) ~vb:nv.(b)
-              in
-              let open Devices.Sig in
-              flow d op.id_;
-              flow s (-.op.id_);
-              flow b (op.ibd_ +. op.ibs_);
-              flow d (-.op.ibd_);
-              flow s (-.op.ibs_);
-              if want_ops then ops := (name, Mna.Dc.Mos_op op) :: !ops
-          | Devices.Sig.Bjt _ -> failwith (name ^ ": MOS element with BJT model")
-        end
-      | Netlist.Circuit.Bjt { name; c; b; e = ne; model; area } -> begin
-          match Devices.Registry.find_exn p.Problem.registry model with
-          | Devices.Sig.Bjt { eval; _ } ->
-              let op = eval ~area:(value area) ~vc:nv.(c) ~vb:nv.(b) ~ve:nv.(ne) in
-              let open Devices.Sig in
-              flow c op.ic;
-              flow b op.ib;
-              flow ne (-.(op.ic +. op.ib));
-              if want_ops then ops := (name, Mna.Dc.Bjt_op op) :: !ops
-          | Devices.Sig.Mos _ -> failwith (name ^ ": BJT element with MOS model")
-        end
-      | Netlist.Circuit.Inductor { name; _ }
-      | Netlist.Circuit.Vcvs { name; _ }
-      | Netlist.Circuit.Cccs { name; _ }
-      | Netlist.Circuit.Ccvs { name; _ } ->
-          failwith (name ^ ": unsupported element in bias network"))
+  let fl = flows_create 5 and key = Array.make 7 0.0 in
+  Array.iteri
+    (fun i e ->
+      let op = elem_kernel p ~value ~nv ~key ~device:(fun _ k model -> model k) fl i e in
+      add_flows cur mag fl;
+      match op with
+      | Some op when want_ops -> ops := (Netlist.Circuit.element_name e, op) :: !ops
+      | Some _ | None -> ())
     p.Problem.bias.Netlist.Circuit.elements;
   (nv, cur, mag, List.rev !ops)
 
@@ -247,30 +311,53 @@ let static_power_parts (p : Problem.t) (st : State.t) ~(nv : float array)
           acc)
     0.0 p.Problem.bias.Netlist.Circuit.elements
 
-let roms_for_jig ~value ~ops (j : Problem.jig) =
-  match Mna.Linearize.build ~value ~ops j.Problem.jig_circuit with
+(* --- The jig-ROM builder. --- *)
+
+(* Every tf of [jig] failing with one message (a failed stamp, say). *)
+let jig_failed (jig : Problem.jig) m =
+  List.map (fun (tfname, _) -> (tfname, Error m)) jig.Problem.tfs
+
+(* Per-tf ROM list of one stamped jig system: each tf's excitation and
+   output selector, [moments ~b ~sel ~count] for the 2*qmax + 2 moments
+   of the fit, then the Padé order descent from [qmax]. A failure is
+   recorded against its tf alone. Exact and probe fits differ only in
+   [moments] (fresh factorization or low-rank update) and [qmax]. *)
+let jig_rom_list (jig : Problem.jig) lin ~qmax ~moments =
+  List.map
+    (fun (tfname, (tf : Problem.tf)) ->
+      let rom =
+        try
+          let b = Mna.Linearize.excitation_of lin ~src:tf.src in
+          let sel = Mna.Linearize.output_vector lin ~pos:tf.out_pos ~neg:tf.out_neg in
+          Awe.Rom.of_moments ~qmax (moments ~b ~sel ~count:((2 * qmax) + 2))
+        with
+        | Failure m -> Error m
+        | La.Lu.Singular _ -> Error "singular AWE system"
+      in
+      (tfname, rom))
+    jig.Problem.tfs
+
+(* The exact fit: [Rom.build_with]'s default order. *)
+let exact_qmax = 6
+
+(* Stamp [jig] and fit its ROM list through a fresh factorization.
+   [retain] first sees the stamped system and its factorization ([None]
+   when the stamp failed): the incremental session keeps them for probes. *)
+let jig_roms_exact ?(retain = ignore) ~value ~ops (jig : Problem.jig) =
+  match Mna.Linearize.build ~value ~ops jig.Problem.jig_circuit with
+  | exception Failure m ->
+      retain None;
+      jig_failed jig m
   | lin ->
       let fac = Awe.Moments.factor lin in
-      List.map
-        (fun (tfname, (tf : Problem.tf)) ->
-          let rom =
-            try
-              let b = Mna.Linearize.excitation_of lin ~src:tf.src in
-              let sel = Mna.Linearize.output_vector lin ~pos:tf.out_pos ~neg:tf.out_neg in
-              Awe.Rom.build_with fac ~b ~sel
-            with
-            | Failure m -> Error m
-            | La.Lu.Singular _ -> Error "singular AWE system"
-          in
-          (tfname, rom))
-        j.Problem.tfs
-  | exception Failure m -> List.map (fun (tfname, _) -> (tfname, Error m)) j.Problem.tfs
+      retain (Some (lin, fac));
+      jig_rom_list jig lin ~qmax:exact_qmax ~moments:(Awe.Moments.compute_with fac)
 
 let build_roms (p : Problem.t) (st : State.t) (bp : bias_point) =
   let env = value_env p st in
   let value e = Netlist.Expr.eval env e in
   let ops name = List.assoc_opt name bp.ops in
-  List.concat_map (roms_for_jig ~value ~ops) p.Problem.jigs
+  List.concat_map (jig_roms_exact ~value ~ops) p.Problem.jigs
 
 let rom_of roms tfname =
   match List.assoc_opt tfname roms with
@@ -728,7 +815,8 @@ let cost_scalar p w st = (cost p w st).total
    re-evaluate only the slice of the cost function a move touched, while
    guaranteeing bit-identical totals to the full [cost] above:
 
-   - per-element KCL flow contributions are cached and the node-current
+   - per-element KCL flow contributions, computed by the full
+     evaluator's own [elem_kernel], are cached and the node-current
      accumulators are re-folded from zero over ALL elements in element
      order, so the floating-point addition order matches [sweep_bias]
      exactly;
@@ -736,8 +824,9 @@ let cost_scalar p w st = (cost p w st).total
      geometry + terminal voltages), and "did this element change" is a
      physical-identity test on the operating-point record — a clean
      element keeps the very record the cached AWE models were built from;
-   - per-jig AWE ROM lists are reused until a dependent operating point
-     changes or a jig value expression evaluates to different bits;
+   - per-jig AWE ROM lists ([jig_roms_exact], as in the full path) are
+     reused until a dependent operating point changes or a jig value
+     expression evaluates to different bits;
    - per-spec measured values are reused unless the spec reads a rebuilt
      jig, a changed operating point, or a dirty variable; area/power/
      supply_current specs read the whole bias solution and are always
@@ -792,16 +881,14 @@ module Incr = struct
 
   type memo_slot = { key : float array; memo_op : Mna.Dc.op_info }
 
-  (* Per-element arena slot. KCL contributions live in the flat [fn]/[fv]
-     pair (node index / current), length [flen], capacity fixed at create
-     time — recomputing an element writes in place instead of allocating a
-     tuple array per move. [kscratch] is the operating-point memo probe
-     key, likewise reused; it is copied only on a memo miss. *)
+  (* Per-element arena slot. KCL contributions live in [fl], capacity
+     fixed at create time — recomputing an element writes in place instead
+     of allocating a tuple array per move. [kscratch] is the
+     operating-point memo probe key, likewise reused; it is copied only on
+     a memo miss. *)
   type elem_cache = {
     ec_name : string;
-    fn : int array;  (* flow nodes, emission order *)
-    fv : float array;  (* flow currents *)
-    mutable flen : int;
+    fl : flows;
     mutable op : Mna.Dc.op_info option;
     memo : memo_slot option array;  (* tiny per-device operating-point memo *)
     mutable memo_next : int;
@@ -851,13 +938,12 @@ module Incr = struct
     residuals : float array;
     res_scale : float array;
     mutable ops_list : (string * Mna.Dc.op_info) list;  (* element order *)
-    (* Probe-path retention: the stamped linear system, its factorization
-       and the per-tf moment vectors of the last exact build of each jig,
-       kept so candidate screening can restamp against the retained layout
-       and solve through a low-rank update instead of factoring fresh. *)
+    (* Probe-path retention: the stamped linear system and its
+       factorization of the last exact build of each jig, kept so
+       candidate screening can restamp against the retained layout and
+       solve through a low-rank update instead of factoring fresh. *)
     jig_lin : Mna.Linearize.t option array;
     jig_fac : Awe.Moments.factored option array;
-    jig_mom : Awe.Moments.cache array array;  (* per jig, per tf *)
     jig_plin : Mna.Linearize.t option array;
         (* per jig: the buffer probe candidates are restamped into *)
     (* Probe scratch: candidate screening writes here, never into the
@@ -872,8 +958,7 @@ module Incr = struct
     p_jig_dirty : bool array;
     p_spec_stale : bool array;
     p_ops : Mna.Dc.op_info option array;  (* probe op of dirty devices *)
-    pf_n : int array;  (* one element's probe flow nodes *)
-    pf_v : float array;  (* ... and currents *)
+    kflows : flows;  (* scratch: the element kernel's output for one element *)
     mutable dirty_accum : int;  (* dirty vars since the last cost eval *)
     mutable since_resync : int;
     mutable cls : string;  (* move class currently charged, for stats *)
@@ -892,8 +977,6 @@ module Incr = struct
     mutable c_probes : int;
     mutable c_probe_rom_builds : int;
     mutable c_probe_fallbacks : int;
-    mutable c_mom_reuses : int;
-    mutable c_mom_refreshes : int;
     hist : int array;
     by_class : (string, counters) Hashtbl.t;
   }
@@ -921,9 +1004,7 @@ module Incr = struct
           in
           {
             ec_name = Netlist.Circuit.element_name e;
-            fn = Array.make cap 0;
-            fv = Array.make cap 0.0;
-            flen = 0;
+            fl = flows_create cap;
             op = None;
             (* 16 slots: batched probing evaluates up to a handful of
                candidate geometries per accepted move, and the confirm
@@ -1017,12 +1098,6 @@ module Incr = struct
       ops_list = [];
       jig_lin = Array.make n_jigs None;
       jig_fac = Array.make n_jigs None;
-      jig_mom =
-        Array.of_list
-          (List.map
-             (fun (j : Problem.jig) ->
-               Array.init (List.length j.Problem.tfs) (fun _ -> Awe.Moments.cache_create ()))
-             p.Problem.jigs);
       jig_plin = Array.make n_jigs None;
       p_nv = Array.make n_nodes 0.0;
       p_cur = Array.make n_nodes 0.0;
@@ -1033,8 +1108,7 @@ module Incr = struct
       p_jig_dirty = Array.make n_jigs false;
       p_spec_stale = Array.make n_specs false;
       p_ops = Array.make n_elems None;
-      pf_n = Array.make 5 0;
-      pf_v = Array.make 5 0.0;
+      kflows = flows_create 5;
       dirty_accum = 0;
       since_resync = 0;
       cls = "";
@@ -1052,8 +1126,6 @@ module Incr = struct
       c_probes = 0;
       c_probe_rom_builds = 0;
       c_probe_fallbacks = 0;
-      c_mom_reuses = 0;
-      c_mom_refreshes = 0;
       hist = Array.make 9 0;
       by_class = Hashtbl.create 8;
     }
@@ -1079,7 +1151,7 @@ module Incr = struct
     ss.spec_cx.cx_trans <- [];
     Array.iter
       (fun ec ->
-        ec.flen <- 0;
+        ec.fl.flen <- 0;
         ec.op <- None;
         Array.fill ec.memo 0 (Array.length ec.memo) None;
         ec.memo_next <- 0)
@@ -1111,11 +1183,8 @@ module Incr = struct
     ss.c_probes <- 0;
     ss.c_probe_rom_builds <- 0;
     ss.c_probe_fallbacks <- 0;
-    ss.c_mom_reuses <- 0;
-    ss.c_mom_refreshes <- 0;
     Array.fill ss.jig_lin 0 (Array.length ss.jig_lin) None;
     Array.fill ss.jig_fac 0 (Array.length ss.jig_fac) None;
-    Array.iter (Array.iter Awe.Moments.cache_clear) ss.jig_mom;
     Array.fill ss.hist 0 (Array.length ss.hist) 0;
     Hashtbl.reset ss.by_class
 
@@ -1171,134 +1240,51 @@ module Incr = struct
       ec.memo_next <- (ec.memo_next + 1) mod Array.length ec.memo
     end
 
-  (* Two-terminal flow update, in place: compare against the stored pair
-     and only mark the element changed on genuinely new bits. *)
-  let set_flow2 ss i ec n1 v1 n2 v2 =
-    let changed =
-      ec.flen <> 2
-      || ec.fn.(0) <> n1
-      || (not (feq_bits ec.fv.(0) v1))
-      || ec.fn.(1) <> n2
-      || not (feq_bits ec.fv.(1) v2)
-    in
-    if changed then begin
-      ec.fn.(0) <- n1;
-      ec.fv.(0) <- v1;
-      ec.fn.(1) <- n2;
-      ec.fv.(1) <- v2;
-      ec.flen <- 2;
-      ss.elem_changed.(i) <- true
-    end
-
-  (* Recompute one element's flow contributions (and operating point for a
-     device) with the same arithmetic, in the same order, as [sweep_bias]. *)
-  let recompute_elem ss ~force value i (e : Netlist.Circuit.element) =
-    let p = ss.sp in
-    let nv = ss.nv in
+  (* The session's device hook for [elem_kernel]: the operating point is
+     served from the element's memo when its exact inputs were seen
+     before, and evaluated (then memoized) otherwise. *)
+  let memo_op ss i key model =
     let ec = ss.elems.(i) in
-    match e with
-    | Netlist.Circuit.Resistor { n1; n2; value = ve; _ } ->
-        let iv = (nv.(n1) -. nv.(n2)) /. value ve in
-        set_flow2 ss i ec n1 iv n2 (-.iv)
-    | Netlist.Circuit.Capacitor _ | Netlist.Circuit.Vsource _ -> ()
-    | Netlist.Circuit.Isource { np; nn; dc; _ } ->
-        let iv = value dc in
-        set_flow2 ss i ec np iv nn (-.iv)
-    | Netlist.Circuit.Vccs { np; nn; ncp; ncn; gm; _ } ->
-        let iv = value gm *. (nv.(ncp) -. nv.(ncn)) in
-        set_flow2 ss i ec np iv nn (-.iv)
-    | Netlist.Circuit.Mosfet { name; d; g; s; b; model; w; l; mult } -> begin
-        match Devices.Registry.find_exn p.Problem.registry model with
-        | Devices.Sig.Mos { eval; _ } ->
-            let key = ec.kscratch in
-            key.(0) <- value w;
-            key.(1) <- value l;
-            key.(2) <- value mult;
-            key.(3) <- nv.(d);
-            key.(4) <- nv.(g);
-            key.(5) <- nv.(s);
-            key.(6) <- nv.(b);
-            let op_info =
-              match memo_find ss ec key with
-              | Some op -> op
-              | None ->
-                  let op =
-                    eval ~w:key.(0) ~l:key.(1) ~m:key.(2) ~vd:key.(3) ~vg:key.(4) ~vs:key.(5)
-                      ~vb:key.(6)
-                  in
-                  let oi = Mna.Dc.Mos_op op in
-                  memo_add ec (Array.copy key) oi;
-                  oi
-            in
-            let unchanged = match ec.op with Some o -> o == op_info | None -> false in
-            if force || not unchanged then begin
-              (match op_info with
-              | Mna.Dc.Mos_op op ->
-                  let open Devices.Sig in
-                  ec.fn.(0) <- d;
-                  ec.fv.(0) <- op.id_;
-                  ec.fn.(1) <- s;
-                  ec.fv.(1) <- -.op.id_;
-                  ec.fn.(2) <- b;
-                  ec.fv.(2) <- op.ibd_ +. op.ibs_;
-                  ec.fn.(3) <- d;
-                  ec.fv.(3) <- -.op.ibd_;
-                  ec.fn.(4) <- s;
-                  ec.fv.(4) <- -.op.ibs_;
-                  ec.flen <- 5
-              | Mna.Dc.Bjt_op _ -> assert false);
-              ec.op <- Some op_info;
-              ss.elem_changed.(i) <- true
-            end
-        | Devices.Sig.Bjt _ -> failwith (name ^ ": MOS element with BJT model")
-      end
-    | Netlist.Circuit.Bjt { name; c; b; e = ne; model; area } -> begin
-        match Devices.Registry.find_exn p.Problem.registry model with
-        | Devices.Sig.Bjt { eval; _ } ->
-            let key = ec.kscratch in
-            key.(0) <- value area;
-            key.(1) <- nv.(c);
-            key.(2) <- nv.(b);
-            key.(3) <- nv.(ne);
-            let op_info =
-              match memo_find ss ec key with
-              | Some op -> op
-              | None ->
-                  let op = eval ~area:key.(0) ~vc:key.(1) ~vb:key.(2) ~ve:key.(3) in
-                  let oi = Mna.Dc.Bjt_op op in
-                  memo_add ec (Array.copy key) oi;
-                  oi
-            in
-            let unchanged = match ec.op with Some o -> o == op_info | None -> false in
-            if force || not unchanged then begin
-              (match op_info with
-              | Mna.Dc.Bjt_op op ->
-                  let open Devices.Sig in
-                  ec.fn.(0) <- c;
-                  ec.fv.(0) <- op.ic;
-                  ec.fn.(1) <- b;
-                  ec.fv.(1) <- op.ib;
-                  ec.fn.(2) <- ne;
-                  ec.fv.(2) <- -.(op.ic +. op.ib);
-                  ec.flen <- 3
-              | Mna.Dc.Mos_op _ -> assert false);
-              ec.op <- Some op_info;
-              ss.elem_changed.(i) <- true
-            end
-        | Devices.Sig.Mos _ -> failwith (name ^ ": BJT element with MOS model")
-      end
-    | Netlist.Circuit.Inductor { name; _ }
-    | Netlist.Circuit.Vcvs { name; _ }
-    | Netlist.Circuit.Cccs { name; _ }
-    | Netlist.Circuit.Ccvs { name; _ } ->
-        failwith (name ^ ": unsupported element in bias network")
+    match memo_find ss ec key with
+    | Some op -> op
+    | None ->
+        let op = model key in
+        memo_add ec (Array.copy key) op;
+        op
 
-  (* Node voltage with the same arithmetic as [node_voltages]. *)
-  let node_voltage_of p (st : State.t) env node =
-    let base = Problem.node_var_base p in
-    match p.Problem.tl.Treelink.of_node.(node) with
-    | Treelink.Fixed e -> Netlist.Expr.eval env e
-    | Treelink.Free (k, off) -> st.State.values.(base + k) +. Netlist.Expr.eval env off
+  let flows_equal a b =
+    a.flen = b.flen
+    &&
+    let rec go k =
+      k >= a.flen || (a.fn.(k) = b.fn.(k) && feq_bits a.fv.(k) b.fv.(k) && go (k + 1))
+    in
+    go 0
+
+  let flows_copy ~src ~dst =
+    Array.blit src.fn 0 dst.fn 0 src.flen;
+    Array.blit src.fv 0 dst.fv 0 src.flen;
+    dst.flen <- src.flen
+
+  (* Recompute one element through [elem_kernel] and keep the result when
+     it is genuinely new: for a device, an operating point that is not
+     physically the cached record (or [force]); otherwise, flows with new
+     bits. Only then is the element marked changed. *)
+  let recompute_elem ss ~force ~value ~device i (e : Netlist.Circuit.element) =
+    let ec = ss.elems.(i) in
+    let kf = ss.kflows in
+    match elem_kernel ss.sp ~value ~nv:ss.nv ~key:ec.kscratch ~device kf i e with
+    | None ->
+        if not (flows_equal kf ec.fl) then begin
+          flows_copy ~src:kf ~dst:ec.fl;
+          ss.elem_changed.(i) <- true
+        end
+    | Some op ->
+        let unchanged = match ec.op with Some o -> o == op | None -> false in
+        if force || not unchanged then begin
+          flows_copy ~src:kf ~dst:ec.fl;
+          ec.op <- Some op;
+          ss.elem_changed.(i) <- true
+        end
 
   (* Re-check a jig's value expressions against the bits recorded when its
      ROM list was built; different bits drop the cached list. *)
@@ -1319,42 +1305,45 @@ module Incr = struct
       end
     end
 
-  (* Exact rebuild of one jig's ROM list: the same arithmetic and error
-     shape as [roms_for_jig] ([Rom.build_with] is [Moments.compute_with]
-     followed by [Rom.of_moments], and [compute_record] shares the
-     recurrence code with [compute_with] bit for bit) — but it retains
-     the stamped system, its factorization and the per-tf moment vectors
-     for the probe path. *)
-  let exact_count = (2 * 6) + 2 (* matches [Rom.build_with]'s default qmax *)
-
-  let rebuild_jig_exact ss j ~value ~ops (jig : Problem.jig) =
-    let caches = ss.jig_mom.(j) in
-    (* Recorded vectors belong to the system about to be replaced; a tf
-       that fails below must not leave them to be served by a probe. *)
-    Array.iter Awe.Moments.cache_clear caches;
-    match Mna.Linearize.build ~value ~ops jig.Problem.jig_circuit with
-    | exception Failure m ->
-        ss.jig_lin.(j) <- None;
-        ss.jig_fac.(j) <- None;
-        List.map (fun (tfname, _) -> (tfname, Error m)) jig.Problem.tfs
-    | lin ->
-        let fac = Awe.Moments.factor lin in
-        ss.jig_lin.(j) <- Some lin;
-        ss.jig_fac.(j) <- Some fac;
-        List.mapi
-          (fun ti (tfname, (tf : Problem.tf)) ->
-            let rom =
-              try
-                let b = Mna.Linearize.excitation_of lin ~src:tf.src in
-                let sel = Mna.Linearize.output_vector lin ~pos:tf.out_pos ~neg:tf.out_neg in
-                let m = Awe.Moments.compute_record fac caches.(ti) ~b ~sel ~count:exact_count in
-                Awe.Rom.of_moments m
-              with
-              | Failure m -> Error m
-              | La.Lu.Singular _ -> Error "singular AWE system"
-            in
-            (tfname, rom))
-          jig.Problem.tfs
+  (* The dependency walk, one for the exact and the probe path: collect
+     the variables whose bits differ from [last_values] into [dirty_buf]
+     (ascending), recompute each node voltage they reach into [nv], and
+     mark in [elem_dirty] every element on a node whose voltage changed
+     bits and every element reading a dirty variable directly. [sync]
+     passes the session's own arrays, [probe_cost] its probe scratch.
+     Returns the number of dirty variables. *)
+  let dirty_walk ss (st : State.t) ~nv ~elem_dirty =
+    let ndirty = ref 0 in
+    for v = 0 to Array.length ss.last_values - 1 do
+      if not (feq_bits ss.last_values.(v) st.State.values.(v)) then begin
+        ss.dirty_buf.(!ndirty) <- v;
+        incr ndirty
+      end
+    done;
+    (* dirty vars -> nodes: recompute, and only a node whose voltage
+       actually changed bits dirties the elements on it *)
+    let ntouched = ref 0 in
+    for di = 0 to !ndirty - 1 do
+      let v = ss.dirty_buf.(di) in
+      List.iter
+        (fun node ->
+          if not ss.node_seen.(node) then begin
+            ss.node_seen.(node) <- true;
+            ss.touched_buf.(!ntouched) <- node;
+            incr ntouched;
+            let fresh = node_voltage_of ss.sp st ss.venv node in
+            if not (feq_bits fresh nv.(node)) then begin
+              nv.(node) <- fresh;
+              List.iter (fun e -> elem_dirty.(e) <- true) ss.dg.Problem.dg_node_elems.(node)
+            end
+          end)
+        ss.dg.Problem.dg_var_nodes.(v);
+      List.iter (fun e -> elem_dirty.(e) <- true) ss.dg.Problem.dg_var_elems.(v)
+    done;
+    for k = 0 to !ntouched - 1 do
+      ss.node_seen.(ss.touched_buf.(k)) <- false
+    done;
+    !ndirty
 
   (* Bring the bias slice (node voltages, element flows and operating
      points, KCL residuals) up to date with [st], marking dependent jigs
@@ -1370,54 +1359,22 @@ module Incr = struct
       let value e = Netlist.Expr.eval env e in
       Array.fill ss.elem_changed 0 n_elems false;
       Array.fill ss.elem_dirty 0 n_elems force;
-      (* dirty variables collect in [dirty_buf], ascending *)
-      let ndirty = ref 0 in
-      if force then begin
-        for v = 0 to n_vars - 1 do
-          ss.dirty_buf.(v) <- v
-        done;
-        ndirty := n_vars;
-        Array.iteri (fun node _ -> ss.nv.(node) <- node_voltage_of p st env node) ss.nv;
-        Array.fill ss.jig_valid 0 (Array.length ss.jig_valid) false;
-        ss.roms_flat_valid <- false;
-        Array.fill ss.spec_valid 0 (Array.length ss.spec_valid) false
-      end
-      else begin
-        for v = 0 to n_vars - 1 do
-          if not (feq_bits ss.last_values.(v) st.State.values.(v)) then begin
-            ss.dirty_buf.(!ndirty) <- v;
-            incr ndirty
-          end
-        done;
-        (* dirty vars -> nodes: recompute, and only a node whose voltage
-           actually changed bits dirties the elements on it *)
-        let ntouched = ref 0 in
-        for di = 0 to !ndirty - 1 do
-          let v = ss.dirty_buf.(di) in
-          List.iter
-            (fun node ->
-              if not ss.node_seen.(node) then begin
-                ss.node_seen.(node) <- true;
-                ss.touched_buf.(!ntouched) <- node;
-                incr ntouched;
-                let fresh = node_voltage_of p st env node in
-                if not (feq_bits fresh ss.nv.(node)) then begin
-                  ss.nv.(node) <- fresh;
-                  List.iter (fun e -> ss.elem_dirty.(e) <- true) ss.dg.Problem.dg_node_elems.(node)
-                end
-              end)
-            ss.dg.Problem.dg_var_nodes.(v);
-          List.iter (fun e -> ss.elem_dirty.(e) <- true) ss.dg.Problem.dg_var_elems.(v)
-        done;
-        for k = 0 to !ntouched - 1 do
-          ss.node_seen.(ss.touched_buf.(k)) <- false
-        done
-      end;
-      ss.dirty_accum <- ss.dirty_accum + !ndirty;
+      let ndirty =
+        if force then begin
+          Array.iteri (fun node _ -> ss.nv.(node) <- node_voltage_of p st env node) ss.nv;
+          Array.fill ss.jig_valid 0 (Array.length ss.jig_valid) false;
+          ss.roms_flat_valid <- false;
+          Array.fill ss.spec_valid 0 (Array.length ss.spec_valid) false;
+          n_vars
+        end
+        else dirty_walk ss st ~nv:ss.nv ~elem_dirty:ss.elem_dirty
+      in
+      ss.dirty_accum <- ss.dirty_accum + ndirty;
       (* Recompute dirty elements; [elem_changed] ends up true only where
          the contribution (or operating point) has genuinely new bits. *)
+      let device = memo_op ss in
       Array.iteri
-        (fun i e -> if ss.elem_dirty.(i) then recompute_elem ss ~force value i e)
+        (fun i e -> if ss.elem_dirty.(i) then recompute_elem ss ~force ~value ~device i e)
         p.Problem.bias.Netlist.Circuit.elements;
       let any_changed = force || Array.exists Fun.id ss.elem_changed in
       if any_changed then begin
@@ -1426,14 +1383,7 @@ module Incr = struct
            [sweep_bias], so clean totals keep their exact bits. *)
         Array.fill ss.cur 0 (Array.length ss.cur) 0.0;
         Array.fill ss.mag 0 (Array.length ss.mag) 0.0;
-        Array.iter
-          (fun ec ->
-            for k = 0 to ec.flen - 1 do
-              let node = ec.fn.(k) and i = ec.fv.(k) in
-              ss.cur.(node) <- ss.cur.(node) +. i;
-              ss.mag.(node) <- ss.mag.(node) +. Float.abs i
-            done)
-          ss.elems;
+        Array.iter (fun ec -> add_flows ss.cur ss.mag ec.fl) ss.elems;
         group_residuals_into p ss.cur ss.mag ss.residuals ss.res_scale;
         let ops = ref [] in
         for i = n_elems - 1 downto 0 do
@@ -1456,7 +1406,7 @@ module Incr = struct
           ss.elem_changed
       end;
       if not force then
-        for di = 0 to !ndirty - 1 do
+        for di = 0 to ndirty - 1 do
           let v = ss.dirty_buf.(di) in
           List.iter (fun j -> check_jig_vals ss env j) ss.dg.Problem.dg_var_jigs.(v);
           List.iter (fun s -> ss.spec_valid.(s) <- false) ss.var_specs.(v)
@@ -1496,7 +1446,11 @@ module Incr = struct
        List.iteri
          (fun j jig ->
            if not ss.jig_valid.(j) then begin
-             ss.jig_roms.(j) <- rebuild_jig_exact ss j ~value ~ops jig;
+             let retain lf =
+               ss.jig_lin.(j) <- Option.map fst lf;
+               ss.jig_fac.(j) <- Option.map snd lf
+             in
+             ss.jig_roms.(j) <- jig_roms_exact ~retain ~value ~ops jig;
              ss.jig_vals.(j) <-
                Array.of_list
                  (List.map
@@ -1616,124 +1570,10 @@ module Incr = struct
 
   (* ---------------- candidate-move probe path ---------------- *)
 
-  (* Probe-side element evaluation: the same device arithmetic as
-     [recompute_elem], but reading the probe node voltages and writing
-     the flow into the [pf_n]/[pf_v] scratch so the exact per-element
-     caches stay untouched. The operating-point memo IS shared: a
-     memoized op is a pure function of the exact key bits, so probe
-     lookups and inserts cannot perturb the exact path — they only warm
-     the memo for the confirm evaluation of whichever candidate wins.
-     Returns the flow length; a device's probe op lands in [p_ops]. *)
-  let probe_elem_flows ss value i (e : Netlist.Circuit.element) =
-    let p = ss.sp in
-    let nv = ss.p_nv in
-    let ec = ss.elems.(i) in
-    match e with
-    | Netlist.Circuit.Resistor { n1; n2; value = ve; _ } ->
-        let iv = (nv.(n1) -. nv.(n2)) /. value ve in
-        ss.pf_n.(0) <- n1;
-        ss.pf_v.(0) <- iv;
-        ss.pf_n.(1) <- n2;
-        ss.pf_v.(1) <- -.iv;
-        2
-    | Netlist.Circuit.Capacitor _ | Netlist.Circuit.Vsource _ -> 0
-    | Netlist.Circuit.Isource { np; nn; dc; _ } ->
-        let iv = value dc in
-        ss.pf_n.(0) <- np;
-        ss.pf_v.(0) <- iv;
-        ss.pf_n.(1) <- nn;
-        ss.pf_v.(1) <- -.iv;
-        2
-    | Netlist.Circuit.Vccs { np; nn; ncp; ncn; gm; _ } ->
-        let iv = value gm *. (nv.(ncp) -. nv.(ncn)) in
-        ss.pf_n.(0) <- np;
-        ss.pf_v.(0) <- iv;
-        ss.pf_n.(1) <- nn;
-        ss.pf_v.(1) <- -.iv;
-        2
-    | Netlist.Circuit.Mosfet { name; d; g; s; b; model; w; l; mult } -> begin
-        match Devices.Registry.find_exn p.Problem.registry model with
-        | Devices.Sig.Mos { eval; _ } ->
-            let key = ec.kscratch in
-            key.(0) <- value w;
-            key.(1) <- value l;
-            key.(2) <- value mult;
-            key.(3) <- nv.(d);
-            key.(4) <- nv.(g);
-            key.(5) <- nv.(s);
-            key.(6) <- nv.(b);
-            let op_info =
-              match memo_find ss ec key with
-              | Some op -> op
-              | None ->
-                  let op =
-                    eval ~w:key.(0) ~l:key.(1) ~m:key.(2) ~vd:key.(3) ~vg:key.(4) ~vs:key.(5)
-                      ~vb:key.(6)
-                  in
-                  let oi = Mna.Dc.Mos_op op in
-                  memo_add ec (Array.copy key) oi;
-                  oi
-            in
-            ss.p_ops.(i) <- Some op_info;
-            (match op_info with
-            | Mna.Dc.Mos_op op ->
-                let open Devices.Sig in
-                ss.pf_n.(0) <- d;
-                ss.pf_v.(0) <- op.id_;
-                ss.pf_n.(1) <- s;
-                ss.pf_v.(1) <- -.op.id_;
-                ss.pf_n.(2) <- b;
-                ss.pf_v.(2) <- op.ibd_ +. op.ibs_;
-                ss.pf_n.(3) <- d;
-                ss.pf_v.(3) <- -.op.ibd_;
-                ss.pf_n.(4) <- s;
-                ss.pf_v.(4) <- -.op.ibs_;
-                5
-            | Mna.Dc.Bjt_op _ -> assert false)
-        | Devices.Sig.Bjt _ -> failwith (name ^ ": MOS element with BJT model")
-      end
-    | Netlist.Circuit.Bjt { name; c; b; e = ne; model; area } -> begin
-        match Devices.Registry.find_exn p.Problem.registry model with
-        | Devices.Sig.Bjt { eval; _ } ->
-            let key = ec.kscratch in
-            key.(0) <- value area;
-            key.(1) <- nv.(c);
-            key.(2) <- nv.(b);
-            key.(3) <- nv.(ne);
-            let op_info =
-              match memo_find ss ec key with
-              | Some op -> op
-              | None ->
-                  let op = eval ~area:key.(0) ~vc:key.(1) ~vb:key.(2) ~ve:key.(3) in
-                  let oi = Mna.Dc.Bjt_op op in
-                  memo_add ec (Array.copy key) oi;
-                  oi
-            in
-            ss.p_ops.(i) <- Some op_info;
-            (match op_info with
-            | Mna.Dc.Bjt_op op ->
-                let open Devices.Sig in
-                ss.pf_n.(0) <- c;
-                ss.pf_v.(0) <- op.ic;
-                ss.pf_n.(1) <- b;
-                ss.pf_v.(1) <- op.ib;
-                ss.pf_n.(2) <- ne;
-                ss.pf_v.(2) <- -.(op.ic +. op.ib);
-                3
-            | Mna.Dc.Mos_op _ -> assert false)
-        | Devices.Sig.Mos _ -> failwith (name ^ ": BJT element with MOS model")
-      end
-    | Netlist.Circuit.Inductor { name; _ }
-    | Netlist.Circuit.Vcvs { name; _ }
-    | Netlist.Circuit.Cccs { name; _ }
-    | Netlist.Circuit.Ccvs { name; _ } ->
-        failwith (name ^ ": unsupported element in bias network")
-
   (* Probe ROMs fit at a reduced order: half the moments of the exact
      path is plenty to rank candidates, and the cost of the recurrence is
      linear in the moment count. *)
   let probe_qmax = 3
-  let probe_count = (2 * probe_qmax) + 2
 
   (* Restamp a probe candidate of jig [j] into the session's probe buffer
      for that jig (built on its first use). The exact path's retained
@@ -1753,22 +1593,8 @@ module Incr = struct
      guard refused the update). *)
   let probe_jig_fresh (jig : Problem.jig) lin =
     match Awe.Moments.factor lin with
-    | exception La.Lu.Singular _ ->
-        List.map (fun (tfname, _) -> (tfname, Error "singular AWE system")) jig.Problem.tfs
-    | fac ->
-        List.map
-          (fun (tfname, (tf : Problem.tf)) ->
-            let rom =
-              try
-                let b = Mna.Linearize.excitation_of lin ~src:tf.src in
-                let sel = Mna.Linearize.output_vector lin ~pos:tf.out_pos ~neg:tf.out_neg in
-                Awe.Rom.build_with ~qmax:probe_qmax fac ~b ~sel
-              with
-              | Failure m -> Error m
-              | La.Lu.Singular _ -> Error "singular AWE system"
-            in
-            (tfname, rom))
-          jig.Problem.tfs
+    | exception La.Lu.Singular _ -> jig_failed jig "singular AWE system"
+    | fac -> jig_rom_list jig lin ~qmax:probe_qmax ~moments:(Awe.Moments.compute_with fac)
 
   (* Probe ROM list of one touched jig: restamp into the probe buffer,
      diff the matrices bitwise against the retained system, and solve the
@@ -1777,11 +1603,10 @@ module Incr = struct
      when the guard refuses. *)
   let probe_jig_roms ss j (jig : Problem.jig) ~value ~ops =
     ss.c_probe_rom_builds <- ss.c_probe_rom_builds + 1;
-    let stamp_failed m = List.map (fun (tfname, _) -> (tfname, Error m)) jig.Problem.tfs in
     match (ss.jig_lin.(j), ss.jig_fac.(j)) with
     | Some lin_old, Some fac -> begin
         match probe_restamp ss j jig ~value ~ops with
-        | exception Failure m -> stamp_failed m
+        | exception Failure m -> jig_failed jig m
         | lin_new -> begin
             match
               Awe.Moments.prepare_update fac ~g_old:lin_old.Mna.Linearize.g
@@ -1789,29 +1614,7 @@ module Incr = struct
                 ~c_new:lin_new.Mna.Linearize.c
             with
             | Ok u ->
-                let caches = ss.jig_mom.(j) in
-                List.mapi
-                  (fun ti (tfname, (tf : Problem.tf)) ->
-                    let rom =
-                      try
-                        let b = Mna.Linearize.excitation_of lin_new ~src:tf.src in
-                        let sel =
-                          Mna.Linearize.output_vector lin_new ~pos:tf.out_pos ~neg:tf.out_neg
-                        in
-                        let m, kind =
-                          Awe.Moments.compute_probe u caches.(ti) ~b ~sel ~count:probe_count
-                        in
-                        (match kind with
-                        | `Reused -> ss.c_mom_reuses <- ss.c_mom_reuses + 1
-                        | `Refreshed -> ss.c_mom_refreshes <- ss.c_mom_refreshes + 1
-                        | `Updated -> ());
-                        Awe.Rom.of_moments ~qmax:probe_qmax m
-                      with
-                      | Failure m -> Error m
-                      | La.Lu.Singular _ -> Error "singular AWE system"
-                    in
-                    (tfname, rom))
-                  jig.Problem.tfs
+                jig_rom_list jig lin_new ~qmax:probe_qmax ~moments:(Awe.Moments.compute_probe u)
             | Error _ ->
                 ss.c_probe_fallbacks <- ss.c_probe_fallbacks + 1;
                 probe_jig_fresh jig lin_new
@@ -1820,7 +1623,7 @@ module Incr = struct
     | _ -> begin
         ss.c_probe_fallbacks <- ss.c_probe_fallbacks + 1;
         match probe_restamp ss j jig ~value ~ops with
-        | exception Failure m -> stamp_failed m
+        | exception Failure m -> jig_failed jig m
         | lin -> probe_jig_fresh jig lin
       end
 
@@ -1829,15 +1632,16 @@ module Incr = struct
      construction (only the slice a candidate touches is recomputed, into
      the p_* scratch arrays). Nothing the probe writes is read by the
      exact path: the only shared mutable structures it touches are the
-     operating-point memo (pure function of key bits) and the probe
-     counters. The annealer uses this to rank candidates; the winner is
-     confirmed through [cost], which alone feeds accepted state. *)
+     operating-point memo (pure function of key bits, so probe lookups
+     and inserts only warm it for the confirm evaluation of whichever
+     candidate wins), the kernel's flow scratch and the probe counters.
+     The annealer uses this to rank candidates; the winner is confirmed
+     through [cost], which alone feeds accepted state. *)
   let probe_cost ss (w : Weights.t) (st : State.t) =
     if not ss.primed then (cost ss w st).total
     else begin
       ss.c_probes <- ss.c_probes + 1;
       let p = ss.sp in
-      let n_vars = Array.length ss.last_values in
       let n_nodes = Array.length ss.nv in
       let n_elems = Array.length ss.elems in
       ss.cur_st := st;
@@ -1849,36 +1653,12 @@ module Incr = struct
       Array.fill ss.p_ops 0 n_elems None;
       Array.blit ss.nv 0 ss.p_nv 0 n_nodes;
       (* candidate-dirty variables, and the nodes/elements/jigs/specs they
-         reach — the same depgraph walk as [sync], on probe scratch *)
-      let ndirty = ref 0 in
-      for v = 0 to n_vars - 1 do
-        if not (feq_bits ss.last_values.(v) st.State.values.(v)) then begin
-          ss.dirty_buf.(!ndirty) <- v;
-          incr ndirty
-        end
-      done;
-      let ntouched = ref 0 in
-      for di = 0 to !ndirty - 1 do
+         reach: [sync]'s walk, on probe scratch *)
+      let ndirty = dirty_walk ss st ~nv:ss.p_nv ~elem_dirty:ss.p_elem_dirty in
+      for di = 0 to ndirty - 1 do
         let v = ss.dirty_buf.(di) in
-        List.iter
-          (fun node ->
-            if not ss.node_seen.(node) then begin
-              ss.node_seen.(node) <- true;
-              ss.touched_buf.(!ntouched) <- node;
-              incr ntouched;
-              let fresh = node_voltage_of p st env node in
-              if not (feq_bits fresh ss.p_nv.(node)) then begin
-                ss.p_nv.(node) <- fresh;
-                List.iter (fun e -> ss.p_elem_dirty.(e) <- true) ss.dg.Problem.dg_node_elems.(node)
-              end
-            end)
-          ss.dg.Problem.dg_var_nodes.(v);
-        List.iter (fun e -> ss.p_elem_dirty.(e) <- true) ss.dg.Problem.dg_var_elems.(v);
         List.iter (fun j -> ss.p_jig_dirty.(j) <- true) ss.dg.Problem.dg_var_jigs.(v);
         List.iter (fun s -> ss.p_spec_stale.(s) <- true) ss.var_specs.(v)
-      done;
-      for k = 0 to !ntouched - 1 do
-        ss.node_seen.(ss.touched_buf.(k)) <- false
       done;
       (* Flows: start from the accepted accumulators and retract/re-add
          only the dirty elements. The fold order differs from the exact
@@ -1887,22 +1667,20 @@ module Incr = struct
       Array.blit ss.cur 0 ss.p_cur 0 n_nodes;
       Array.blit ss.mag 0 ss.p_mag 0 n_nodes;
       let ops_changed = ref false in
+      let device = memo_op ss in
       Array.iteri
         (fun i e ->
           if ss.p_elem_dirty.(i) then begin
             let ec = ss.elems.(i) in
-            for k = 0 to ec.flen - 1 do
-              let node = ec.fn.(k) and iv = ec.fv.(k) in
+            for k = 0 to ec.fl.flen - 1 do
+              let node = ec.fl.fn.(k) and iv = ec.fl.fv.(k) in
               ss.p_cur.(node) <- ss.p_cur.(node) -. iv;
               ss.p_mag.(node) <- ss.p_mag.(node) -. Float.abs iv
             done;
-            let plen = probe_elem_flows ss value i e in
-            for k = 0 to plen - 1 do
-              let node = ss.pf_n.(k) and iv = ss.pf_v.(k) in
-              ss.p_cur.(node) <- ss.p_cur.(node) +. iv;
-              ss.p_mag.(node) <- ss.p_mag.(node) +. Float.abs iv
-            done;
-            (match ss.p_ops.(i) with
+            let op = elem_kernel p ~value ~nv:ss.p_nv ~key:ec.kscratch ~device ss.kflows i e in
+            add_flows ss.p_cur ss.p_mag ss.kflows;
+            ss.p_ops.(i) <- op;
+            (match op with
             | Some oi -> (
                 match ec.op with Some o when o == oi -> () | Some _ | None -> ops_changed := true)
             | None -> ());
@@ -2013,8 +1791,8 @@ module Incr = struct
       probes = ss.c_probes;
       probe_rom_builds = ss.c_probe_rom_builds;
       probe_fallbacks = ss.c_probe_fallbacks;
-      mom_reuses = ss.c_mom_reuses;
-      mom_refreshes = ss.c_mom_refreshes;
+      mom_reuses = 0;
+      mom_refreshes = 0;
       dirty_hist = Array.copy ss.hist;
       by_class;
     }

@@ -166,8 +166,10 @@ module Incr : sig
     probe_fallbacks : int;
         (** probe refits that factored fresh: no retained system, or the
             low-rank guard refused the update *)
-    mom_reuses : int;  (** probe tfs served entirely from recorded vectors *)
-    mom_refreshes : int;  (** probe tfs that re-solved only the C-moved tail *)
+    mom_reuses : int;
+    mom_refreshes : int;
+        (** always 0: probes have no moment-vector tiers; the two fields
+            stay for existing readers of this record *)
     dirty_hist : int array;
         (** histogram of dirty-variable counts per incremental eval;
             last bucket accumulates everything >= its index *)
@@ -200,16 +202,20 @@ module Incr : sig
   val cost_scalar : session -> Weights.t -> State.t -> float
 
   (** [probe_cost ss w st] screens a candidate state: an approximate
-      total cost computed against the session's retained caches — jig
-      systems restamped on the retained layout and solved through
-      low-rank (Sherman-Morrison-Woodbury) updates of the retained
-      factorization at reduced moment order, recorded moment vectors
-      served where the system is bitwise untouched, element flows and
-      specs recomputed only where the candidate reaches through the
-      depgraph. Probing never writes the exact caches: any number of
-      probes may run between two exact evaluations without changing
-      what [cost] returns. Accepted states must be confirmed through
-      {!cost}, which is what the annealer's batched screening does. *)
+      total cost computed against the session's retained caches. The
+      candidate goes through the same dependency walk and element kernel
+      as {!cost}, into probe scratch; its node sums retract and re-add
+      only the dirty elements' flows; every jig a dirty element reaches
+      is restamped on the retained layout and refit at reduced moment
+      order through the retained factorization, or a low-rank
+      (Sherman-Morrison-Woodbury) update of it when conductance stamps
+      moved; specs are re-measured only where the candidate reaches. At
+      the session's own exact state nothing is dirty and the screen
+      returns {!cost}'s total bit for bit. Probing never writes the exact
+      caches: any number of probes may run between two exact evaluations
+      without changing what [cost] returns. Accepted states must be
+      confirmed through {!cost}, which is what the annealer's batched
+      screening does. *)
   val probe_cost : session -> Weights.t -> State.t -> float
 
   (** Bit-identical to [Eval.residuals_quick p st], but served from the

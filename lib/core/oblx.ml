@@ -146,8 +146,6 @@ let synthesize ?(seed = 1) ?rng ?moves ?(incremental = true)
                probes = es.Eval.Incr.probes;
                probe_rom_builds = es.Eval.Incr.probe_rom_builds;
                probe_fallbacks = es.Eval.Incr.probe_fallbacks;
-               mom_reuses = es.Eval.Incr.mom_reuses;
-               mom_refreshes = es.Eval.Incr.mom_refreshes;
                per_class =
                  List.map
                    (fun (c : Eval.Incr.class_row) ->

@@ -28,17 +28,21 @@ let parse s =
     (* Scan the leading float part: sign, digits, dot, exponent. *)
     let i = ref 0 in
     if !i < n && (s.[!i] = '+' || s.[!i] = '-') then incr i;
-    let digits_start = !i in
-    while !i < n && is_digit s.[!i] do
-      incr i
-    done;
+    let digits = ref 0 in
+    let scan_digits () =
+      while !i < n && is_digit s.[!i] do
+        incr i;
+        incr digits
+      done
+    in
+    scan_digits ();
     if !i < n && s.[!i] = '.' then begin
       incr i;
-      while !i < n && is_digit s.[!i] do
-        incr i
-      done
+      scan_digits ()
     end;
-    if !i = digits_start then Error (Printf.sprintf "malformed number %S" s)
+    (* A mantissa needs a digit on one side of the dot: ".", "-." or ".e5"
+       alone is no number. *)
+    if !digits = 0 then Error (Printf.sprintf "malformed number %S" s)
     else begin
       (* Exponent is only consumed when followed by digits; a bare 'e' would
          otherwise eat a suffix letter. *)

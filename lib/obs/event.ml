@@ -45,8 +45,6 @@ type evals_data = {
   probes : int;
   probe_rom_builds : int;
   probe_fallbacks : int;
-  mom_reuses : int;
-  mom_refreshes : int;
   per_class : eval_class list;
 }
 
@@ -176,8 +174,6 @@ let to_json t =
           ("probes", Json.Num (float_of_int e.probes));
           ("probe_rom_builds", Json.Num (float_of_int e.probe_rom_builds));
           ("probe_fallbacks", Json.Num (float_of_int e.probe_fallbacks));
-          ("mom_reuses", Json.Num (float_of_int e.mom_reuses));
-          ("mom_refreshes", Json.Num (float_of_int e.mom_refreshes));
           ( "classes",
             Json.Arr
               (List.map
@@ -306,8 +302,6 @@ let of_json j =
               probes = int_or0 "probes" j;
               probe_rom_builds = int_or0 "probe_rom_builds" j;
               probe_fallbacks = int_or0 "probe_fallbacks" j;
-              mom_reuses = int_or0 "mom_reuses" j;
-              mom_refreshes = int_or0 "mom_refreshes" j;
               per_class = List.map cls (Json.to_list (Json.mem "classes" j));
             }
       | "done" ->

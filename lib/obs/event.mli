@@ -58,8 +58,6 @@ type evals_data = {
   probes : int;  (** batched candidate screenings *)
   probe_rom_builds : int;  (** jigs refit on the probe path *)
   probe_fallbacks : int;  (** probe refits that factored fresh *)
-  mom_reuses : int;  (** probe tfs served from recorded moment vectors *)
-  mom_refreshes : int;  (** probe tfs re-solving only the C-moved tail *)
   per_class : eval_class list;
 }
 

@@ -76,10 +76,16 @@ let request ~socket ?(timeout_s = 30.0) ?auth j =
             (* Auth is pipelined: token line then request line, one read.
                A daemon that rejects the token answers the auth line with
                its single ok:false verdict, which is then what we read. *)
-            (match auth with
-            | Some token -> Proto.write_line fd (Proto.auth_to_json token)
-            | None -> ());
-            Proto.write_line fd j;
+            (try
+               (match auth with
+               | Some token -> Proto.write_line fd (Proto.auth_to_json token)
+               | None -> ());
+               Proto.write_line fd j
+             with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
+               (* The daemon answered and closed before reading the request
+                  — its connection-cap refusal does — so its verdict may be
+                  waiting unread: report that, not the failed write. *)
+               ());
             Proto.read_line (Proto.line_reader fd)
           with
           | Some line -> begin

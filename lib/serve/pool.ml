@@ -1478,9 +1478,6 @@ let stats_json t =
                     num_i (sum (fun e -> e.Obs.Event.probe_rom_builds)) );
                   ( "probe_fallbacks",
                     num_i (sum (fun e -> e.Obs.Event.probe_fallbacks)) );
-                  ("mom_reuses", num_i (sum (fun e -> e.Obs.Event.mom_reuses)));
-                  ( "mom_refreshes",
-                    num_i (sum (fun e -> e.Obs.Event.mom_refreshes)) );
                 ] );
           ( "corpus",
             let c = Corpus.stats t.corpus in

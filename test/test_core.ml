@@ -100,6 +100,35 @@ let test_compile_errors () =
     (".jig j\nvin g 0 2 ac 1\nvd d0 0 5\nm9 d0 g 0 0 nmos w=10u l=2u\n.pz t v(d0) vin\n.endjig\n"
    ^ ".bias\nr1 a 0 1k\n.endbias\n.obj o 'dc_gain(t)' good=1 bad=0\n.process p1u2\n")
 
+(* A digitless literal ([min=.u]) in a suite source is a line-located
+   parse error: it used to escape the compiler as [Failure]. *)
+let test_compile_digitless_number () =
+  let src = (Option.get (Suite.Ckts.find "simple-ota")).Suite.Ckts.source in
+  let line = ref 0 in
+  let lines =
+    List.mapi
+      (fun i l ->
+        if !line = 0 && String.starts_with ~prefix:".var " l then begin
+          line := i + 1;
+          String.split_on_char ' ' l
+          |> List.map (fun tok -> if String.starts_with ~prefix:"min=" tok then "min=.u" else tok)
+          |> String.concat " "
+        end
+        else l)
+      (String.split_on_char '\n' src)
+  in
+  let expect = Printf.sprintf "line %d:" !line in
+  match Core.Compile.compile_source (String.concat "\n" lines) with
+  | Ok _ -> Alcotest.fail "min=.u must not compile"
+  | Error e ->
+      let found =
+        let n = String.length expect in
+        let rec go i = i + n <= String.length e && (String.sub e i n = expect || go (i + 1)) in
+        go 0
+      in
+      if not found then Alcotest.failf "error %S does not name %s" e expect
+  | exception ex -> Alcotest.failf "compile_source raised %s" (Printexc.to_string ex)
+
 (* --- State --- *)
 
 let test_state_grid () =
@@ -355,6 +384,8 @@ let () =
           Alcotest.test_case "whole suite compiles" `Quick test_compile_all_suite;
           Alcotest.test_case "simple-ota analysis" `Quick test_compile_simple_ota_analysis;
           Alcotest.test_case "errors" `Quick test_compile_errors;
+          Alcotest.test_case "digitless number is a located error" `Quick
+            test_compile_digitless_number;
         ] );
       ("state", [ Alcotest.test_case "grids and clamps" `Quick test_state_grid ]);
       ( "eval",

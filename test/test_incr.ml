@@ -141,6 +141,46 @@ let probe_walk ?(moves = 400) name =
 let probe_walk_case name =
   Alcotest.test_case ("probe walk " ^ name) `Slow (fun () -> probe_walk name)
 
+(* The probe's clean slice: with exact evaluations interleaved among
+   probes of perturbed candidates, a probe of the session's own exact
+   state finds no dirty variable, so every node, element, jig and spec
+   comes from the exact caches and the screen equals that evaluation's
+   total bit for bit. *)
+let probe_clean_slice ?(moves = 300) name =
+  let p = compile name in
+  let st = Core.State.snapshot p.Core.Problem.state0 in
+  let rng = Anneal.Rng.create 77 in
+  let w = Core.Weights.create () in
+  let ss = Core.Eval.Incr.create p in
+  let n = Core.State.n_vars st in
+  let perturb () =
+    for _ = 0 to Anneal.Rng.int rng 2 do
+      let v = Anneal.Rng.int rng n in
+      let cur = st.Core.State.values.(v) in
+      st.Core.State.values.(v) <-
+        Core.State.clamp st v (cur +. ((Anneal.Rng.float rng -. 0.5) *. (Float.abs cur +. 0.1)))
+    done
+  in
+  for _step = 1 to moves do
+    let base = Core.State.snapshot st in
+    for _ = 0 to Anneal.Rng.int rng 3 do
+      Core.State.restore ~from:base st;
+      perturb ();
+      ignore (Core.Eval.Incr.probe_cost ss w st)
+    done;
+    (* keep the last candidate, or go back to where the step started *)
+    if Anneal.Rng.int rng 3 = 0 then Core.State.restore ~from:base st;
+    let exact = Core.Eval.Incr.cost ss w st in
+    check_bits name "probe at the exact state" exact.Core.Eval.total
+      (Core.Eval.Incr.probe_cost ss w st)
+  done;
+  Alcotest.(check int)
+    (name ^ ": no resync mismatches")
+    0 (Core.Eval.Incr.stats ss).Core.Eval.Incr.resync_mismatches
+
+let probe_clean_case name =
+  Alcotest.test_case ("clean probe " ^ name) `Slow (fun () -> probe_clean_slice name)
+
 (* The measured view itself (ops, roms, spec values) must round-trip. *)
 let test_measure_identical () =
   let p = compile "simple-ota" in
@@ -283,10 +323,17 @@ let () =
         if e.Suite.Ckts.synthesized then Some (probe_walk_case e.Suite.Ckts.name) else None)
       Suite.Ckts.all
   in
+  let clean_probes =
+    List.filter_map
+      (fun (e : Suite.Ckts.entry) ->
+        if e.Suite.Ckts.synthesized then Some (probe_clean_case e.Suite.Ckts.name) else None)
+      Suite.Ckts.all
+  in
   Alcotest.run "incr"
     [
       ("bit-identity walks", walks);
       ("probe-then-confirm walks", probe_walks);
+      ("probe at the exact state", clean_probes);
       ( "measured view",
         [
           Alcotest.test_case "measure identical" `Quick test_measure_identical;

@@ -531,6 +531,59 @@ let prop_zmat_solve =
         zsolve_agrees n zm (Array.copy boxed) b
       end)
 
+(* --- Moments.compute_probe with the conductance stamps untouched ---
+
+   A probe whose G is bitwise the retained one solves through the retained
+   factorization, so, whether or not its C moved, its moments must carry
+   the bits of a fresh factorization of the perturbed system: the plain
+   recurrence needs no cached moment vectors to be exact there. *)
+
+let lin_of_mats g c =
+  let n = La.Mat.rows g in
+  let empty = { Netlist.Circuit.node_names = Array.init (n + 1) string_of_int; elements = [||] } in
+  { Mna.Linearize.idx = Mna.Sysmat.of_circuit empty; g; c; b = La.Vec.create n }
+
+let moments_outcome lin ~b ~sel ~count =
+  match Awe.Moments.factor lin with
+  | fac -> Ok (fac, Awe.Moments.compute_with fac ~b ~sel ~count)
+  | exception La.Lu.Singular k -> Error k
+
+let prop_probe_untouched_g =
+  QCheck.Test.make ~name:"kernels: Moments.compute_probe with G untouched matches a fresh factor"
+    ~count:300
+    QCheck.(triple (int_range 1 14) bool (int_range 0 1_000_000))
+    (fun (n, c_moves, seed) ->
+      let rng = Random.State.make [| seed; n; 17 |] in
+      let g = mna_matrix rng n and c = mna_matrix rng n in
+      let c' = La.Mat.copy c in
+      if c_moves then begin
+        (* one more capacitor, between two nodes or to ground *)
+        let i = Random.State.int rng n and j = Random.State.int rng n in
+        let cap = 10.0 ** QCheck.Gen.float_range (-15.0) (-9.0) rng in
+        La.Mat.add_to c' i i cap;
+        if i <> j then begin
+          La.Mat.add_to c' j j cap;
+          La.Mat.add_to c' i j (-.cap);
+          La.Mat.add_to c' j i (-.cap)
+        end
+      end;
+      let b = rhs rng n and sel = rhs rng n in
+      let count = 1 + Random.State.int rng 14 in
+      let lin = lin_of_mats g c and lin' = lin_of_mats (La.Mat.copy g) c' in
+      match (moments_outcome lin ~b ~sel ~count, moments_outcome lin' ~b ~sel ~count) with
+      | Ok (fac, _), Ok (_, fresh) -> begin
+          match
+            Awe.Moments.prepare_update fac ~g_old:g ~g_new:lin'.Mna.Linearize.g ~c_old:c
+              ~c_new:c'
+          with
+          | Ok u ->
+              Awe.Moments.update_rank u = 0
+              && vec_same (Awe.Moments.compute_probe u ~b ~sel ~count) fresh
+          | Error _ -> false
+        end
+      | Error k, Error k' -> k = k'
+      | _ -> false)
+
 let () =
   Alcotest.run "kernels"
     [
@@ -543,5 +596,6 @@ let () =
             prop_lowrank_dense;
             prop_sparse_of_dense;
             prop_zmat_solve;
+            prop_probe_untouched_g;
           ] );
     ]

@@ -60,8 +60,6 @@ let sample_events =
            probes = 24;
            probe_rom_builds = 6;
            probe_fallbacks = 1;
-           mom_reuses = 40;
-           mom_refreshes = 8;
            per_class =
              [
                {

@@ -501,11 +501,20 @@ let with_server ?(workers = 0) ?(max_connections = Serve.Server.default_max_conn
     Condition.wait ready_c ready_m
   done;
   Mutex.unlock ready_m;
-  Fun.protect
-    ~finally:(fun () ->
-      ignore (Serve.Client.shutdown ~socket ());
-      Domain.join server)
-    (fun () -> f socket)
+  (* The daemon frees a closed connection's slot only once that
+     connection's thread has read its EOF, so a shutdown sent right after
+     [f] closed its own connections can still find every slot held and be
+     turned away at the cap ("retry shortly"). Retry it: a lost shutdown
+     would leave [Domain.join] waiting forever. *)
+  let rec stop tries =
+    match Serve.Client.shutdown ~socket () with
+    | Error e when contains e "connection capacity" ->
+        if tries = 0 then Alcotest.failf "shutdown still refused: %s" e;
+        Unix.sleepf 0.05;
+        stop (tries - 1)
+    | Ok () | Error _ -> Domain.join server
+  in
+  Fun.protect ~finally:(fun () -> stop 200) (fun () -> f socket)
 
 let connect_raw socket =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -1363,6 +1372,36 @@ let test_proto_warm_round_trip () =
       | Error e -> Alcotest.failf "decode failed: %s" e)
     requests
 
+(* A warm pool snapshots the corpus for a plain submit's shape, which
+   parses the source inside [submit]: a digitless literal there must not
+   raise out of it. *)
+let test_pool_warm_digitless_number () =
+  let pool =
+    Serve.Pool.create
+      {
+        Serve.Pool.default_config with
+        workers = 0;
+        queue_capacity = 4;
+        state_dir = None;
+        warm = true;
+      }
+  in
+  let source =
+    String.split_on_char '\n' ota_source
+    |> List.map (fun l ->
+           if String.starts_with ~prefix:".var " l then
+             String.split_on_char ' ' l
+             |> List.map (fun tok ->
+                    if String.starts_with ~prefix:"min=" tok then "min=.u" else tok)
+             |> String.concat " "
+           else l)
+    |> String.concat "\n"
+  in
+  (match Serve.Pool.submit pool (submission ~source ()) with
+  | Ok _ | Error _ -> ()
+  | exception e -> Alcotest.failf "submit raised %s" (Printexc.to_string e));
+  Serve.Pool.shutdown pool
+
 let test_pool_warm_validation () =
   let pool = frozen_pool ~queue_capacity:4 () in
   (match
@@ -1648,6 +1687,8 @@ let () =
         [
           Alcotest.test_case "protocol round-trips" `Quick test_proto_warm_round_trip;
           Alcotest.test_case "validation" `Quick test_pool_warm_validation;
+          Alcotest.test_case "digitless number in a warm submit" `Quick
+            test_pool_warm_digitless_number;
           Alcotest.test_case "corpus records and seeds" `Slow
             test_pool_corpus_records_and_seeds;
           Alcotest.test_case "corpus survives a crash, bits unchanged" `Slow

@@ -31,7 +31,15 @@ let test_units_suffixes () =
 let test_units_errors () =
   (match Netlist.Units.parse "" with Error _ -> () | Ok _ -> Alcotest.fail "empty");
   (match Netlist.Units.parse "abc" with Error _ -> () | Ok _ -> Alcotest.fail "alpha");
-  match Netlist.Units.parse "1x" with Error _ -> () | Ok _ -> Alcotest.fail "bad suffix"
+  (match Netlist.Units.parse "1x" with Error _ -> () | Ok _ -> Alcotest.fail "bad suffix");
+  (* a mantissa without a digit is an error, never an exception *)
+  List.iter
+    (fun s ->
+      match Netlist.Units.parse s with
+      | Error _ -> ()
+      | Ok v -> Alcotest.failf "%S parsed as %g" s v
+      | exception e -> Alcotest.failf "%S raised %s" s (Printexc.to_string e))
+    [ "."; ".u"; "-."; "+.k"; ".e5" ]
 
 let test_units_is_number () =
   Alcotest.(check bool) "digit" true (Netlist.Units.is_number "5u");
