@@ -1370,8 +1370,7 @@ let serve () =
       [
         ("bench", Obs.Json.Str "serve");
         ( "baseline",
-          baseline_json ~jobs:workers
-            ~eval_mode:(if cfg.pool.Serve.Pool.incremental then "incremental" else "full") );
+          baseline_json ~jobs:workers ~eval_mode:"incremental" );
         ("workers", int workers);
         ("submissions", int n_jobs);
         ("moves_per_job", int s_moves);
@@ -1557,8 +1556,7 @@ let serve_concurrent () =
       [
         ("bench", Obs.Json.Str "serve-concurrent");
         ( "baseline",
-          baseline_json ~jobs:workers
-            ~eval_mode:(if cfg.pool.Serve.Pool.incremental then "incremental" else "full") );
+          baseline_json ~jobs:workers ~eval_mode:"incremental" );
         ("workers", int workers);
         ("clients", int clients);
         ("jobs_per_client", int jobs_per_client);

@@ -1018,17 +1018,25 @@ let stats_cmd =
             peers (n f "remote_hits") (n f "remote_lookups") (n f "pushes")
             (n f "push_failures") (n f "scatters") (n f "remote_shards") (n f "steals")
       | Some _ | None -> ());
-      (match (Json.mem_opt "eval_mode" j, Json.mem_opt "evals" j) with
-      | Some (Json.Str mode), Some (Json.Obj _ as ev) ->
+      (match (Json.mem_opt "journal" j, Json.mem_opt "corpus" j) with
+      | Some (Json.Obj _ as jr), Some (Json.Obj _ as c) ->
+          Printf.printf
+            "journal: %s bytes, %s rotation(s), %s rejected line(s); corpus: %s entries, %s \
+             replayed, %s rejected line(s)\n"
+            (n jr "bytes") (n jr "rotations") (n jr "rejected") (n c "entries") (n c "replayed")
+            (n c "rejected")
+      | _ -> ());
+      (match Json.mem_opt "evals" j with
+      | Some (Json.Obj _ as ev) ->
           let pct a b =
             match (jnum ev a, jnum ev b) with
             | Some x, Some y when x +. y > 0.0 -> Printf.sprintf "%.0f%%" (100.0 *. x /. (x +. y))
             | _ -> "-"
           in
           Printf.printf
-            "evals (%s): %s incremental / %s full; op cache %s hit, ROM reuse %s, spec reuse \
-             %s, %s resyncs (%s mismatches)\n"
-            mode (n ev "incremental") (n ev "full") (pct "op_hits" "op_misses")
+            "evals: %s incremental / %s full; op cache %s hit, ROM reuse %s, spec reuse %s, %s \
+             resyncs (%s mismatches)\n"
+            (n ev "incremental") (n ev "full") (pct "op_hits" "op_misses")
             (pct "rom_reuses" "rom_builds") (pct "spec_reuses" "spec_evals") (n ev "resyncs")
             (n ev "resync_mismatches");
           (match jnum ev "probes" with
@@ -1036,8 +1044,7 @@ let stats_cmd =
               Printf.printf "probe: %s screens, %s jig refits (%s fresh fallbacks)\n"
                 (n ev "probes") (n ev "probe_rom_builds") (n ev "probe_fallbacks")
           | Some _ | None -> ())
-      | Some (Json.Str mode), _ -> Printf.printf "evals: mode %s\n" mode
-      | _ -> ());
+      | Some _ | None -> ());
       match Json.mem_opt "workers_detail" j with
       | Some (Json.Arr ws) ->
           List.iter

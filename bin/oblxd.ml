@@ -147,15 +147,6 @@ let corpus_capacity_arg =
           "Winner-corpus bound (entries, worst-cost-evicted); journaled in \
            state-dir/corpus.log and replicated to fleet peers")
 
-let no_incremental_arg =
-  Arg.(
-    value
-    & flag
-    & info [ "no-incremental" ]
-        ~doc:
-          "Evaluate every move with the full cost function instead of the move-scoped \
-           incremental evaluator (escape hatch; results are bit-identical either way)")
-
 let quiet_arg = Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"No startup banner")
 
 let parse_tcp s =
@@ -176,8 +167,7 @@ let read_token file =
     (fun () -> match input_line ic with line -> String.trim line | exception End_of_file -> "")
 
 let run socket tcp auth_token_file peers steal_timeout log_rotate_bytes workers queue cache
-    state_dir no_state default_moves warm_start warm_fraction corpus_capacity no_incremental
-    max_connections idle_timeout quiet =
+    state_dir no_state default_moves warm_start warm_fraction corpus_capacity max_connections idle_timeout quiet =
   let workers = match workers with Some w -> Int.max 0 w | None -> Core.Oblx.default_jobs () in
   let state_dir = if no_state then None else state_dir in
   match (match tcp with None -> Ok None | Some s -> Result.map Option.some (parse_tcp s)) with
@@ -224,7 +214,6 @@ let run socket tcp auth_token_file peers steal_timeout log_rotate_bytes workers 
                   cache_capacity = cache;
                   state_dir;
                   default_moves;
-                  incremental = not no_incremental;
                   fleet = Some fleet;
                   log_rotate_bytes;
                   warm = warm_start;
@@ -282,5 +271,5 @@ let () =
             const run $ socket_arg $ tcp_arg $ auth_token_file_arg $ peer_arg
             $ steal_timeout_arg $ log_rotate_bytes_arg $ workers_arg $ queue_arg $ cache_arg
             $ state_dir_arg $ no_state_arg $ default_moves_arg $ warm_start_arg
-            $ warm_fraction_arg $ corpus_capacity_arg $ no_incremental_arg
-            $ max_connections_arg $ idle_timeout_arg $ quiet_arg)))
+            $ warm_fraction_arg $ corpus_capacity_arg $ max_connections_arg
+            $ idle_timeout_arg $ quiet_arg)))

@@ -92,6 +92,7 @@ type t = {
   mutable hits : int;  (** lookups that returned at least one entry *)
   mutable lookups : int;
   mutable replayed : int;
+  mutable rejected : int;  (** journal lines replay could not parse or decode *)
 }
 
 let locked t f =
@@ -248,6 +249,7 @@ let create ?(capacity = 256) ?(per_shape = 4) ?path () =
       hits = 0;
       lookups = 0;
       replayed = 0;
+      rejected = 0;
     }
   in
   match path with
@@ -255,24 +257,20 @@ let create ?(capacity = 256) ?(per_shape = 4) ?path () =
   | Some p ->
       (* Replay the journal (later lines supersede nothing — [add]'s
          insert rule is order-independent up to ties, and duplicates are
-         no-ops), then open it for appending. A torn final line from a
-         crash mid-append parses as an error and is skipped. *)
+         no-ops), then open it for appending. A line that does not parse
+         or decode — a torn final line from a crash mid-append among
+         them — is counted in [rejected] and skipped. *)
       let replayed = ref 0 in
       (match open_in p with
       | exception Sys_error _ -> ()
       | ic ->
           (try
              while true do
-               let line = input_line ic in
-               match Json.of_string line with
-               | Error _ -> ()
-               | Ok j -> begin
-                   match entry_of_json j with
-                   | Error _ -> ()
-                   | Ok e ->
-                       incr replayed;
-                       ignore (insert_locked t e)
-                 end
+               match Result.bind (Json.of_string (input_line ic)) entry_of_json with
+               | Error _ -> t.rejected <- t.rejected + 1
+               | Ok e ->
+                   incr replayed;
+                   ignore (insert_locked t e)
              done
            with End_of_file -> ());
           close_in ic);
@@ -300,6 +298,7 @@ type stats = {
   hits : int;
   lookups : int;
   replayed : int;
+  rejected : int;
 }
 
 let stats t =
@@ -312,6 +311,7 @@ let stats t =
         hits = t.hits;
         lookups = t.lookups;
         replayed = t.replayed;
+        rejected = t.rejected;
       })
 
 (* The corpus key of a problem source: parse and shape-hash. [None] when

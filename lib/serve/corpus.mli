@@ -45,7 +45,8 @@ type t
 (** [create ?capacity ?per_shape ?path ()] — an empty corpus holding at
     most [capacity] (default 256) entries, the best [per_shape] (default
     4) per shape. With [path], the JSONL journal there is replayed first
-    (torn or malformed lines skipped) and then opened for appending;
+    (torn or malformed lines skipped and counted in [stats]' [rejected])
+    and then opened for appending;
     without it the corpus is memory-only. *)
 val create : ?capacity:int -> ?per_shape:int -> ?path:string -> unit -> t
 
@@ -76,6 +77,7 @@ type stats = {
   hits : int;  (** lookups that found at least one entry *)
   lookups : int;
   replayed : int;  (** journal lines replayed at startup *)
+  rejected : int;  (** journal lines replay could not parse or decode *)
 }
 
 val stats : t -> stats

@@ -173,18 +173,7 @@ type shard_result = {
   sr_hi : int;
   sr_peer : string option;
   sr_stolen : bool;
-  sr_best_cost : float;
-  sr_winner_restart : int;
-  sr_winner_score : float;
-  sr_predicted : (string * float option) list;
-  sr_sizes : (string * float) list;
-  sr_moves : int;
-  sr_evals : int;
-  sr_cut_reason : string option;
-  sr_warm : string option;  (** winning restart's seed provenance label *)
-  sr_winner : (float array * int array * float array) option;
-      (** winner's (values, grid indices, Hustin probs) — what the
-          coordinator records in its corpus when this shard wins *)
+  sr_outcome : Proto.outcome;
 }
 
 (* Contiguous ascending shards covering [0, runs); the first [runs mod
@@ -200,68 +189,6 @@ let split_shards ~runs ~parts =
     end
   in
   go 0 0 []
-
-let jnum j k = match Json.mem_opt k j with Some (Json.Num v) -> Some v | _ -> None
-let jint j k = Option.map int_of_float (jnum j k)
-let jstr j k = match Json.mem_opt k j with Some (Json.Str s) -> Some s | _ -> None
-
-(* A peer's finished shard job back into a shard result. The floats made
-   the round trip through %.17g JSON, so best_cost and winner_score are
-   the exact bits the peer computed — the merge below stays bit-identical
-   to a local fold. Anything other than a clean "done" record is a steal
-   trigger, not a partial answer. *)
-let shard_result_of_job ~lo ~hi ~peer job =
-  match jstr job "state" with
-  | Some "done" -> begin
-      match (jnum job "best_cost", jint job "winner_restart", jnum job "winner_score") with
-      | Some best_cost, Some winner_restart, Some winner_score ->
-          let pairs k f =
-            match Json.mem_opt k job with
-            | Some (Json.Obj kvs) -> List.filter_map f kvs
-            | _ -> []
-          in
-          Ok
-            {
-              sr_lo = lo;
-              sr_hi = hi;
-              sr_peer = Some peer;
-              sr_stolen = false;
-              sr_best_cost = best_cost;
-              sr_winner_restart = winner_restart;
-              sr_winner_score = winner_score;
-              sr_predicted =
-                pairs "predicted" (fun (k, v) ->
-                    match v with
-                    | Json.Num v -> Some (k, Some v)
-                    | Json.Null -> Some (k, None)
-                    | _ -> None);
-              sr_sizes =
-                pairs "sizes" (fun (k, v) ->
-                    match v with Json.Num v -> Some (k, v) | _ -> None);
-              sr_moves = Option.value (jint job "moves") ~default:0;
-              sr_evals = Option.value (jint job "evals") ~default:0;
-              sr_cut_reason = jstr job "cut_reason";
-              sr_warm = jstr job "warm";
-              sr_winner =
-                (let arr k =
-                   match Json.mem_opt k job with
-                   | Some (Json.Arr vs) ->
-                       Some
-                         (Array.of_list
-                            (List.filter_map
-                               (function Json.Num v -> Some v | _ -> None)
-                               vs))
-                   | _ -> None
-                 in
-                 match (arr "winner_values", arr "winner_grid", arr "winner_probs") with
-                 | Some values, Some grid, Some probs when values <> [||] ->
-                     Some (values, Array.map int_of_float grid, probs)
-                 | _ -> None);
-            }
-      | _ -> Error (Printf.sprintf "peer %s: shard record lacks winner fields" peer)
-    end
-  | Some state -> Error (Printf.sprintf "peer %s: shard finished %s" peer state)
-  | None -> Error (Printf.sprintf "peer %s: shard record lacks state" peer)
 
 let run_remote t ~submit ~peer ~lo ~hi =
   let sub =
@@ -279,11 +206,26 @@ let run_remote t ~submit ~peer ~lo ~hi =
   match Client.submit ~socket:peer ?auth:t.auth ~timeout_s:t.rpc_timeout_s sub with
   | Error e -> Error e
   | Ok id -> begin
+      (* The peer's finished shard record, through the outcome codec. The
+         floats made the round trip through %.17g JSON, so the winner's
+         score is the exact bits the peer computed — the merge below stays
+         bit-identical to a local fold. Anything other than a clean "done"
+         record with a winner is a steal trigger, not a partial answer. *)
       match
         Client.wait ~socket:peer ?auth:t.auth ~poll_s:0.05 ~timeout_s:t.steal_timeout_s id
       with
       | Error e -> Error e
-      | Ok job -> shard_result_of_job ~lo ~hi ~peer job
+      | Ok job -> begin
+          match (Json.mem_opt "state" job, Proto.outcome_of_json job) with
+          | ( Some (Json.Str "done"),
+              Ok ({ Proto.jo_winner_score = Some _; jo_winner_restart = Some _; _ } as o) ) ->
+              Ok { sr_lo = lo; sr_hi = hi; sr_peer = Some peer; sr_stolen = false; sr_outcome = o }
+          | Some (Json.Str "done"), Ok _ ->
+              Error (Printf.sprintf "peer %s: shard record lacks winner fields" peer)
+          | Some (Json.Str "done"), Error e -> Error (Printf.sprintf "peer %s: %s" peer e)
+          | Some (Json.Str state), _ -> Error (Printf.sprintf "peer %s: shard finished %s" peer state)
+          | _ -> Error (Printf.sprintf "peer %s: shard record lacks state" peer)
+        end
     end
 
 (* Scatter [submit]'s restart budget over self + peers, steal failed or
@@ -300,18 +242,22 @@ let scatter t ~(submit : Proto.submit) ~run_local =
   let shards = split_shards ~runs:submit.Proto.sb_runs ~parts:(1 + List.length ps) in
   match shards with
   | [] -> Error "no shards" (* unreachable: runs >= 1 *)
-  | local :: remote ->
+  | own :: remote ->
       let remote =
         List.mapi (fun i (lo, hi) -> (i + 1, List.nth ps i, lo, hi)) remote
       in
       let n = 1 + List.length remote in
       let results = Array.make n (Error "shard never ran") in
+      let local ~stolen (lo, hi) =
+        Result.map
+          (fun o -> { sr_lo = lo; sr_hi = hi; sr_peer = None; sr_stolen = stolen; sr_outcome = o })
+          (run_local ~lo ~hi)
+      in
       let steal ~lo ~hi reason =
         locked t (fun () -> t.steals <- t.steals + 1);
-        match run_local ~lo ~hi with
-        | Ok sr -> Ok { sr with sr_stolen = true }
-        | Error e ->
-            Error (Printf.sprintf "shard [%d,%d): peer failed (%s), steal failed (%s)" lo hi reason e)
+        Result.map_error
+          (Printf.sprintf "shard [%d,%d): peer failed (%s), steal failed (%s)" lo hi reason)
+          (local ~stolen:true (lo, hi))
       in
       let threads =
         List.map
@@ -327,8 +273,7 @@ let scatter t ~(submit : Proto.submit) ~run_local =
               ())
           remote
       in
-      (let lo, hi = local in
-       results.(0) <- run_local ~lo ~hi);
+      results.(0) <- local ~stolen:false own;
       List.iter Thread.join threads;
       let rec collect i acc =
         if i < 0 then Ok acc
@@ -343,15 +288,31 @@ let scatter t ~(submit : Proto.submit) ~run_local =
 
 (* The winner rule of [Oblx.best_of], lifted to shards: strict < keeps the
    earliest shard on ties, and within a shard the daemon that ran it
-   already kept the earliest restart. *)
+   already kept the earliest restart. The fleet's outcome is the winning
+   shard's, with the work of every shard counted and the first cut reason
+   reported when the winner ran to completion. *)
 let merge shards =
+  (* Every shard outcome has a score: a local one by construction, a
+     peer's is checked on decode. *)
+  let score sr = Option.value sr.sr_outcome.Proto.jo_winner_score ~default:Float.nan in
   match shards with
   | [] -> None
   | first :: rest ->
+      let w =
+        (List.fold_left (fun best sr -> if score sr < score best then sr else best) first rest)
+          .sr_outcome
+      in
+      let total f = List.fold_left (fun a sr -> a + f sr.sr_outcome) 0 shards in
       Some
-        (List.fold_left
-           (fun best sr -> if sr.sr_winner_score < best.sr_winner_score then sr else best)
-           first rest)
+        {
+          w with
+          Proto.jo_moves = total (fun o -> o.Proto.jo_moves);
+          jo_evals = total (fun o -> o.Proto.jo_evals);
+          jo_cut_reason =
+            (match w.Proto.jo_cut_reason with
+            | Some r -> Some r
+            | None -> List.find_map (fun sr -> sr.sr_outcome.Proto.jo_cut_reason) shards);
+        }
 
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)

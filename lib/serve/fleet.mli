@@ -101,19 +101,11 @@ type shard_result = {
   sr_hi : int;  (** restart range [\[lo, hi)] this shard executed *)
   sr_peer : string option;  (** [None]: ran on this daemon *)
   sr_stolen : bool;  (** re-run locally after the peer failed *)
-  sr_best_cost : float;
-  sr_winner_restart : int;  (** global restart index of the shard winner *)
-  sr_winner_score : float;  (** {!Core.Oblx.score} of the shard winner *)
-  sr_predicted : (string * float option) list;
-  sr_sizes : (string * float) list;
-  sr_moves : int;
-  sr_evals : int;
-  sr_cut_reason : string option;
-  sr_warm : string option;
-      (** the shard winner's seed provenance ({!Core.Oblx.result.warm}) *)
-  sr_winner : (float array * int array * float array) option;
-      (** shard winner's (values, grid indices, Hustin probs); [None] on
-          older peers whose job records lack the winner arrays *)
+  sr_outcome : Proto.outcome;
+      (** the shard's own outcome: its winner (global [jo_winner_restart],
+          and always a [jo_winner_score]) and the moves and evals of its
+          range. A peer's is decoded from its result record through
+          {!Proto.outcome_of_json}. *)
 }
 
 (** [split_shards ~runs ~parts] — contiguous ascending ranges covering
@@ -122,7 +114,8 @@ type shard_result = {
 val split_shards : runs:int -> parts:int -> (int * int) list
 
 (** [scatter t ~submit ~run_local] — shard [submit]'s restart budget over
-    this daemon + peers; shard 0 runs locally via [run_local], the rest
+    this daemon + peers; shard 0 runs locally via [run_local] (the outcome
+    of restarts [\[lo, hi)] on this daemon), the rest
     go to peers (each on its own thread, as a sharded submit that is never
     re-scattered). Any remote failure — refused submit, dead connection,
     non-[done] terminal state, or the steal deadline — steals the shard
@@ -131,14 +124,16 @@ val split_shards : runs:int -> parts:int -> (int * int) list
 val scatter :
   t ->
   submit:Proto.submit ->
-  run_local:(lo:int -> hi:int -> (shard_result, string) result) ->
+  run_local:(lo:int -> hi:int -> (Proto.outcome, string) result) ->
   (shard_result list, string) result
 
-(** [merge shards] — the fleet winner: fold in list order with strict [<]
-    on [sr_winner_score], keeping the earliest shard on ties. Applied to
-    {!scatter}'s output this reproduces {!Core.Oblx.best_of}'s winner
-    bit-for-bit. *)
-val merge : shard_result list -> shard_result option
+(** [merge shards] — the fleet's outcome: the winning shard's, found by a
+    fold in list order with strict [<] on [jo_winner_score] that keeps the
+    earliest shard on ties, with moves and evals summed over every shard
+    and, when the winner ran to completion, the first shard's cut reason.
+    Applied to {!scatter}'s output this reproduces {!Core.Oblx.best_of}'s
+    winner bit-for-bit. [None] for no shards. *)
+val merge : shard_result list -> Proto.outcome option
 
 (** {2 Stats} *)
 

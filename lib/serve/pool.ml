@@ -6,7 +6,6 @@ type config = {
   cache_capacity : int;
   state_dir : string option;
   default_moves : int option;
-  incremental : bool;  (** move-scoped incremental cost evaluation *)
   fleet : Fleet.t option;  (** peer coordination: scatter + cache replication *)
   log_rotate_bytes : int option;  (** compact jobs.log beyond this size *)
   warm : bool;
@@ -25,7 +24,6 @@ let default_config =
     cache_capacity = 64;
     state_dir = None;
     default_moves = None;
-    incremental = true;
     fleet = None;
     log_rotate_bytes = None;
     warm = false;
@@ -42,44 +40,6 @@ let state_name = function
   | Failed -> "failed"
   | Cancelled -> "cancelled"
 
-(* One row of a sweep job's verdict table: what one variant's synthesis
-   produced. [sv_cache] is the compile-cache outcome for this variant's
-   (canon, corner) key — the bench gate over "one compile per distinct
-   key" reads these. *)
-type sweep_row = {
-  sv_name : string;
-  sv_corner : string option;
-  sv_cache : Core.Compile_cache.outcome option;  (** None: failed pre-key *)
-  sv_best_cost : float option;
-  sv_ok : bool option;  (** every spec at/inside its good target *)
-  sv_error : string option;
-  sv_predicted : (string * float option) list;
-  sv_moves : int;
-  sv_evals : int;
-  sv_cut_reason : string option;
-}
-
-(* What a finished synthesis leaves on the job record. *)
-type outcome = {
-  jo_best_cost : float;
-  jo_moves : int;  (** across every restart of the job *)
-  jo_evals : int;
-  jo_cut_reason : string option;
-  jo_predicted : (string * float option) list;
-  jo_sizes : (string * float) list;
-  jo_winner_restart : int option;  (** global restart index of the winner *)
-  jo_winner_score : float option;  (** {!Core.Oblx.score} of the winner *)
-  jo_sweep : sweep_row list;  (** non-empty only for sweep jobs *)
-  jo_shape : string option;  (** the problem's shape hash, when it parsed *)
-  jo_warm : string option;
-      (** provenance of the winning restart's seed (a corpus label), or
-          [None] when a cold restart won / no warm seeds were attached *)
-  jo_winner : (float array * int array * float array) option;
-      (** winner's (values, grid indices, Hustin probs) — recorded on the
-          job so [resynthesize] can warm-start from it even after the
-          corpus evicted the entry *)
-}
-
 type job = {
   id : int;
   spec : Proto.submit;
@@ -90,7 +50,7 @@ type job = {
   mutable worker : int option;
   mutable cache : Core.Compile_cache.outcome option;
   mutable error : string option;  (** [Failed]: the compile error *)
-  mutable outcome : outcome option;
+  mutable outcome : Proto.outcome option;
   cancel : string option Atomic.t;
       (** cancellation verdict, polled by the annealer's abort hook *)
   ring : Obs.Sink.Ring.ring option;  (** per-job stage events, on request *)
@@ -106,6 +66,7 @@ type t = {
   mutable stopping : bool;
   mutable rejected : int;
   restored : int;  (** jobs replayed from the log at startup *)
+  journal_rejected : int;  (** log lines replay could not parse or decode *)
   mutable log : out_channel option;  (** [state_dir/jobs.log], append mode *)
   log_mutex : Mutex.t;  (** appends are whole lines, never interleaved *)
   mutable log_bytes : int;  (** bytes in jobs.log, for the rotation check *)
@@ -151,26 +112,6 @@ let opt_num = function Some v -> Json.Num v | None -> Json.Null
 let num_i i = Json.Num (float_of_int i)
 let opt_str = function Some s -> Json.Str s | None -> Json.Null
 
-let cache_json = function
-  | Some Core.Compile_cache.Hit -> Json.Str "hit"
-  | Some Core.Compile_cache.Miss -> Json.Str "miss"
-  | None -> Json.Null
-
-let sweep_row_json (r : sweep_row) =
-  Json.Obj
-    [
-      ("variant", Json.Str r.sv_name);
-      ("corner", opt_str r.sv_corner);
-      ("cache", cache_json r.sv_cache);
-      ("best_cost", opt_num r.sv_best_cost);
-      ("ok", (match r.sv_ok with Some b -> Json.Bool b | None -> Json.Null));
-      ("error", opt_str r.sv_error);
-      ("predicted", Json.Obj (List.map (fun (k, v) -> (k, opt_num v)) r.sv_predicted));
-      ("moves", num_i r.sv_moves);
-      ("evals", num_i r.sv_evals);
-      ("cut_reason", opt_str r.sv_cut_reason);
-    ]
-
 (* Caller holds the lock. *)
 let job_json ~full t (j : job) =
   let wait_s =
@@ -198,6 +139,13 @@ let job_json ~full t (j : job) =
         pos 0 t.queue
     | Running | Done | Failed | Cancelled -> None
   in
+  (* The outcome's encoding leads with its cut reason, which the status
+     view shows too; the rest is the result view's detail block. *)
+  let cut_reason, detail =
+    match Option.map Proto.outcome_to_json j.outcome with
+    | Some (Json.Obj (("cut_reason", c) :: detail)) -> (c, detail)
+    | Some _ | None -> (Json.Null, [])
+  in
   let base =
     [
       ("id", num_i j.id);
@@ -210,9 +158,9 @@ let job_json ~full t (j : job) =
       ("queue_position", match queue_pos with Some p -> num_i p | None -> Json.Null);
       ("wait_s", Json.Num wait_s);
       ("run_s", opt_num run_s);
-      ("cache", cache_json j.cache);
+      ("cache", Proto.cache_to_json j.cache);
       ("error", opt_str j.error);
-      ("cut_reason", opt_str (match j.outcome with Some o -> o.jo_cut_reason | None -> None));
+      ("cut_reason", cut_reason);
     ]
   in
   let shard =
@@ -220,39 +168,7 @@ let job_json ~full t (j : job) =
     | Some (lo, hi) -> [ ("shard_lo", num_i lo); ("shard_hi", num_i hi) ]
     | None -> []
   in
-  let detail =
-    if not full then []
-    else
-      match j.outcome with
-      | None -> []
-      | Some o ->
-          [
-            ("best_cost", Json.Num o.jo_best_cost);
-            ("moves", num_i o.jo_moves);
-            ("evals", num_i o.jo_evals);
-            ( "winner_restart",
-              match o.jo_winner_restart with Some k -> num_i k | None -> Json.Null );
-            ("winner_score", opt_num o.jo_winner_score);
-            ( "predicted",
-              Json.Obj (List.map (fun (k, v) -> (k, opt_num v)) o.jo_predicted) );
-            ("sizes", Json.Obj (List.map (fun (k, v) -> (k, Json.Num v)) o.jo_sizes));
-          ]
-          @ (match o.jo_shape with Some s -> [ ("shape", Json.Str s) ] | None -> [])
-          @ (match o.jo_warm with Some w -> [ ("warm", Json.Str w) ] | None -> [])
-          @ (match o.jo_winner with
-            | None -> []
-            | Some (values, grid, probs) ->
-                let farr a = Json.Arr (Array.to_list a |> List.map (fun v -> Json.Num v)) in
-                [
-                  ("winner_values", farr values);
-                  ("winner_grid", farr (Array.map float_of_int grid));
-                  ("winner_probs", farr probs);
-                ])
-          @
-          match o.jo_sweep with
-          | [] -> []
-          | rows -> [ ("sweep", Json.Arr (List.map sweep_row_json rows)) ]
-  in
+  let detail = if full then detail else [] in
   let events =
     if not full then []
     else
@@ -288,18 +204,22 @@ let persist t (j : job) rendered =
 
 (* [state_dir/jobs.log] is an append-only JSONL journal: one "submit" line
    when a job enters the queue, one "finish" line when it leaves a worker
-   (or is cancelled). Each line wraps the same record [job_json] renders,
-   plus what that record omits: raw timestamps, the problem source, and
-   the submitted move budget. [create] replays it so a restarted daemon
-   still answers status/result for every pre-restart job id. *)
+   (or is cancelled). A submit line carries the job's inputs through the
+   submit codec; a finish line its terminal state, raw timestamps, cache
+   outcome, error and outcome, the last through the outcome codec. Every
+   line carries the format version [journal_version]. [create] replays
+   the log so a restarted daemon still answers status/result for every
+   pre-restart job id. *)
 
-let log_append t wrap =
+let journal_version = 1
+
+let log_append t line =
   Mutex.lock t.log_mutex;
   (match t.log with
   | None -> ()
   | Some oc -> (
       try
-        let line = Json.to_string wrap in
+        let line = Json.to_string line in
         output_string oc line;
         output_char oc '\n';
         flush oc;
@@ -307,59 +227,39 @@ let log_append t wrap =
       with Sys_error _ -> () (* best-effort, like the per-job files *)));
   Mutex.unlock t.log_mutex
 
-(* The spec fields ([source]/[moves]/[trace]) that let [replay_log]
-   reconstruct a job from this wrap alone. Submit wraps always carry
-   them; finish wraps only in a rotated log, where the submit line they
-   used to pair with is gone. *)
-let spec_fields (j : job) =
-  [
-    ("source", Json.Str j.spec.Proto.sb_source);
-    ("moves", match j.spec.Proto.sb_moves with Some m -> num_i m | None -> Json.Null);
-    ("trace", Json.Bool j.spec.Proto.sb_trace);
-  ]
-  (* The warm snapshot and spec overrides are part of the job's recorded
-     inputs: a replayed job must re-run from the same seeds and targets
-     regardless of where the live corpus has moved since. *)
-  @ (match j.spec.Proto.sb_warm with
-    | [] -> []
-    | es -> [ ("warm", Json.Arr (List.map Corpus.entry_to_json es)) ])
-  @
-  match j.spec.Proto.sb_spec_overrides with
-  | [] -> []
-  | specs ->
-      [
-        ( "spec_overrides",
-          Json.Obj
-            (List.map
-               (fun (n, good, bad) -> (n, Json.Arr [ Json.Num good; Json.Num bad ]))
-               specs) );
-      ]
-
-(* Caller holds the lock (wraps a [job_json] rendering). *)
-let log_submit_wrap t (j : job) =
+let log_line kind (j : job) fields =
   Json.Obj
-    ((("log", Json.Str "submit") :: ("t", Json.Num j.submitted_at) :: spec_fields j)
-    @ [ ("job", job_json ~full:false t j) ])
+    (("v", num_i journal_version) :: ("log", Json.Str kind) :: ("id", num_i j.id) :: fields)
 
-let log_finish_wrap ?(spec = false) (j : job) rendered =
-  Json.Obj
+let job_inputs (j : job) =
+  [ ("submitted_at", Json.Num j.submitted_at); ("submit", Proto.submit_to_json j.spec) ]
+
+(* Caller holds the lock. *)
+let submit_record j = log_line "submit" j (job_inputs j)
+
+(* Caller holds the lock. A compacted log has no submit line for a
+   finished job, so there its finish record also carries the job's inputs
+   ([~inputs:true]). *)
+let finish_record ?(inputs = false) (j : job) =
+  log_line "finish" j
     ([
-       ("log", Json.Str "finish");
-       ("t", (match j.finished_at with Some v -> Json.Num v | None -> Json.Null));
-       ("submitted_at", Json.Num j.submitted_at);
+       ("state", Json.Str (state_name j.state));
        ("started_at", opt_num j.started_at);
+       ("finished_at", opt_num j.finished_at);
+       ("cache", Proto.cache_to_json j.cache);
+       ("error", opt_str j.error);
+       ("outcome", match j.outcome with Some o -> Proto.outcome_to_json o | None -> Json.Null);
      ]
-    @ (if spec then spec_fields j else [])
-    @ [ ("job", rendered) ])
+    @ if inputs then job_inputs j else [])
 
 (* --- Rotation: compact the journal while the daemon runs -------------- *)
 
 (* When jobs.log grows past [log_rotate_bytes], rewrite it as one
-   self-contained terminal record per finished job (a finish wrap carrying
-   the spec fields a submit line used to provide) plus the original submit
-   line for every job still queued or running, then atomically rename over
-   the old log. Replay fidelity is exact: the terminal records are the
-   same [job_json ~full:true] renderings the original finish lines held.
+   self-contained terminal record per finished job (a finish record
+   carrying the inputs a submit line used to provide) plus the submit line
+   for every job still queued or running, then atomically rename over the
+   old log. Replay fidelity is exact: the records go through the same
+   codecs as the lines they replace.
    A kill -9 at any point leaves either the old complete log (plus a
    harmless jobs.log.tmp) or the new complete one — never a torn journal.
 
@@ -394,13 +294,12 @@ let rotate t =
                         List.iter
                           (fun id ->
                             let j = Hashtbl.find t.jobs id in
-                            let wrap =
+                            let line =
                               match j.state with
-                              | Done | Failed | Cancelled ->
-                                  log_finish_wrap ~spec:true j (job_json ~full:true t j)
-                              | Queued | Running -> log_submit_wrap t j
+                              | Done | Failed | Cancelled -> finish_record ~inputs:true j
+                              | Queued | Running -> submit_record j
                             in
-                            output_string tmp_oc (Json.to_string wrap);
+                            output_string tmp_oc (Json.to_string line);
                             output_char tmp_oc '\n')
                           ids;
                         close_out tmp_oc;
@@ -431,7 +330,7 @@ let maybe_rotate t =
   if due then rotate t
 
 let finish t (j : job) ~worker ~state ?error ?outcome () =
-  let rendered, wrap =
+  let rendered, line =
     locked t (fun () ->
         j.state <- state;
         j.finished_at <- Some (now ());
@@ -442,157 +341,16 @@ let finish t (j : job) ~worker ~state ?error ?outcome () =
             t.worker_busy_s.(w) <- t.worker_busy_s.(w) +. (fin -. st);
             t.worker_jobs.(w) <- t.worker_jobs.(w) + 1;
             (match outcome with
-            | Some o -> t.worker_moves.(w) <- t.worker_moves.(w) + o.jo_moves
+            | Some o -> t.worker_moves.(w) <- t.worker_moves.(w) + o.Proto.jo_moves
             | None -> ())
         | _ -> ());
-        let rendered = job_json ~full:true t j in
-        (rendered, log_finish_wrap j rendered))
+        (job_json ~full:true t j, finish_record j))
   in
   persist t j rendered;
-  log_append t wrap;
+  log_append t line;
   maybe_rotate t
 
 (* --- Replay: jobs.log lines back into job records ------------------- *)
-
-let jstr j k = match Json.mem_opt k j with Some (Json.Str s) -> Some s | _ -> None
-let jnum j k = match Json.mem_opt k j with Some (Json.Num v) -> Some v | _ -> None
-let jint j k = Option.map int_of_float (jnum j k)
-
-let state_of_name = function
-  | "queued" -> Some Queued
-  | "running" -> Some Running
-  | "done" -> Some Done
-  | "failed" -> Some Failed
-  | "cancelled" -> Some Cancelled
-  | _ -> None
-
-let spec_of_log wrap jobj =
-  {
-    Proto.sb_name = Option.value (jstr jobj "name") ~default:"";
-    sb_source = Option.value (jstr wrap "source") ~default:"";
-    sb_seed = Option.value (jint jobj "seed") ~default:1;
-    sb_moves = jint wrap "moves";
-    sb_runs = Option.value (jint jobj "runs") ~default:1;
-    sb_priority = Option.value (jint jobj "priority") ~default:0;
-    sb_deadline_s = jnum jobj "deadline_s";
-    sb_trace =
-      (match Json.mem_opt "trace" wrap with Some (Json.Bool b) -> b | _ -> false);
-    sb_shard =
-      (match (jint jobj "shard_lo", jint jobj "shard_hi") with
-      | Some lo, Some hi -> Some (lo, hi)
-      | _ -> None);
-    (* Variants are not journaled with the spec — a replayed sweep job is
-       already finished, and its verdict table replays from the outcome. *)
-    sb_sweep = [];
-    sb_warm =
-      (match Json.mem_opt "warm" wrap with
-      | Some (Json.Arr es) ->
-          List.filter_map (fun e -> Result.to_option (Corpus.entry_of_json e)) es
-      | _ -> []);
-    sb_spec_overrides =
-      (match Json.mem_opt "spec_overrides" wrap with
-      | Some (Json.Obj kvs) ->
-          List.filter_map
-            (fun (n, v) ->
-              match v with
-              | Json.Arr [ Json.Num good; Json.Num bad ] -> Some (n, good, bad)
-              | _ -> None)
-            kvs
-      | _ -> []);
-  }
-
-let sweep_of_log jobj =
-  match Json.mem_opt "sweep" jobj with
-  | Some (Json.Arr rows) ->
-      List.filter_map
-        (fun row ->
-          match jstr row "variant" with
-          | None -> None
-          | Some name ->
-              Some
-                {
-                  sv_name = name;
-                  sv_corner = jstr row "corner";
-                  sv_cache =
-                    (match jstr row "cache" with
-                    | Some "hit" -> Some Core.Compile_cache.Hit
-                    | Some "miss" -> Some Core.Compile_cache.Miss
-                    | Some _ | None -> None);
-                  sv_best_cost = jnum row "best_cost";
-                  sv_ok =
-                    (match Json.mem_opt "ok" row with
-                    | Some (Json.Bool b) -> Some b
-                    | _ -> None);
-                  sv_error = jstr row "error";
-                  sv_predicted =
-                    (match Json.mem_opt "predicted" row with
-                    | Some (Json.Obj kvs) ->
-                        List.filter_map
-                          (fun (k, v) ->
-                            match v with
-                            | Json.Num v -> Some (k, Some v)
-                            | Json.Null -> Some (k, None)
-                            | _ -> None)
-                          kvs
-                    | _ -> []);
-                  sv_moves = Option.value (jint row "moves") ~default:0;
-                  sv_evals = Option.value (jint row "evals") ~default:0;
-                  sv_cut_reason = jstr row "cut_reason";
-                })
-        rows
-  | _ -> []
-
-let outcome_of_log jobj =
-  match jnum jobj "best_cost" with
-  | None -> None
-  | Some c ->
-      let pairs k f =
-        match Json.mem_opt k jobj with
-        | Some (Json.Obj kvs) -> List.filter_map f kvs
-        | _ -> []
-      in
-      Some
-        {
-          jo_best_cost = c;
-          jo_moves = Option.value (jint jobj "moves") ~default:0;
-          jo_evals = Option.value (jint jobj "evals") ~default:0;
-          jo_cut_reason = jstr jobj "cut_reason";
-          jo_predicted =
-            pairs "predicted" (fun (k, v) ->
-                match v with
-                | Json.Num v -> Some (k, Some v)
-                | Json.Null -> Some (k, None)
-                | _ -> None);
-          jo_sizes =
-            pairs "sizes" (fun (k, v) ->
-                match v with Json.Num v -> Some (k, v) | _ -> None);
-          jo_winner_restart = jint jobj "winner_restart";
-          jo_winner_score = jnum jobj "winner_score";
-          jo_sweep = sweep_of_log jobj;
-          jo_shape = jstr jobj "shape";
-          jo_warm = jstr jobj "warm";
-          jo_winner =
-            (let arr k =
-               match Json.mem_opt k jobj with
-               | Some (Json.Arr vs) ->
-                   Some
-                     (Array.of_list
-                        (List.filter_map
-                           (function Json.Num v -> Some v | _ -> None)
-                           vs))
-               | _ -> None
-             in
-             match (arr "winner_values", arr "winner_grid", arr "winner_probs") with
-             | Some values, Some grid, Some probs when values <> [||] ->
-                 Some (values, Array.map int_of_float grid, probs)
-             | _ -> None);
-        }
-
-let cache_of_log jobj =
-  match jstr jobj "cache" with
-  | Some "hit" -> Some Core.Compile_cache.Hit
-  | Some "miss" -> Some Core.Compile_cache.Miss
-  | Some _ | None -> None
 
 let fresh_job ~id ~spec ~submitted_at =
   {
@@ -610,65 +368,75 @@ let fresh_job ~id ~spec ~submitted_at =
     ring = None;
   }
 
-(* Jobs in submission order; ones whose latest record still says
-   queued/running were interrupted by the crash/restart. A torn final
-   line (the daemon died mid-append) is skipped, not fatal. *)
+let terminal_state = function
+  | Json.Str "done" -> Done
+  | Json.Str "failed" -> Failed
+  | Json.Str "cancelled" -> Cancelled
+  | _ -> raise (Json.Decode_error "expected \"done\", \"failed\" or \"cancelled\"")
+
+(* Apply one journal line to [table] (and [order], ids in first-seen
+   order). A line that does not parse or decode raises [Decode_error]
+   before anything is applied. *)
+let replay_line table order line =
+  let r = Proto.get_ok (Json.of_string line) in
+  let version = Proto.field "v" Json.to_int r in
+  if version <> journal_version then
+    raise (Json.Decode_error (Printf.sprintf "format version %d, expected %d" version journal_version));
+  let id = Proto.field "id" Json.to_int r in
+  let add () =
+    let j =
+      fresh_job ~id
+        ~spec:(Proto.field "submit" (fun s -> Proto.get_ok (Proto.submit_of_json s)) r)
+        ~submitted_at:(Proto.field "submitted_at" Json.to_float r)
+    in
+    Hashtbl.replace table id j;
+    order := id :: !order;
+    j
+  in
+  match Proto.field "log" Json.to_str r with
+  | "submit" ->
+      if Hashtbl.mem table id then
+        raise (Json.Decode_error (Printf.sprintf "job %d submitted twice" id));
+      ignore (add ())
+  | "finish" ->
+      let state = Proto.field "state" terminal_state r in
+      let outcome = Proto.nullable "outcome" (fun o -> Proto.get_ok (Proto.outcome_of_json o)) r in
+      if state = Done && Option.is_none outcome then
+        raise (Json.Decode_error "a done job needs an outcome");
+      let started_at = Proto.nullable "started_at" Json.to_float r
+      and finished_at = Proto.nullable "finished_at" Json.to_float r
+      and cache = Proto.field "cache" Proto.cache_of_json r
+      and error = Proto.nullable "error" Json.to_str r in
+      (* A finish with no submit before it is a compacted log's
+         self-contained record. *)
+      let j = match Hashtbl.find_opt table id with Some j -> j | None -> add () in
+      j.state <- state;
+      j.started_at <- started_at;
+      j.finished_at <- finished_at;
+      j.cache <- cache;
+      j.error <- error;
+      j.outcome <- outcome
+  | kind -> raise (Json.Decode_error (Printf.sprintf "unknown record %S" kind))
+
+(* Jobs in first-seen order, and the number of lines replay rejected — a
+   torn final line (the daemon died mid-append) among them, never fatal.
+   A job whose finish line was rejected keeps the state its submit line
+   gave it; jobs still queued/running were interrupted by the restart. *)
 let replay_log path =
   match open_in path with
-  | exception Sys_error _ -> []
+  | exception Sys_error _ -> ([], 0)
   | ic ->
       let table : (int, job) Hashtbl.t = Hashtbl.create 64 in
-      let order = ref [] in
+      let order = ref [] and rejected = ref 0 in
       (try
          while true do
-           let line = input_line ic in
-           match Json.of_string line with
-           | Error _ -> ()
-           | Ok wrap -> begin
-               match (jstr wrap "log", Json.mem_opt "job" wrap) with
-               | Some kind, Some jobj -> begin
-                   match jint jobj "id" with
-                   | None -> ()
-                   | Some id -> begin
-                       let job =
-                         match Hashtbl.find_opt table id with
-                         | Some j -> j
-                         | None ->
-                             let j =
-                               fresh_job ~id ~spec:(spec_of_log wrap jobj)
-                                 ~submitted_at:
-                                   (Option.value
-                                      (match kind with
-                                      | "submit" -> jnum wrap "t"
-                                      | _ -> jnum wrap "submitted_at")
-                                      ~default:0.0)
-                             in
-                             order := id :: !order;
-                             Hashtbl.replace table id j;
-                             j
-                       in
-                       if kind = "finish" then begin
-                         (match jstr jobj "state" with
-                         | Some s -> begin
-                             match state_of_name s with
-                             | Some ((Done | Failed | Cancelled) as st) -> job.state <- st
-                             | Some (Queued | Running) | None -> ()
-                           end
-                         | None -> ());
-                         job.started_at <- jnum wrap "started_at";
-                         job.finished_at <- jnum wrap "t";
-                         job.cache <- cache_of_log jobj;
-                         job.error <- jstr jobj "error";
-                         job.outcome <- outcome_of_log jobj
-                       end
-                     end
-                 end
-               | _ -> ()
-             end
+           match replay_line table order (input_line ic) with
+           | () -> ()
+           | exception Json.Decode_error _ -> incr rejected
          done
        with End_of_file -> ());
       close_in ic;
-      List.rev_map (fun id -> Hashtbl.find table id) !order
+      (List.rev_map (Hashtbl.find table) !order, !rejected)
 
 (* ------------------------------------------------------------------ *)
 (* Workers                                                             *)
@@ -739,6 +507,29 @@ let sum_moves all =
 let sum_evals all =
   List.fold_left (fun a (r : Core.Oblx.result) -> a + r.Core.Oblx.evals) 0 all
 
+(* The one builder of a run's outcome: restarts [lo, lo + |all|) over
+   problem [p], the whole budget of a plain job or one shard of a
+   scattered one. *)
+let outcome_of_run p ~lo ~shape (best : Core.Oblx.result) all =
+  {
+    Proto.jo_best_cost = best.Core.Oblx.best_cost;
+    jo_moves = sum_moves all;
+    jo_evals = sum_evals all;
+    jo_cut_reason = cut_reason_of best all;
+    jo_predicted = best.Core.Oblx.predicted;
+    jo_sizes = Core.Report.sizes p best.Core.Oblx.final;
+    jo_winner_restart = Some (lo + winner_index best all);
+    jo_winner_score = Some (Core.Oblx.score p best);
+    jo_sweep = [];
+    jo_shape = shape;
+    jo_warm = best.Core.Oblx.warm;
+    jo_winner =
+      Some
+        ( Array.copy best.Core.Oblx.final.Core.State.values,
+          Array.copy best.Core.Oblx.final.Core.State.grid_index,
+          best.Core.Oblx.probs );
+  }
+
 (* "ok" for one sweep row: every specification at or inside its good
    target. The direction comes from the good/bad ordering — good <= bad
    means smaller is better — the same normalization the cost uses. *)
@@ -782,6 +573,31 @@ let override_specs (p : Core.Problem.t) overrides =
               p.Core.Problem.specs;
         }
 
+(* Per-job shard: this worker buffers its own events and merges them into
+   the shared summary (and the job's ring) in batches at stage boundaries,
+   so concurrent workers don't serialize the daemon's telemetry per event.
+   The ring rides next to the global summary but is capped at Stage level:
+   a job's recent history, not a move torrent. *)
+let job_shard t (j : job) =
+  Obs.Shard.create
+    (match j.ring with
+    | Some ring ->
+        Obs.Sink.filtered ~level:Obs.Event.Stage (Obs.Sink.Ring.sink ring)
+        :: Obs.Trace.sinks t.obs_base
+    | None -> Obs.Trace.sinks t.obs_base)
+
+let job_moves t (j : job) =
+  match j.spec.Proto.sb_moves with Some m -> Some m | None -> t.cfg.default_moves
+
+(* The deadline is a latency bound from submission, so the queue wait
+   already spent part of it. Recomputed at each run's start, because a
+   stolen shard starts later than the scatter did; an exhausted budget
+   still runs, aborting at move 0 via the annealer's pre-loop poll. *)
+let deadline_left (j : job) =
+  Option.map
+    (fun budget -> Float.max 0.0 (budget -. (now () -. j.submitted_at)))
+    j.spec.Proto.sb_deadline_s
+
 (* A sweep job: one (jobs = 1) synthesis per variant, run sequentially on
    this worker, every compile routed through the shared cache under its
    (canon, corner) key — the first variant at a given key compiles, the
@@ -790,17 +606,8 @@ let override_specs (p : Core.Problem.t) overrides =
    pool's worker count. Sweep jobs are never scattered across a fleet:
    the shared compile is the point. *)
 let run_sweep t (j : job) ~worker =
-  let sinks =
-    match j.ring with
-    | Some ring ->
-        Obs.Sink.filtered ~level:Obs.Event.Stage (Obs.Sink.Ring.sink ring)
-        :: Obs.Trace.sinks t.obs_base
-    | None -> Obs.Trace.sinks t.obs_base
-  in
-  let shard = Obs.Shard.create sinks in
-  let moves =
-    match j.spec.Proto.sb_moves with Some m -> Some m | None -> t.cfg.default_moves
-  in
+  let shard = job_shard t j in
+  let moves = job_moves t j in
   let rows = ref [] in
   (* The cross-variant winner, for the job-level summary fields. *)
   let best : (float * Core.Problem.t * Core.Oblx.result) option ref = ref None in
@@ -812,7 +619,7 @@ let run_sweep t (j : job) ~worker =
           if Atomic.get j.cancel = None then begin
             let fail ?cache e =
               {
-                sv_name = v.Proto.vr_name;
+                Proto.sv_name = v.Proto.vr_name;
                 sv_corner = v.Proto.vr_corner;
                 sv_cache = cache;
                 sv_best_cost = None;
@@ -843,20 +650,14 @@ let run_sweep t (j : job) ~worker =
                       match override_specs p v.Proto.vr_specs with
                       | Error e -> fail ~cache e
                       | Ok p' -> begin
-                          let deadline_s =
-                            Option.map
-                              (fun budget ->
-                                Float.max 0.0 (budget -. (now () -. j.submitted_at)))
-                              j.spec.Proto.sb_deadline_s
-                          in
+                          let deadline_s = deadline_left j in
                           let obs =
                             Obs.Trace.with_sinks t.obs_base
                               [ Obs.Shard.for_restart shard k ]
                           in
                           match
                             Core.Oblx.run_job ~seed:j.spec.Proto.sb_seed ?moves
-                              ~runs:j.spec.Proto.sb_runs ~jobs:1
-                              ~incremental:t.cfg.incremental ?deadline_s
+                              ~runs:j.spec.Proto.sb_runs ~jobs:1 ?deadline_s
                               ~poll:(fun () -> Atomic.get j.cancel)
                               ~obs p'
                           with
@@ -866,7 +667,7 @@ let run_sweep t (j : job) ~worker =
                               | Some _ | None ->
                                   best := Some (b.Core.Oblx.best_cost, p', b));
                               {
-                                sv_name = v.Proto.vr_name;
+                                Proto.sv_name = v.Proto.vr_name;
                                 sv_corner = v.Proto.vr_corner;
                                 sv_cache = Some cache;
                                 sv_best_cost = Some b.Core.Oblx.best_cost;
@@ -889,11 +690,26 @@ let run_sweep t (j : job) ~worker =
       (* The job-level cache field reports the first variant's outcome
          (informational); the per-row outcomes are authoritative. *)
       (match rows with
-      | { sv_cache = Some c; _ } :: _ -> locked t (fun () -> j.cache <- Some c)
+      | { Proto.sv_cache = Some c; _ } :: _ -> locked t (fun () -> j.cache <- Some c)
       | _ -> ());
-      let jo_moves = List.fold_left (fun a r -> a + r.sv_moves) 0 rows in
-      let jo_evals = List.fold_left (fun a r -> a + r.sv_evals) 0 rows in
-      let jo_cut_reason = List.find_map (fun r -> r.sv_cut_reason) rows in
+      (* A sweep's record carries no winner or shape: its rows are the
+         answer, summed into the job-level counters. *)
+      let summary =
+        {
+          Proto.jo_best_cost = 0.0;
+          jo_moves = List.fold_left (fun a r -> a + r.Proto.sv_moves) 0 rows;
+          jo_evals = List.fold_left (fun a r -> a + r.Proto.sv_evals) 0 rows;
+          jo_cut_reason = List.find_map (fun r -> r.Proto.sv_cut_reason) rows;
+          jo_predicted = [];
+          jo_sizes = [];
+          jo_winner_restart = None;
+          jo_winner_score = None;
+          jo_sweep = rows;
+          jo_shape = None;
+          jo_warm = None;
+          jo_winner = None;
+        }
+      in
       match !best with
       | None ->
           (* Every variant failed (or the job was cancelled before any
@@ -901,45 +717,21 @@ let run_sweep t (j : job) ~worker =
              sees per-variant reasons. *)
           let state = if Atomic.get j.cancel <> None then Cancelled else Failed in
           let error =
-            match List.find_opt (fun r -> r.sv_error <> None) rows with
-            | Some { sv_name; sv_error = Some e; _ } ->
-                Printf.sprintf "%s: %s" sv_name e
+            match List.find_opt (fun r -> r.Proto.sv_error <> None) rows with
+            | Some { Proto.sv_name; sv_error = Some e; _ } -> Printf.sprintf "%s: %s" sv_name e
             | _ -> "sweep: no variant completed"
           in
-          finish t j ~worker:(Some worker) ~state ~error
-            ~outcome:
-              {
-                jo_best_cost = 0.0;
-                jo_moves;
-                jo_evals;
-                jo_cut_reason;
-                jo_predicted = [];
-                jo_sizes = [];
-                jo_winner_restart = None;
-                jo_winner_score = None;
-                jo_sweep = rows;
-                jo_shape = None;
-                jo_warm = None;
-                jo_winner = None;
-              }
-            ()
+          finish t j ~worker:(Some worker) ~state ~error ~outcome:summary ()
       | Some (cost, pw, bw) ->
           let state = if Atomic.get j.cancel <> None then Cancelled else Done in
           finish t j ~worker:(Some worker) ~state
             ~outcome:
               {
+                summary with
                 jo_best_cost = cost;
-                jo_moves;
-                jo_evals;
-                jo_cut_reason;
                 jo_predicted = bw.Core.Oblx.predicted;
                 jo_sizes = Core.Report.sizes pw bw.Core.Oblx.final;
-                jo_winner_restart = None;
                 jo_winner_score = Some (Core.Oblx.score pw bw);
-                jo_sweep = rows;
-                jo_shape = None;
-                jo_warm = None;
-                jo_winner = None;
               }
             ())
 
@@ -967,32 +759,8 @@ let run_job t (j : job) ~worker =
       match override_specs compiled j.spec.Proto.sb_spec_overrides with
       | Error e -> finish t j ~worker:(Some worker) ~state:Failed ~error:e ()
       | Ok p ->
-      let sinks =
-        match j.ring with
-        | Some ring ->
-            (* The ring rides next to the global summary but is capped at
-               Stage level: a job's recent history, not a move torrent. *)
-            Obs.Sink.filtered ~level:Obs.Event.Stage (Obs.Sink.Ring.sink ring)
-            :: Obs.Trace.sinks t.obs_base
-        | None -> Obs.Trace.sinks t.obs_base
-      in
-      (* Per-job shard: this worker buffers its own events and merges them
-         into the shared summary (and the job's ring) in batches at stage
-         boundaries, so concurrent workers don't serialize the daemon's
-         telemetry per event. Buffer [k] belongs to the run over restart
-         range starting at [k]: a plain job uses buffer 0 only; a
-         scattered job gives each locally-run shard (shard 0 and any
-         steals, which run on concurrent threads) its own buffer. *)
-      let shard = Obs.Shard.create sinks in
-      let moves =
-        match j.spec.Proto.sb_moves with Some m -> Some m | None -> t.cfg.default_moves
-      in
-      (* One shard's (or the whole budget's) annealing on this daemon.
-         The deadline is a latency bound from submission, so the queue
-         wait already spent part of it — recomputed per call because a
-         stolen shard starts later than the scatter did; an exhausted
-         budget still runs, aborting at move 0 via the annealer's
-         pre-loop poll. *)
+      let shard = job_shard t j in
+      let moves = job_moves t j in
       (* The journaled warm snapshot, attached positionally: global
          restart k < |sb_warm| seeds from entry k (the rest stay cold).
          Indices are global, so a sharded execution passes the full
@@ -1001,55 +769,33 @@ let run_job t (j : job) ~worker =
       let warm_starts =
         Array.of_list (List.map Corpus.warm_start_of_entry j.spec.Proto.sb_warm)
       in
+      let hashes = hashes_of_source j.spec.Proto.sb_source in
+      (* One shard's (or the whole budget's) annealing on this daemon.
+         Shard buffer [k] belongs to the run over the restart range
+         starting at [k]: a plain job uses buffer 0 only; a scattered job
+         gives each locally-run shard (shard 0 and any steals, which run
+         on concurrent threads) its own buffer. *)
       let run_range ?restarts () =
-        let deadline_s =
-          Option.map
-            (fun budget -> Float.max 0.0 (budget -. (now () -. j.submitted_at)))
-            j.spec.Proto.sb_deadline_s
+        let deadline_s = deadline_left j in
+        let lo = match restarts with Some (lo, _) -> lo | None -> 0 in
+        let obs = Obs.Trace.with_sinks t.obs_base [ Obs.Shard.for_restart shard lo ] in
+        let best, all =
+          Core.Oblx.run_job ~seed:j.spec.Proto.sb_seed ?moves ~runs:j.spec.Proto.sb_runs
+            ~jobs:1 ?restarts ?deadline_s ~warm_starts
+            ~poll:(fun () -> Atomic.get j.cancel)
+            ~obs p
         in
-        let buffer = match restarts with Some (lo, _) -> lo | None -> 0 in
-        let obs = Obs.Trace.with_sinks t.obs_base [ Obs.Shard.for_restart shard buffer ] in
-        Core.Oblx.run_job ~seed:j.spec.Proto.sb_seed ?moves ~runs:j.spec.Proto.sb_runs
-          ~jobs:1 ~incremental:t.cfg.incremental ?restarts ?deadline_s ~warm_starts
-          ~poll:(fun () -> Atomic.get j.cancel)
-          ~obs p
+        outcome_of_run p ~lo ~shape:(Option.map snd hashes) best all
       in
-      let winner_state (best : Core.Oblx.result) =
-        ( Array.copy best.Core.Oblx.final.Core.State.values,
-          Array.copy best.Core.Oblx.final.Core.State.grid_index,
-          best.Core.Oblx.probs )
-      in
-      let local_shard ~lo ~hi =
-        match run_range ~restarts:(lo, hi) () with
-        | best, all ->
-            Ok
-              {
-                Fleet.sr_lo = lo;
-                sr_hi = hi;
-                sr_peer = None;
-                sr_stolen = false;
-                sr_best_cost = best.Core.Oblx.best_cost;
-                sr_winner_restart = lo + winner_index best all;
-                sr_winner_score = Core.Oblx.score p best;
-                sr_predicted = best.Core.Oblx.predicted;
-                sr_sizes = Core.Report.sizes p best.Core.Oblx.final;
-                sr_moves = sum_moves all;
-                sr_evals = sum_evals all;
-                sr_cut_reason = cut_reason_of best all;
-                sr_warm = best.Core.Oblx.warm;
-                sr_winner = Some (winner_state best);
-              }
-        | exception exn -> Error (Printexc.to_string exn)
-      in
-      (* Record a finished job's winner in the corpus (and replicate a
-         genuinely new entry to peers). Only whole jobs record — a shard
-         execution's winner is partial; the coordinator records the
-         merged one. Recording is unconditional on [cfg.warm]: the
+      (* Record a finished job's winner in the corpus before the job reads
+         done, so a client that sees it done finds the entry; a genuinely
+         new entry is replicated to peers after. Only whole jobs record —
+         a shard execution's winner is partial; the coordinator records
+         the merged one. Recording is unconditional on [cfg.warm]: the
          corpus fills passively like the journal, [warm] only gates
          whether submits read from it. *)
-      let hashes = hashes_of_source j.spec.Proto.sb_source in
-      let record_corpus (outcome : outcome) =
-        match (j.spec.Proto.sb_shard, outcome.jo_winner, hashes) with
+      let record_corpus (outcome : Proto.outcome) =
+        match (j.spec.Proto.sb_shard, outcome.Proto.jo_winner, hashes) with
         | None, Some (values, grid, probs), Some (canon, shape) ->
             let entry =
               {
@@ -1057,88 +803,48 @@ let run_job t (j : job) ~worker =
                 en_canon = canon;
                 en_job = j.id;
                 en_name = j.spec.Proto.sb_name;
-                en_cost = outcome.jo_best_cost;
+                en_cost = outcome.Proto.jo_best_cost;
                 en_values = values;
                 en_grid = grid;
                 en_probs = probs;
               }
             in
-            if Corpus.add t.corpus entry then begin
-              match t.cfg.fleet with
-              | Some f -> Fleet.corpus_push f ~entry
-              | None -> ()
-            end
-        | _ -> ()
+            if Corpus.add t.corpus entry then Some entry else None
+        | _ -> None
       in
       let finish_with outcome =
         let state = if Atomic.get j.cancel <> None then Cancelled else Done in
+        let fresh = if state = Done then record_corpus outcome else None in
         finish t j ~worker:(Some worker) ~state ~outcome ();
-        if state = Done then record_corpus outcome
+        match (fresh, t.cfg.fleet) with
+        | Some entry, Some f -> Fleet.corpus_push f ~entry
+        | _ -> ()
       in
-      let shape = Option.map snd hashes in
       Fun.protect
         ~finally:(fun () -> Obs.Shard.drain shard)
         (fun () ->
-          let scatterable =
-            j.spec.Proto.sb_shard = None && j.spec.Proto.sb_runs > 1
-            &&
-            match t.cfg.fleet with Some f -> Fleet.peers f <> [] | None -> false
-          in
-          if scatterable then begin
-            (* Coordinator path: shard the budget over the fleet, steal
-               what dies, merge by the winner rule. *)
-            let f = Option.get t.cfg.fleet in
-            match Fleet.scatter f ~submit:j.spec ~run_local:local_shard with
-            | Error e ->
-                finish t j ~worker:(Some worker) ~state:Failed
-                  ~error:(Printf.sprintf "fleet scatter failed: %s" e)
-                  ()
-            | Ok shards ->
-                let w = Option.get (Fleet.merge shards) in
-                finish_with
-                  {
-                    jo_best_cost = w.Fleet.sr_best_cost;
-                    jo_moves =
-                      List.fold_left (fun a s -> a + s.Fleet.sr_moves) 0 shards;
-                    jo_evals =
-                      List.fold_left (fun a s -> a + s.Fleet.sr_evals) 0 shards;
-                    jo_cut_reason =
-                      (match w.Fleet.sr_cut_reason with
-                      | Some r -> Some r
-                      | None ->
-                          List.find_map (fun s -> s.Fleet.sr_cut_reason) shards);
-                    jo_predicted = w.Fleet.sr_predicted;
-                    jo_sizes = w.Fleet.sr_sizes;
-                    jo_winner_restart = Some w.Fleet.sr_winner_restart;
-                    jo_winner_score = Some w.Fleet.sr_winner_score;
-                    jo_sweep = [];
-                    jo_shape = shape;
-                    jo_warm = w.Fleet.sr_warm;
-                    jo_winner = w.Fleet.sr_winner;
-                  }
-          end
-          else begin
-            (* Plain or shard-executing path: anneal the requested range
-               (the whole budget when unsharded) on this worker. *)
-            let restarts = j.spec.Proto.sb_shard in
-            let lo = match restarts with Some (l, _) -> l | None -> 0 in
-            let best, all = run_range ?restarts () in
-            finish_with
-              {
-                jo_best_cost = best.Core.Oblx.best_cost;
-                jo_moves = sum_moves all;
-                jo_evals = sum_evals all;
-                jo_cut_reason = cut_reason_of best all;
-                jo_predicted = best.Core.Oblx.predicted;
-                jo_sizes = Core.Report.sizes p best.Core.Oblx.final;
-                jo_winner_restart = Some (lo + winner_index best all);
-                jo_winner_score = Some (Core.Oblx.score p best);
-                jo_sweep = [];
-                jo_shape = shape;
-                jo_warm = best.Core.Oblx.warm;
-                jo_winner = Some (winner_state best);
-              }
-          end)
+          match t.cfg.fleet with
+          | Some f
+            when j.spec.Proto.sb_shard = None && j.spec.Proto.sb_runs > 1 && Fleet.peers f <> []
+            -> begin
+              (* Coordinator path: shard the budget over the fleet, steal
+                 what dies, merge by the winner rule. *)
+              let run_local ~lo ~hi =
+                match run_range ~restarts:(lo, hi) () with
+                | outcome -> Ok outcome
+                | exception exn -> Error (Printexc.to_string exn)
+              in
+              match Fleet.scatter f ~submit:j.spec ~run_local with
+              | Error e ->
+                  finish t j ~worker:(Some worker) ~state:Failed
+                    ~error:(Printf.sprintf "fleet scatter failed: %s" e)
+                    ()
+              | Ok shards -> finish_with (Option.get (Fleet.merge shards))
+            end
+          | Some _ | None ->
+              (* Plain or shard-executing path: anneal the requested range
+                 (the whole budget when unsharded) on this worker. *)
+              finish_with (run_range ?restarts:j.spec.Proto.sb_shard ()))
     end
 
 let rec worker_loop t ~worker =
@@ -1176,13 +882,13 @@ let rec worker_loop t ~worker =
 let create cfg =
   if cfg.workers < 0 then invalid_arg "Pool.create: workers must be >= 0";
   if cfg.queue_capacity < 1 then invalid_arg "Pool.create: queue_capacity must be >= 1";
-  let restored_jobs, log, log_bytes =
+  let (restored_jobs, journal_rejected), log, log_bytes =
     match cfg.state_dir with
-    | None -> ([], None, 0)
+    | None -> (([], 0), None, 0)
     | Some dir ->
         (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
         let path = Filename.concat dir "jobs.log" in
-        let restored = if Sys.file_exists path then replay_log path else [] in
+        let restored = replay_log path in
         let oc =
           try Some (open_out_gen [ Open_append; Open_creat ] 0o644 path)
           with Sys_error _ -> None
@@ -1202,6 +908,7 @@ let create cfg =
       stopping = false;
       rejected = 0;
       restored = List.length restored_jobs;
+      journal_rejected;
       log;
       log_mutex = Mutex.create ();
       log_bytes;
@@ -1325,15 +1032,15 @@ let submit t (s : Proto.submit) =
               }
             in
             Hashtbl.add t.jobs id job;
-            Ok (id, job, log_submit_wrap t job)
+            Ok (id, job, submit_record job)
           end)
     in
     match admitted with
     | Error e -> Error e
-    | Ok (id, job, wrap) ->
+    | Ok (id, job, line) ->
         (* Journal before the job becomes runnable: a worker cannot emit
            the finish record ahead of the submit record it pairs with. *)
-        log_append t wrap;
+        log_append t line;
         maybe_rotate t;
         let enqueued =
           locked t (fun () ->
@@ -1442,6 +1149,7 @@ let stats_json t =
               [
                 ("bytes", num_i t.log_bytes);
                 ("rotations", num_i t.rotations);
+                ("rejected", num_i t.journal_rejected);
                 ( "rotate_bytes",
                   match t.cfg.log_rotate_bytes with Some b -> num_i b | None -> Json.Null );
               ] );
@@ -1452,7 +1160,6 @@ let stats_json t =
                 ("accepted", num_i telemetry.Obs.Sink.Summary.accepted);
                 ("events", num_i telemetry.Obs.Sink.Summary.events);
               ] );
-          ("eval_mode", Json.Str (if t.cfg.incremental then "incremental" else "full"));
           ( "evals",
             (* Aggregated incremental-evaluator counters over the latest
                snapshot per restart — cache effectiveness at a glance. *)
@@ -1491,6 +1198,7 @@ let stats_json t =
                 ("hits", num_i c.Corpus.hits);
                 ("lookups", num_i c.Corpus.lookups);
                 ("replayed", num_i c.Corpus.replayed);
+                ("rejected", num_i c.Corpus.rejected);
                 ("warm", Json.Bool t.cfg.warm);
                 ("warm_fraction", Json.Num t.cfg.warm_fraction);
               ] );
@@ -1554,17 +1262,15 @@ let resynthesize t (r : Proto.resynth) =
         | None -> Error (Printf.sprintf "unknown job %d" r.Proto.rz_id)
         | Some j -> begin
             match j.state with
+            | Done when j.spec.Proto.sb_sweep <> [] ->
+                Error
+                  (Printf.sprintf
+                     "job %d is a sweep — resynthesize one variant's submit instead" j.id)
             | Done -> begin
                 match j.outcome with
-                | Some ({ jo_winner = Some _; _ } as o) when j.spec.Proto.sb_sweep = [] ->
-                    Ok (j.id, j.spec, o)
-                | Some { jo_winner = Some _; _ } ->
-                    Error (Printf.sprintf "job %d is a sweep — resynthesize one variant's submit instead" j.id)
+                | Some ({ Proto.jo_winner = Some winner; _ } as o) -> Ok (j.id, j.spec, o, winner)
                 | Some _ | None ->
-                    Error
-                      (Printf.sprintf
-                         "job %d has no recorded winner (pre-corpus journal?) — submit afresh"
-                         j.id)
+                    Error (Printf.sprintf "job %d has no recorded winner — submit afresh" j.id)
               end
             | st ->
                 Error
@@ -1574,8 +1280,7 @@ let resynthesize t (r : Proto.resynth) =
   in
   match parent with
   | Error e -> Error e
-  | Ok (parent_id, spec, o) -> begin
-      let values, grid, probs = Option.get o.jo_winner in
+  | Ok (parent_id, spec, o, (values, grid, probs)) -> begin
       match
         match Netlist.Parser.parse_problem spec.Proto.sb_source with
         | ast -> Some ast
@@ -1621,7 +1326,7 @@ let resynthesize t (r : Proto.resynth) =
               en_canon = canon;
               en_job = parent_id;
               en_name = spec.Proto.sb_name;
-              en_cost = o.jo_best_cost;
+              en_cost = o.Proto.jo_best_cost;
               en_values = values;
               en_grid = grid;
               en_probs = probs;

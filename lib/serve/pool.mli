@@ -10,11 +10,16 @@
     backpressure contract — rather than queueing unboundedly.
 
     With a [state_dir], the pool also keeps a durable job log
-    ([state_dir/jobs.log], append-only JSONL): one record on submit, one
-    on finish. {!create} replays it, so a restarted daemon still answers
-    [status]/[result] for every pre-restart job id; jobs the old daemon
-    left [Queued]/[Running] cannot be resumed and are replayed as
-    [Failed] with error ["daemon restarted"]. With [log_rotate_bytes],
+    ([state_dir/jobs.log], append-only JSONL): one record on submit (the
+    job's inputs, through {!Proto.submit_to_json}), one on finish (its
+    terminal state and {!Proto.outcome_to_json}), each carrying a format
+    version. {!create} replays it, so a restarted daemon still answers
+    [status]/[result] for every pre-restart job id with the same record;
+    jobs the old daemon left [Queued]/[Running] cannot be resumed and are
+    replayed as [Failed] with error ["daemon restarted"]. A line replay
+    cannot parse or decode is counted (the [journal.rejected] stat) and
+    never applied: a job whose finish line is rejected replays as
+    interrupted. With [log_rotate_bytes],
     a journal grown past the threshold is compacted in place — one
     self-contained terminal record per finished job, original submit
     lines for live ones, atomically renamed over the old log — without
@@ -54,10 +59,6 @@ type config = {
           the ops trail surviving the daemon, replayed by {!create} *)
   default_moves : int option;
       (** moves budget for submissions that leave ["moves"] null *)
-  incremental : bool;
-      (** evaluate costs with the move-scoped incremental evaluator
-          ({!Core.Eval.Incr}); results are bit-identical either way, this
-          is the escape hatch if they ever aren't *)
   fleet : Fleet.t option;
       (** peer coordination: restart scattering and compile-cache
           replication; [None] = the classic single-daemon pool *)
@@ -105,7 +106,9 @@ val result_json : t -> int -> (Obs.Json.t, string) result
 
 (** [stats_json t] — jobs by state, queue depth, [restored_jobs] (jobs
     replayed from the log at startup), compile-cache hit rate (plus
-    [remote_hits] when a fleet is configured), journal size/rotations,
+    [remote_hits] when a fleet is configured), journal size/rotations and
+    the lines its replay rejected, the winner corpus (with its own
+    rejected count),
     the ["fleet"] counter block, and per-worker moves/s from the shared
     streaming-summary sink. *)
 val stats_json : t -> Obs.Json.t

@@ -61,8 +61,90 @@ type request =
   | Corpus_push of Corpus.entry
   | Ping
 
+(* One row of a sweep job's verdict table: what one variant's synthesis
+   produced. [sv_cache] is the compile-cache outcome for this variant's
+   (canon, corner) key — the bench gate over "one compile per distinct
+   key" reads these. *)
+type sweep_row = {
+  sv_name : string;
+  sv_corner : string option;
+  sv_cache : Core.Compile_cache.outcome option;  (** None: failed pre-key *)
+  sv_best_cost : float option;
+  sv_ok : bool option;  (** every spec at/inside its good target *)
+  sv_error : string option;
+  sv_predicted : (string * float option) list;
+  sv_moves : int;
+  sv_evals : int;
+  sv_cut_reason : string option;
+}
+
+(* What a finished synthesis leaves on the job record. *)
+type outcome = {
+  jo_best_cost : float;
+  jo_moves : int;  (** across every restart of the job *)
+  jo_evals : int;
+  jo_cut_reason : string option;
+  jo_predicted : (string * float option) list;
+  jo_sizes : (string * float) list;
+  jo_winner_restart : int option;  (** global restart index of the winner *)
+  jo_winner_score : float option;  (** {!Core.Oblx.score} of the winner *)
+  jo_sweep : sweep_row list;  (** non-empty only for sweep jobs *)
+  jo_shape : string option;  (** the problem's shape hash, when it parsed *)
+  jo_warm : string option;
+      (** provenance of the winning restart's seed (a corpus label), or
+          [None] when a cold restart won / no warm seeds were attached *)
+  jo_winner : (float array * int array * float array) option;
+      (** winner's (values, grid indices, Hustin probs) — recorded on the
+          job so [resynthesize] can warm-start from it even after the
+          corpus evicted the entry *)
+}
+
 let num_i i = Json.Num (float_of_int i)
 let opt f = function Some v -> f v | None -> Json.Null
+let opt_num = opt (fun v -> Json.Num v)
+let opt_str = opt (fun s -> Json.Str s)
+let floats a = Json.Arr (Array.to_list a |> List.map (fun v -> Json.Num v))
+
+(* ------------------------------------------------------------------ *)
+(* Strict field readers                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Every decoder here reads through these. A missing member, or one its
+   converter rejects, raises [Decode_error] naming the member, so a fault
+   nested in a sweep row reads [field "sweep": field "moves": ...]. *)
+let located k conv v =
+  try conv v
+  with Json.Decode_error m -> raise (Json.Decode_error (Printf.sprintf "field %S: %s" k m))
+
+let field k conv j =
+  match Json.mem_opt k j with
+  | Some v -> located k conv v
+  | None -> raise (Json.Decode_error (Printf.sprintf "missing field %S" k))
+
+let or_null conv = function Json.Null -> None | v -> Some (conv v)
+
+(* A member that is always written, as null when the value is absent. *)
+let nullable k conv j = field k (or_null conv) j
+
+(* A member that is left out when the value is absent. *)
+let optional k conv j =
+  if Option.is_none (Json.mem_opt k j) then None else Some (field k conv j)
+
+(* A request member a client may leave out or send as null. *)
+let maybe k conv j = Option.join (optional k (or_null conv) j)
+
+let members conv = function
+  | Json.Obj kvs -> List.map (fun (k, v) -> (k, located k conv v)) kvs
+  | _ -> raise (Json.Decode_error "expected an object")
+
+let list conv v = List.map conv (Json.to_list v)
+let floats_of v = Array.of_list (list Json.to_float v)
+let decode f j = match f j with v -> Ok v | exception Json.Decode_error e -> Error e
+let get_ok = function Ok v -> v | Error e -> raise (Json.Decode_error e)
+
+(* ------------------------------------------------------------------ *)
+(* Submits: the wire's submit/sweep body and the job log's inputs       *)
+(* ------------------------------------------------------------------ *)
 
 (* Spec re-targets cross the wire in the sweep-variant shape:
    an object mapping spec name to [good, bad]. *)
@@ -70,45 +152,28 @@ let specs_to_json specs =
   Json.Obj
     (List.map (fun (n, good, bad) -> (n, Json.Arr [ Json.Num good; Json.Num bad ])) specs)
 
-let specs_of_json ~what = function
-  | Json.Obj kvs ->
-      List.map
-        (fun (n, v) ->
-          match v with
-          | Json.Arr [ good; bad ] -> (n, Json.to_float good, Json.to_float bad)
-          | _ -> raise (Json.Decode_error (what ^ ": spec override must be [good, bad]")))
-        kvs
-  | _ -> raise (Json.Decode_error (what ^ ": spec overrides must be an object"))
+let specs_of_json v =
+  members
+    (function
+      | Json.Arr [ good; bad ] -> (Json.to_float good, Json.to_float bad)
+      | _ -> raise (Json.Decode_error "spec override must be [good, bad]"))
+    v
+  |> List.map (fun (n, (good, bad)) -> (n, good, bad))
 
 let variant_to_json (v : variant) =
   Json.Obj
     [
       ("name", Json.Str v.vr_name);
-      ("corner", opt (fun c -> Json.Str c) v.vr_corner);
-      ( "specs",
-        Json.Obj
-          (List.map
-             (fun (n, good, bad) -> (n, Json.Arr [ Json.Num good; Json.Num bad ]))
-             v.vr_specs) );
+      ("corner", opt_str v.vr_corner);
+      ("specs", specs_to_json v.vr_specs);
     ]
 
 let variant_of_json j =
-  let name =
-    match Json.mem_opt "name" j with
-    | Some v -> Json.to_str v
-    | None -> raise (Json.Decode_error "variant: missing field \"name\"")
-  in
-  let corner =
-    match Json.mem_opt "corner" j with
-    | Some Json.Null | None -> None
-    | Some v -> Some (Json.to_str v)
-  in
-  let specs =
-    match Json.mem_opt "specs" j with
-    | Some Json.Null | None -> []
-    | Some v -> specs_of_json ~what:"variant" v
-  in
-  { vr_name = name; vr_corner = corner; vr_specs = specs }
+  {
+    vr_name = field "name" Json.to_str j;
+    vr_corner = maybe "corner" Json.to_str j;
+    vr_specs = Option.value (maybe "specs" specs_of_json j) ~default:[];
+  }
 
 let submit_fields (s : submit) =
   [
@@ -118,7 +183,7 @@ let submit_fields (s : submit) =
     ("moves", opt num_i s.sb_moves);
     ("runs", num_i s.sb_runs);
     ("priority", num_i s.sb_priority);
-    ("deadline_s", opt (fun v -> Json.Num v) s.sb_deadline_s);
+    ("deadline_s", opt_num s.sb_deadline_s);
     ("trace", Json.Bool s.sb_trace);
     ("shard_lo", opt (fun (lo, _) -> num_i lo) s.sb_shard);
     ("shard_hi", opt (fun (_, hi) -> num_i hi) s.sb_shard);
@@ -134,6 +199,143 @@ let submit_fields (s : submit) =
   | [] -> []
   | specs -> [ ("spec_overrides", specs_to_json specs) ]
 
+let submit_to_json s = Json.Obj (submit_fields s)
+
+(* Lenient on optional fields (absent = the default the protocol
+   documents) and strict on shape: a wrong type is a decode error. *)
+let submit_of_json_exn j =
+  let shard =
+    (* Both bounds or neither: a half-specified shard is a caller bug,
+       not something to guess a default for. *)
+    match (maybe "shard_lo" Json.to_int j, maybe "shard_hi" Json.to_int j) with
+    | Some lo, Some hi -> Some (lo, hi)
+    | None, None -> None
+    | Some _, None | None, Some _ ->
+        raise (Json.Decode_error "shard_lo and shard_hi must come together")
+  in
+  let listed k conv = Option.value (maybe k (list conv) j) ~default:[] in
+  {
+    sb_name = Option.value (optional "name" Json.to_str j) ~default:"";
+    sb_source = field "source" Json.to_str j;
+    sb_seed = Option.value (maybe "seed" Json.to_int j) ~default:1;
+    sb_moves = maybe "moves" Json.to_int j;
+    sb_runs = Option.value (maybe "runs" Json.to_int j) ~default:1;
+    sb_priority = Option.value (maybe "priority" Json.to_int j) ~default:0;
+    sb_deadline_s = maybe "deadline_s" Json.to_float j;
+    sb_trace = Option.value (optional "trace" Json.to_bool j) ~default:false;
+    sb_shard = shard;
+    sb_sweep = listed "variants" variant_of_json;
+    sb_warm = listed "warm" (fun e -> get_ok (Corpus.entry_of_json e));
+    sb_spec_overrides = Option.value (maybe "spec_overrides" specs_of_json j) ~default:[];
+  }
+
+let submit_of_json j = decode submit_of_json_exn j
+
+(* ------------------------------------------------------------------ *)
+(* Outcomes: the result record's detail and the job log's finish record *)
+(* ------------------------------------------------------------------ *)
+
+let cache_to_json = function
+  | Some Core.Compile_cache.Hit -> Json.Str "hit"
+  | Some Core.Compile_cache.Miss -> Json.Str "miss"
+  | None -> Json.Null
+
+let cache_of_json = function
+  | Json.Str "hit" -> Some Core.Compile_cache.Hit
+  | Json.Str "miss" -> Some Core.Compile_cache.Miss
+  | Json.Null -> None
+  | _ -> raise (Json.Decode_error "expected \"hit\", \"miss\" or null")
+
+let predicted_to_json kvs = Json.Obj (List.map (fun (k, v) -> (k, opt_num v)) kvs)
+
+let sweep_row_to_json (r : sweep_row) =
+  Json.Obj
+    [
+      ("variant", Json.Str r.sv_name);
+      ("corner", opt_str r.sv_corner);
+      ("cache", cache_to_json r.sv_cache);
+      ("best_cost", opt_num r.sv_best_cost);
+      ("ok", opt (fun b -> Json.Bool b) r.sv_ok);
+      ("error", opt_str r.sv_error);
+      ("predicted", predicted_to_json r.sv_predicted);
+      ("moves", num_i r.sv_moves);
+      ("evals", num_i r.sv_evals);
+      ("cut_reason", opt_str r.sv_cut_reason);
+    ]
+
+let sweep_row_of_json_exn j =
+  {
+    sv_name = field "variant" Json.to_str j;
+    sv_corner = nullable "corner" Json.to_str j;
+    sv_cache = field "cache" cache_of_json j;
+    sv_best_cost = nullable "best_cost" Json.to_float j;
+    sv_ok = nullable "ok" Json.to_bool j;
+    sv_error = nullable "error" Json.to_str j;
+    sv_predicted = field "predicted" (members (or_null Json.to_float)) j;
+    sv_moves = field "moves" Json.to_int j;
+    sv_evals = field "evals" Json.to_int j;
+    sv_cut_reason = nullable "cut_reason" Json.to_str j;
+  }
+
+let sweep_row_of_json j = decode sweep_row_of_json_exn j
+
+(* The cut reason leads: the status view shows it too. The rest is the
+   result view's detail block. *)
+let outcome_to_json (o : outcome) =
+  Json.Obj
+    ([
+       ("cut_reason", opt_str o.jo_cut_reason);
+       ("best_cost", Json.Num o.jo_best_cost);
+       ("moves", num_i o.jo_moves);
+       ("evals", num_i o.jo_evals);
+       ("winner_restart", opt num_i o.jo_winner_restart);
+       ("winner_score", opt_num o.jo_winner_score);
+       ("predicted", predicted_to_json o.jo_predicted);
+       ("sizes", Json.Obj (List.map (fun (k, v) -> (k, Json.Num v)) o.jo_sizes));
+     ]
+    @ (match o.jo_shape with Some s -> [ ("shape", Json.Str s) ] | None -> [])
+    @ (match o.jo_warm with Some w -> [ ("warm", Json.Str w) ] | None -> [])
+    @ (match o.jo_winner with
+      | None -> []
+      | Some (values, grid, probs) ->
+          [
+            ("winner_values", floats values);
+            ("winner_grid", floats (Array.map float_of_int grid));
+            ("winner_probs", floats probs);
+          ])
+    @
+    match o.jo_sweep with
+    | [] -> []
+    | rows -> [ ("sweep", Json.Arr (List.map sweep_row_to_json rows)) ])
+
+let outcome_of_json_exn j =
+  {
+    jo_best_cost = field "best_cost" Json.to_float j;
+    jo_moves = field "moves" Json.to_int j;
+    jo_evals = field "evals" Json.to_int j;
+    jo_cut_reason = nullable "cut_reason" Json.to_str j;
+    jo_predicted = field "predicted" (members (or_null Json.to_float)) j;
+    jo_sizes = field "sizes" (members Json.to_float) j;
+    jo_winner_restart = nullable "winner_restart" Json.to_int j;
+    jo_winner_score = nullable "winner_score" Json.to_float j;
+    jo_sweep = Option.value (optional "sweep" (list sweep_row_of_json_exn) j) ~default:[];
+    jo_shape = optional "shape" Json.to_str j;
+    jo_warm = optional "warm" Json.to_str j;
+    jo_winner =
+      Option.map
+        (fun values ->
+          ( values,
+            field "winner_grid" (fun v -> Array.of_list (list Json.to_int v)) j,
+            field "winner_probs" floats_of j ))
+        (optional "winner_values" floats_of j);
+  }
+
+let outcome_of_json j = decode outcome_of_json_exn j
+
+(* ------------------------------------------------------------------ *)
+(* Requests                                                            *)
+(* ------------------------------------------------------------------ *)
+
 let request_to_json = function
   | Submit s -> Json.Obj (("op", Json.Str "submit") :: submit_fields s)
   | Sweep s -> Json.Obj (("op", Json.Str "sweep") :: submit_fields s)
@@ -144,7 +346,7 @@ let request_to_json = function
            ("id", num_i r.rz_id);
            ("runs", opt num_i r.rz_runs);
            ("moves", opt num_i r.rz_moves);
-           ("deadline_s", opt (fun v -> Json.Num v) r.rz_deadline_s);
+           ("deadline_s", opt_num r.rz_deadline_s);
            ("trace", Json.Bool r.rz_trace);
          ]
         @
@@ -173,172 +375,63 @@ let request_to_json = function
         [
           ("op", Json.Str "cache_push");
           ("hash", Json.Str c.cp_hash);
-          ("error", opt (fun e -> Json.Str e) c.cp_error);
+          ("error", opt_str c.cp_error);
         ]
   | Corpus_lookup shape ->
       Json.Obj [ ("op", Json.Str "corpus_lookup"); ("shape", Json.Str shape) ]
   | Corpus_push e -> Json.Obj (("op", Json.Str "corpus_push") :: [ ("entry", Corpus.entry_to_json e) ])
   | Ping -> Json.Obj [ ("op", Json.Str "ping") ]
 
-(* Decoding is lenient on optional fields (absent = default) and strict on
-   shape: a wrong type surfaces as a decode error, not a crash. *)
-let request_of_json j =
-  let field_opt k = Json.mem_opt k j in
-  let int_field k ~default =
-    match field_opt k with
-    | Some Json.Null | None -> default
-    | Some v -> Json.to_int v
-  in
-  let int_opt_field k =
-    match field_opt k with Some Json.Null | None -> None | Some v -> Some (Json.to_int v)
-  in
-  let float_opt_field k =
-    match field_opt k with Some Json.Null | None -> None | Some v -> Some (Json.to_float v)
-  in
-  let str_field k ~default =
-    match field_opt k with Some v -> Json.to_str v | None -> default
-  in
-  let bool_field k ~default =
-    match field_opt k with Some v -> Json.to_bool v | None -> default
-  in
-  let id () =
-    match field_opt "id" with
-    | Some v -> Json.to_int v
-    | None -> raise (Json.Decode_error "missing field \"id\"")
-  in
-  let submit_of_fields op =
-    let source =
-      match field_opt "source" with
-      | Some v -> Json.to_str v
-      | None -> raise (Json.Decode_error (op ^ ": missing field \"source\""))
-    in
-    let shard =
-      (* Both bounds or neither: a half-specified shard is a caller bug,
-         not something to guess a default for. *)
-      match (int_opt_field "shard_lo", int_opt_field "shard_hi") with
-      | Some lo, Some hi -> Some (lo, hi)
-      | None, None -> None
-      | Some _, None | None, Some _ ->
-          raise (Json.Decode_error (op ^ ": shard_lo and shard_hi must come together"))
-    in
-    let variants =
-      match field_opt "variants" with
-      | Some Json.Null | None -> []
-      | Some (Json.Arr vs) -> List.map variant_of_json vs
-      | Some _ -> raise (Json.Decode_error (op ^ ": \"variants\" must be an array"))
-    in
-    let warm =
-      match field_opt "warm" with
-      | Some Json.Null | None -> []
-      | Some (Json.Arr es) ->
-          List.map
-            (fun e ->
-              match Corpus.entry_of_json e with
-              | Ok entry -> entry
-              | Error m -> raise (Json.Decode_error (op ^ ": " ^ m)))
-            es
-      | Some _ -> raise (Json.Decode_error (op ^ ": \"warm\" must be an array"))
-    in
-    let spec_overrides =
-      match field_opt "spec_overrides" with
-      | Some Json.Null | None -> []
-      | Some v -> specs_of_json ~what:op v
-    in
-    {
-      sb_name = str_field "name" ~default:"";
-      sb_source = source;
-      sb_seed = int_field "seed" ~default:1;
-      sb_moves = int_opt_field "moves";
-      sb_runs = int_field "runs" ~default:1;
-      sb_priority = int_field "priority" ~default:0;
-      sb_deadline_s = float_opt_field "deadline_s";
-      sb_trace = bool_field "trace" ~default:false;
-      sb_shard = shard;
-      sb_sweep = variants;
-      sb_warm = warm;
-      sb_spec_overrides = spec_overrides;
-    }
-  in
-  match Json.to_str (Json.mem "op" j) with
-  | "submit" -> Ok (Submit (submit_of_fields "submit"))
-  | "sweep" ->
-      let s = submit_of_fields "sweep" in
-      if s.sb_sweep = [] then Error "sweep: at least one variant required" else Ok (Sweep s)
-  | "resynthesize" ->
-      let specs =
-        match field_opt "specs" with
-        | Some Json.Null | None -> []
-        | Some (Json.Obj kvs) ->
-            List.map
-              (fun (n, v) ->
-                match v with
-                | Json.Arr [ good ] -> (n, Json.to_float good, None)
-                | Json.Arr [ good; bad ] ->
-                    (n, Json.to_float good, Some (Json.to_float bad))
-                | _ ->
-                    raise
-                      (Json.Decode_error
-                         "resynthesize: spec re-target must be [good] or [good, bad]"))
-              kvs
-        | Some _ -> raise (Json.Decode_error "resynthesize: \"specs\" must be an object")
-      in
-      Ok
-        (Resynthesize
-           {
-             rz_id = id ();
-             rz_specs = specs;
-             rz_runs = int_opt_field "runs";
-             rz_moves = int_opt_field "moves";
-             rz_deadline_s = float_opt_field "deadline_s";
-             rz_trace = bool_field "trace" ~default:false;
-           })
-  | "status" -> Ok (Status (id ()))
-  | "result" -> Ok (Result (id ()))
-  | "cancel" -> Ok (Cancel (id ()))
-  | "stats" -> Ok Stats
-  | "shutdown" -> Ok Shutdown
-  | "cache_lookup" ->
-      let hash =
-        match field_opt "hash" with
-        | Some v -> Json.to_str v
-        | None -> raise (Json.Decode_error "cache_lookup: missing field \"hash\"")
-      in
-      Ok (Cache_lookup hash)
-  | "cache_push" ->
-      let hash =
-        match field_opt "hash" with
-        | Some v -> Json.to_str v
-        | None -> raise (Json.Decode_error "cache_push: missing field \"hash\"")
-      in
-      let error =
-        match field_opt "error" with
-        | Some Json.Null | None -> None
-        | Some v -> Some (Json.to_str v)
-      in
-      Ok (Cache_push { cp_hash = hash; cp_error = error })
-  | "corpus_lookup" ->
-      let shape =
-        match field_opt "shape" with
-        | Some v -> Json.to_str v
-        | None -> raise (Json.Decode_error "corpus_lookup: missing field \"shape\"")
-      in
-      Ok (Corpus_lookup shape)
-  | "corpus_push" -> begin
-      match field_opt "entry" with
-      | None -> Error "corpus_push: missing field \"entry\""
-      | Some e -> begin
-          match Corpus.entry_of_json e with
-          | Ok entry -> Ok (Corpus_push entry)
-          | Error m -> Error ("corpus_push: " ^ m)
-        end
-    end
-  | "ping" -> Ok Ping
-  | op -> Error (Printf.sprintf "unknown op %S" op)
+let retarget = function
+  | Json.Arr [ good ] -> (Json.to_float good, None)
+  | Json.Arr [ good; bad ] -> (Json.to_float good, Some (Json.to_float bad))
+  | _ -> raise (Json.Decode_error "spec re-target must be [good] or [good, bad]")
 
-(* Field accessors raise [Decode_error] on shape mismatches anywhere in the
-   request; fold those into the result. *)
+(* Every decode error names the op it was decoding. *)
 let request_of_json j =
-  match request_of_json j with r -> r | exception Json.Decode_error e -> Error e
+  match field "op" Json.to_str j with
+  | exception Json.Decode_error e -> Error e
+  | op -> (
+      let id () = field "id" Json.to_int j in
+      let request = function
+        | "submit" -> Some (Submit (submit_of_json_exn j))
+        | "sweep" ->
+            let s = submit_of_json_exn j in
+            if s.sb_sweep = [] then raise (Json.Decode_error "at least one variant required");
+            Some (Sweep s)
+        | "resynthesize" ->
+            Some
+              (Resynthesize
+                 {
+                   rz_id = id ();
+                   rz_specs =
+                     Option.value (maybe "specs" (members retarget) j) ~default:[]
+                     |> List.map (fun (n, (good, bad)) -> (n, good, bad));
+                   rz_runs = maybe "runs" Json.to_int j;
+                   rz_moves = maybe "moves" Json.to_int j;
+                   rz_deadline_s = maybe "deadline_s" Json.to_float j;
+                   rz_trace = Option.value (optional "trace" Json.to_bool j) ~default:false;
+                 })
+        | "status" -> Some (Status (id ()))
+        | "result" -> Some (Result (id ()))
+        | "cancel" -> Some (Cancel (id ()))
+        | "stats" -> Some Stats
+        | "shutdown" -> Some Shutdown
+        | "cache_lookup" -> Some (Cache_lookup (field "hash" Json.to_str j))
+        | "cache_push" ->
+            Some
+              (Cache_push
+                 { cp_hash = field "hash" Json.to_str j; cp_error = maybe "error" Json.to_str j })
+        | "corpus_lookup" -> Some (Corpus_lookup (field "shape" Json.to_str j))
+        | "corpus_push" ->
+            Some (Corpus_push (field "entry" (fun e -> get_ok (Corpus.entry_of_json e)) j))
+        | "ping" -> Some Ping
+        | _ -> None
+      in
+      match request op with
+      | Some r -> Ok r
+      | None -> Error (Printf.sprintf "unknown op %S" op)
+      | exception Json.Decode_error e -> Error (op ^ ": " ^ e))
 
 let ok fields = Json.Obj (("ok", Json.Bool true) :: fields)
 let err msg = Json.Obj [ ("ok", Json.Bool false); ("error", Json.Str msg) ]

@@ -1,9 +1,14 @@
-(** The oblxd wire protocol: JSONL over a Unix-domain socket or an
-    authenticated TCP connection. Each request is one JSON object on one
-    line; each response is one JSON object on one line, with ["ok"]
-    telling success from failure. The payload encoding reuses the
-    telemetry JSON of {!Obs.Json} — the same codec the trace files use, so
-    one parser serves both.
+(** The oblxd wire protocol and the codec of every serve record: JSONL
+    over a Unix-domain socket or an authenticated TCP connection. Each
+    request is one JSON object on one line; each response is one JSON
+    object on one line, with ["ok"] telling success from failure. The
+    payload encoding reuses the telemetry JSON of {!Obs.Json} — the same
+    codec the trace files use, so one parser serves both.
+
+    [Proto] owns the submit, outcome and sweep-row codecs. The wire's
+    [submit]/[sweep] requests and [result] responses, the job log
+    ([state_dir/jobs.log]) and a fleet peer's finished shard all encode
+    and decode those records through the one pair of functions here.
 
     Requests (fields beyond ["op"] shown with their defaults):
     {v
@@ -107,6 +112,98 @@ type request =
       (** shape hash — answered with the peer's corpus entries for it *)
   | Corpus_push of Corpus.entry  (** best-effort winner replication *)
   | Ping  (** liveness probe; answered [{"ok":true}] *)
+
+(** {2 Job outcomes} *)
+
+(** One row of a sweep job's verdict table: what one variant's synthesis
+    produced. *)
+type sweep_row = {
+  sv_name : string;
+  sv_corner : string option;
+  sv_cache : Core.Compile_cache.outcome option;
+      (** the compile-cache outcome for this variant's (canon, corner)
+          key; [None] when it failed before a key existed *)
+  sv_best_cost : float option;
+  sv_ok : bool option;  (** every spec at/inside its good target *)
+  sv_error : string option;
+  sv_predicted : (string * float option) list;
+  sv_moves : int;
+  sv_evals : int;
+  sv_cut_reason : string option;
+}
+
+(** What a finished synthesis leaves on the job record. *)
+type outcome = {
+  jo_best_cost : float;
+  jo_moves : int;  (** across every restart of the job *)
+  jo_evals : int;
+  jo_cut_reason : string option;
+  jo_predicted : (string * float option) list;
+  jo_sizes : (string * float) list;
+  jo_winner_restart : int option;  (** global restart index of the winner *)
+  jo_winner_score : float option;  (** {!Core.Oblx.score} of the winner *)
+  jo_sweep : sweep_row list;  (** non-empty only for sweep jobs *)
+  jo_shape : string option;  (** the problem's shape hash, when it parsed *)
+  jo_warm : string option;
+      (** provenance of the winning restart's seed (a corpus label), or
+          [None] when a cold restart won / no warm seeds were attached *)
+  jo_winner : (float array * int array * float array) option;
+      (** winner's (values, grid indices, Hustin probs) — recorded on the
+          job so [resynthesize] can warm-start from it even after the
+          corpus evicted the entry *)
+}
+
+(** {2 Codecs}
+
+    Each decoder returns [Error] naming the first missing or mistyped
+    field it meets (nested as ["field \"sweep\": field \"moves\": ..."]);
+    none raises. Floats print with 17 significant digits, so a finite
+    float decodes to the bits it was encoded from. A non-finite one prints
+    as [null]: [best_cost] and sizes read it back as [nan], the optional
+    floats as [None]. *)
+
+(** The submit/sweep request body without its ["op"]. Decoding fills an
+    absent optional field with the default the protocol documents (see
+    the request list above). *)
+val submit_to_json : submit -> Obs.Json.t
+
+val submit_of_json : Obs.Json.t -> (submit, string) result
+
+(** The outcome's members in result-record order: ["cut_reason"] (which
+    the status view shows too), then the detail block — ["best_cost"],
+    ["moves"], ["evals"], ["winner_restart"], ["winner_score"],
+    ["predicted"], ["sizes"], and when present ["shape"], ["warm"], the
+    three ["winner_*"] arrays and the ["sweep"] rows. The decoder accepts
+    any object holding those members, such as a whole result record. *)
+val outcome_to_json : outcome -> Obs.Json.t
+
+val outcome_of_json : Obs.Json.t -> (outcome, string) result
+val sweep_row_to_json : sweep_row -> Obs.Json.t
+val sweep_row_of_json : Obs.Json.t -> (sweep_row, string) result
+
+(** A compile-cache outcome as the record's ["cache"] member:
+    ["hit"], ["miss"] or [null]. *)
+val cache_to_json : Core.Compile_cache.outcome option -> Obs.Json.t
+
+(** The inverse of {!cache_to_json}; raises [Obs.Json.Decode_error] on
+    anything else, for use with {!field}. *)
+val cache_of_json : Obs.Json.t -> Core.Compile_cache.outcome option
+
+(** {2 Strict field readers} *)
+
+(** [field k conv j] — [conv] applied to member [k] of [j]. A missing
+    member, or one [conv] rejects with [Obs.Json.Decode_error], raises
+    [Obs.Json.Decode_error] naming [k]. *)
+val field : string -> (Obs.Json.t -> 'a) -> Obs.Json.t -> 'a
+
+(** [nullable k conv j] — like {!field} for a member written as [null]
+    when its value is absent. *)
+val nullable : string -> (Obs.Json.t -> 'a) -> Obs.Json.t -> 'a option
+
+(** [get_ok r] — the value of [Ok], [Obs.Json.Decode_error] for [Error]. *)
+val get_ok : ('a, string) result -> 'a
+
+(** {2 Requests} *)
 
 val request_to_json : request -> Obs.Json.t
 val request_of_json : Obs.Json.t -> (request, string) result

@@ -2,7 +2,8 @@
 # End-to-end smoke test of the oblxd daemon (docs/SERVER.md): boot it,
 # prove the compile cache hits on a repeated topology, prove cancellation
 # propagates cut_reason, serve two clients at once, survive a kill -9 with
-# the job log answering for pre-restart ids, and shut down cleanly. CI
+# the job log answering for pre-restart ids (a finished job's result
+# byte-identical, no journal line rejected), and shut down cleanly. CI
 # runs this as the serve-smoke job; locally it is `make serve-smoke`.
 # Everything lives in a temp dir, nothing is left behind.
 set -euo pipefail
@@ -74,6 +75,8 @@ grep -q '"state":"done"' "$DIR/c2.json" || fail "second concurrent job did not f
 
 echo "== kill -9, restart, job-log replay =="
 DONE_ID=$(grep -o '"id":[0-9]*' "$DIR/c1.json" | head -1 | sed 's/[^0-9]//g')
+"$ASTRX" result "$DONE_ID" --socket "$SOCK" --json > "$DIR/done-before.json" \
+  || fail "no result for job $DONE_ID before the restart"
 # Leave a job running when the daemon dies: it cannot be resumed and must
 # be replayed as failed("daemon restarted").
 ORPHAN_ID=$("$ASTRX" submit simple-ota --socket "$SOCK" --moves 20000000 --json | sed 's/[^0-9]//g')
@@ -85,13 +88,18 @@ for _ in $(seq 1 50); do
   if "$ASTRX" stats --socket "$SOCK" --json >/dev/null 2>&1; then break; fi
   sleep 0.1
 done
-RES=$("$ASTRX" result "$DONE_ID" --socket "$SOCK" --json) || fail "restarted daemon does not know job $DONE_ID"
-echo "$RES" | grep -q '"state":"done"' || fail "replayed job $DONE_ID lost its result"
-echo "$RES" | grep -q '"best_cost"' || fail "replayed job $DONE_ID lost its best cost"
+"$ASTRX" result "$DONE_ID" --socket "$SOCK" --json > "$DIR/done-after.json" \
+  || fail "restarted daemon does not know job $DONE_ID"
+cmp -s "$DIR/done-before.json" "$DIR/done-after.json" \
+  || { diff "$DIR/done-before.json" "$DIR/done-after.json" >&2 || true
+       fail "replayed job $DONE_ID's result is not byte-identical"; }
 ORES=$("$ASTRX" result "$ORPHAN_ID" --socket "$SOCK" --json) || fail "restarted daemon does not know job $ORPHAN_ID"
 echo "$ORES" | grep -q '"state":"failed"' || fail "interrupted job $ORPHAN_ID not failed on replay"
 echo "$ORES" | grep -q 'daemon restarted' || fail "interrupted job $ORPHAN_ID lacks the restart verdict"
-"$ASTRX" stats --socket "$SOCK" --json | grep -q '"restored_jobs"' || fail "stats carry no restored_jobs"
+STATS=$("$ASTRX" stats --socket "$SOCK" --json)
+echo "$STATS" | grep -q '"restored_jobs"' || fail "stats carry no restored_jobs"
+echo "$STATS" | grep -o '"journal":{[^}]*}' | grep -q '"rejected":0[,}]' \
+  || fail "replay rejected journal lines: $(echo "$STATS" | grep -o '"journal":{[^}]*}')"
 
 echo "== clean shutdown =="
 "$ASTRX" shutdown --socket "$SOCK"

@@ -359,9 +359,13 @@ let test_pool_restart_replay () =
   | None -> Alcotest.fail "replayed record lost best_cost");
   Alcotest.(check (option string)) "cache outcome survives" (jstr ja "cache")
     (jstr jb "cache");
+  Alcotest.(check string) "replayed record string-identical" (Obs.Json.to_string ja)
+    (Obs.Json.to_string jb);
   let stats = Serve.Pool.stats_json pool_b in
   Alcotest.(check (option (float 0.0))) "restored counter" (Some 1.0)
     (jnum stats "restored_jobs");
+  Alcotest.(check (option (float 0.0))) "no journal line rejected" (Some 0.0)
+    (jnum (Option.get (Obs.Json.mem_opt "journal" stats)) "rejected");
   (* Fresh ids continue past the replayed ones — no ambiguity. *)
   let id2 = ok (Serve.Pool.submit pool_b (submission ())) in
   Alcotest.(check bool) "ids continue past replayed ones" true (id2 > id);
@@ -1157,6 +1161,9 @@ let test_log_rotation_compacts_and_replays () =
         | None -> Alcotest.failf "job %d has no best_cost" id)
       ids
   in
+  let records =
+    List.map (fun id -> (id, Obs.Json.to_string (ok (Serve.Pool.result_json pool id)))) ids
+  in
   let stats = Serve.Pool.stats_json pool in
   let journal = Option.get (Obs.Json.mem_opt "journal" stats) in
   (match jnum journal "rotations" with
@@ -1187,6 +1194,13 @@ let test_log_rotation_compacts_and_replays () =
             (Int64.bits_of_float c = Int64.bits_of_float cost)
       | None -> Alcotest.failf "job %d lost best_cost" id)
     costs;
+  List.iter
+    (fun (id, record) ->
+      Alcotest.(check string)
+        (Printf.sprintf "job %d record string-identical" id)
+        record
+        (Obs.Json.to_string (ok (Serve.Pool.result_json pool2 id))))
+    records;
   Serve.Pool.shutdown pool2;
   rm_rf dir
 
@@ -1602,6 +1616,361 @@ let test_pool_resynthesize () =
       Alcotest.(check (option string)) "cached compile" (Some "hit") (jstr j "cache");
       Alcotest.(check bool) "child reports a best design" true (jnum j "best_cost" <> None))
 
+(* --- Codecs: one encoder and one decoder per record --- *)
+
+(* Finite floats, with the edge cases of a %.17g round trip drawn often. *)
+let finite =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, float_range (-1e6) 1e6);
+        ( 2,
+          map
+            (fun b ->
+              let f = Int64.float_of_bits b in
+              if Float.is_finite f then f else 1.0)
+            int64 );
+        (1, map float_of_int small_signed_int);
+        ( 2,
+          oneofl
+            [
+              0.0; -0.0; 5e-324; -5e-324; 1.7976931348623157e308; -1.7976931348623157e308;
+              1e15; -1e15 -. 0.5; 0.1;
+            ] );
+      ])
+
+let any_float = QCheck.Gen.(frequency [ (6, finite); (1, oneofl [ nan; infinity; neg_infinity ]) ])
+let gen_str = QCheck.Gen.(string_size ~gen:char (0 -- 8))
+let gen_specs = QCheck.Gen.(list_size (0 -- 3) (triple gen_str finite finite))
+
+let gen_entry =
+  QCheck.Gen.(
+    let* shape = string_size ~gen:char (1 -- 8) in
+    let* canon = gen_str in
+    let* job = 0 -- 1_000_000 in
+    let* name = gen_str in
+    let* cost = finite in
+    let* values = array_size (1 -- 4) finite in
+    let* grid = array_size (0 -- 4) small_signed_int in
+    let+ probs = array_size (0 -- 3) finite in
+    {
+      Serve.Corpus.en_shape = shape;
+      en_canon = canon;
+      en_job = job;
+      en_name = name;
+      en_cost = cost;
+      en_values = values;
+      en_grid = grid;
+      en_probs = probs;
+    })
+
+let gen_submit =
+  QCheck.Gen.(
+    let* name = gen_str in
+    let* source = gen_str in
+    let* seed = -1000 -- 1_000_000 in
+    let* moves = opt (0 -- 1_000_000) in
+    let* runs = 1 -- 64 in
+    let* priority = small_signed_int in
+    let* deadline_s = opt finite in
+    let* trace = bool in
+    let* shard = opt (pair small_nat small_nat) in
+    let* sweep =
+      list_size (0 -- 3)
+        (map3
+           (fun vr_name vr_corner vr_specs -> { Serve.Proto.vr_name; vr_corner; vr_specs })
+           gen_str (opt gen_str) gen_specs)
+    in
+    let* warm = list_size (0 -- 2) gen_entry in
+    let+ spec_overrides = gen_specs in
+    {
+      Serve.Proto.sb_name = name;
+      sb_source = source;
+      sb_seed = seed;
+      sb_moves = moves;
+      sb_runs = runs;
+      sb_priority = priority;
+      sb_deadline_s = deadline_s;
+      sb_trace = trace;
+      sb_shard = shard;
+      sb_sweep = sweep;
+      sb_warm = warm;
+      sb_spec_overrides = spec_overrides;
+    })
+
+let gen_row f =
+  QCheck.Gen.(
+    let* name = gen_str in
+    let* corner = opt gen_str in
+    let* cache = opt (oneofl [ Core.Compile_cache.Hit; Core.Compile_cache.Miss ]) in
+    let* best_cost = opt f in
+    let* ok = opt bool in
+    let* error = opt gen_str in
+    let* predicted = list_size (0 -- 3) (pair gen_str (opt f)) in
+    let* moves = nat in
+    let* evals = nat in
+    let+ cut_reason = opt gen_str in
+    {
+      Serve.Proto.sv_name = name;
+      sv_corner = corner;
+      sv_cache = cache;
+      sv_best_cost = best_cost;
+      sv_ok = ok;
+      sv_error = error;
+      sv_predicted = predicted;
+      sv_moves = moves;
+      sv_evals = evals;
+      sv_cut_reason = cut_reason;
+    })
+
+let gen_outcome f =
+  QCheck.Gen.(
+    let* best_cost = f in
+    let* moves = nat in
+    let* evals = nat in
+    let* cut_reason = opt gen_str in
+    let* predicted = list_size (0 -- 4) (pair gen_str (opt f)) in
+    let* sizes = list_size (0 -- 4) (pair gen_str f) in
+    let* winner_restart = opt small_nat in
+    let* winner_score = opt f in
+    let* sweep = list_size (0 -- 2) (gen_row f) in
+    let* shape = opt gen_str in
+    let* warm = opt gen_str in
+    let+ winner =
+      opt
+        (triple (array_size (0 -- 4) f) (array_size (0 -- 4) small_signed_int)
+           (array_size (0 -- 3) f))
+    in
+    {
+      Serve.Proto.jo_best_cost = best_cost;
+      jo_moves = moves;
+      jo_evals = evals;
+      jo_cut_reason = cut_reason;
+      jo_predicted = predicted;
+      jo_sizes = sizes;
+      jo_winner_restart = winner_restart;
+      jo_winner_score = winner_score;
+      jo_sweep = sweep;
+      jo_shape = shape;
+      jo_warm = warm;
+      jo_winner = winner;
+    })
+
+(* Encode to a line, parse and decode it: the line and the decoded value. *)
+let through_line to_json of_json v =
+  let line = Obs.Json.to_string (to_json v) in
+  match Result.bind (Obs.Json.of_string line) of_json with
+  | Ok v' -> (line, v')
+  | Error e -> QCheck.Test.fail_reportf "%s does not decode: %s" line e
+
+(* Marshalled without sharing, two values agree byte for byte exactly when
+   they agree structurally with every float compared by its bits. *)
+let bits v = Marshal.to_string v [ Marshal.No_sharing ]
+
+let prop_submit_round_trip =
+  QCheck.Test.make ~name:"submit_of_json (submit_to_json s) = s" ~count:300
+    (QCheck.make gen_submit)
+    (fun s ->
+      snd (through_line Serve.Proto.submit_to_json Serve.Proto.submit_of_json s) = s)
+
+let prop_reencodes name to_json of_json gen =
+  QCheck.Test.make ~name ~count:300 (QCheck.make gen) (fun v ->
+      let line, v' = through_line to_json of_json v in
+      Obs.Json.to_string (to_json v') = line)
+
+let prop_bit_exact name to_json of_json gen =
+  QCheck.Test.make ~name ~count:300 (QCheck.make gen) (fun v ->
+      bits (snd (through_line to_json of_json v)) = bits v)
+
+let codec_props =
+  let open Serve.Proto in
+  [
+    prop_submit_round_trip;
+    prop_reencodes "outcome re-encodes to the same line" outcome_to_json outcome_of_json
+      (gen_outcome any_float);
+    prop_bit_exact "finite outcome decodes bit for bit" outcome_to_json outcome_of_json
+      (gen_outcome finite);
+    prop_reencodes "sweep row re-encodes to the same line" sweep_row_to_json sweep_row_of_json
+      (gen_row any_float);
+    prop_bit_exact "finite sweep row decodes bit for bit" sweep_row_to_json sweep_row_of_json
+      (gen_row finite);
+  ]
+
+let test_outcome_decode_names_field () =
+  let head = {|{"cut_reason":null,"winner_restart":0,"winner_score":1.5,"sizes":{},|} in
+  List.iter
+    (fun (what, body, field) ->
+      match Serve.Proto.outcome_of_json (Result.get_ok (Obs.Json.of_string (head ^ body))) with
+      | Error e -> Alcotest.(check bool) (what ^ " names " ^ field) true (contains e field)
+      | Ok _ -> Alcotest.failf "%s: must not decode" what)
+    [
+      ("mistyped cost", {|"best_cost":"x","moves":3,"evals":2,"predicted":{}}|}, "best_cost");
+      ("missing moves", {|"best_cost":1,"evals":2,"predicted":{}}|}, "moves");
+      ("mistyped prediction", {|"best_cost":1,"moves":3,"evals":2,"predicted":{"ugf":"hi"}}|}, "ugf");
+      ( "half a winner",
+        {|"best_cost":1,"moves":3,"evals":2,"predicted":{},"winner_values":[1],"winner_grid":[0]}|},
+        "winner_probs" );
+      ( "mistyped sweep row",
+        {|"best_cost":1,"moves":3,"evals":2,"predicted":{},"sweep":[{"variant":"v","corner":null,"cache":"maybe","best_cost":null,"ok":null,"error":null,"predicted":{},"moves":0,"evals":0,"cut_reason":null}]}|},
+        {|"sweep": field "cache"|} );
+    ]
+
+(* --- Strict replay: garbled journal lines are counted, never applied --- *)
+
+let journal_rejected pool =
+  Option.bind (Obs.Json.mem_opt "journal" (Serve.Pool.stats_json pool)) (fun j ->
+      jnum j "rejected")
+
+let write_lines path lines =
+  let oc = open_out path in
+  List.iter
+    (fun l ->
+      output_string oc l;
+      output_char oc '\n')
+    lines;
+  close_out oc
+
+(* A real journal to garble: job 0 submitted and finished. *)
+let finished_journal =
+  lazy
+    (let dir = temp_state_dir "garble-src" in
+     rm_rf dir;
+     let pool =
+       Serve.Pool.create
+         { Serve.Pool.default_config with workers = 1; queue_capacity = 4; state_dir = Some dir }
+     in
+     let id = ok (Serve.Pool.submit pool (submission ~moves:100 ())) in
+     ignore (wait_done pool id);
+     Serve.Pool.shutdown pool;
+     let lines = read_lines (Filename.concat dir "jobs.log") in
+     rm_rf dir;
+     lines)
+
+let prop_garbled_lines_rejected =
+  QCheck.Test.make ~name:"truncated or mutated journal lines decode or are rejected" ~count:150
+    (QCheck.make
+       ~print:QCheck.Print.(quad bool bool int char)
+       QCheck.Gen.(quad bool bool nat char))
+    (fun (finish_line, truncate, pos, byte) ->
+      let lines = Lazy.force finished_journal in
+      let k = if finish_line then List.length lines - 1 else 0 in
+      let line = List.nth lines k in
+      let pos = pos mod String.length line in
+      let garbled =
+        if truncate then String.sub line 0 pos
+        else String.mapi (fun i c -> if i = pos then byte else c) line
+      in
+      let dir = temp_state_dir "garble" in
+      rm_rf dir;
+      Unix.mkdir dir 0o755;
+      write_lines (Filename.concat dir "jobs.log")
+        (List.mapi (fun i l -> if i = k then garbled else l) lines);
+      match
+        Serve.Pool.create
+          { Serve.Pool.default_config with workers = 0; queue_capacity = 4; state_dir = Some dir }
+      with
+      | exception e -> QCheck.Test.fail_reportf "replay raised %s" (Printexc.to_string e)
+      | pool ->
+          let rejected = Option.value (journal_rejected pool) ~default:(-1.0) in
+          let record = Result.to_option (Serve.Pool.result_json pool 0) in
+          Serve.Pool.shutdown pool;
+          rm_rf dir;
+          (* A mutated byte may be a newline, which splits the line; a
+             finish line whose submit line was rejected is rejected too. *)
+          let spans = List.length (String.split_on_char '\n' garbled) in
+          rejected >= 0.0
+          && rejected <= float_of_int (List.length lines - 1 + spans)
+          &&
+          match record with
+          | Some j -> jstr j "state" <> Some "done" || jnum j "best_cost" <> None
+          | None -> true)
+
+let test_replay_rejects_garbled_finish () =
+  let dir = temp_state_dir "garbled" in
+  rm_rf dir;
+  let cfg workers =
+    { Serve.Pool.default_config with workers; queue_capacity = 4; state_dir = Some dir }
+  in
+  let pool = Serve.Pool.create (cfg 1) in
+  let id = ok (Serve.Pool.submit pool (submission ~moves:150 ())) in
+  Alcotest.(check string) "job finished" "done" (wait_done pool id);
+  Serve.Pool.shutdown pool;
+  (* Rewrite the finish line's best_cost to a string. *)
+  let garble line =
+    let key = {|"best_cost":|} in
+    let rec find i =
+      if String.sub line i (String.length key) = key then i + String.length key
+      else find (i + 1)
+    in
+    let start = find 0 in
+    let rec stop i = if line.[i] = ',' || line.[i] = '}' then i else stop (i + 1) in
+    let stop = stop start in
+    String.sub line 0 start ^ {|"x"|} ^ String.sub line stop (String.length line - stop)
+  in
+  let path = Filename.concat dir "jobs.log" in
+  write_lines path
+    (List.map (fun l -> if contains l {|"finish"|} then garble l else l) (read_lines path));
+  let pool = Serve.Pool.create (cfg 0) in
+  let j = ok (Serve.Pool.result_json pool id) in
+  Alcotest.(check bool) "never done without a cost" true
+    (jstr j "state" <> Some "done" || jnum j "best_cost" <> None);
+  Alcotest.(check (option string)) "replays as interrupted" (Some "failed") (jstr j "state");
+  Alcotest.(check (option string)) "blames the restart" (Some "daemon restarted")
+    (jstr j "error");
+  Alcotest.(check (option (float 0.0))) "the bad line is counted" (Some 1.0)
+    (journal_rejected pool);
+  Serve.Pool.shutdown pool;
+  rm_rf dir
+
+let test_corpus_replay_counts_rejected () =
+  let dir = temp_state_dir "corpus-rejected" in
+  rm_rf dir;
+  Unix.mkdir dir 0o755;
+  let path = Filename.concat dir "corpus.log" in
+  let good = Obs.Json.to_string (Serve.Corpus.entry_to_json corpus_entry) in
+  write_lines path [ good; {|{"shape":"s","values":"none"}|}; String.sub good 0 20 ];
+  let c = Serve.Corpus.create ~path () in
+  let st = Serve.Corpus.stats c in
+  Alcotest.(check int) "the good line replays" 1 st.Serve.Corpus.replayed;
+  Alcotest.(check int) "the bad and the torn line are counted" 2 st.Serve.Corpus.rejected;
+  Serve.Corpus.close c;
+  rm_rf dir
+
+let test_resynthesize_sweep_refused () =
+  let dir = temp_state_dir "resynth-sweep" in
+  rm_rf dir;
+  let cfg workers =
+    { Serve.Pool.default_config with workers; queue_capacity = 4; state_dir = Some dir }
+  in
+  let refused pool id what =
+    match
+      Serve.Pool.resynthesize pool
+        {
+          Serve.Proto.rz_id = id;
+          rz_specs = [];
+          rz_runs = None;
+          rz_moves = None;
+          rz_deadline_s = None;
+          rz_trace = false;
+        }
+    with
+    | Error e -> Alcotest.(check bool) (what ^ ": the refusal names the sweep") true (contains e "sweep")
+    | Ok _ -> Alcotest.failf "%s: a sweep parent must be refused" what
+  in
+  let pool = Serve.Pool.create (cfg 1) in
+  let id =
+    ok
+      (Serve.Pool.submit pool
+         { (submission ~seed:7 ~moves:100 ()) with Serve.Proto.sb_sweep = [ List.hd sweep_variants ] })
+  in
+  Alcotest.(check string) "sweep finished" "done" (wait_done pool id);
+  refused pool id "live";
+  Serve.Pool.shutdown pool;
+  let pool = Serve.Pool.create (cfg 0) in
+  refused pool id "replayed";
+  Serve.Pool.shutdown pool;
+  rm_rf dir
+
 let () =
   Alcotest.run "serve"
     [
@@ -1648,7 +2017,14 @@ let () =
           Alcotest.test_case "restart replays finished jobs" `Slow test_pool_restart_replay;
           Alcotest.test_case "restart fails interrupted jobs" `Quick
             test_pool_restart_interrupted;
+          Alcotest.test_case "garbled finish line rejected" `Slow
+            test_replay_rejects_garbled_finish;
+          QCheck_alcotest.to_alcotest prop_garbled_lines_rejected;
         ] );
+      ( "codec",
+        Alcotest.test_case "outcome decode errors name the field" `Quick
+          test_outcome_decode_names_field
+        :: List.map QCheck_alcotest.to_alcotest codec_props );
       ( "server",
         [
           Alcotest.test_case "end to end over the socket" `Slow test_server_end_to_end;
@@ -1694,5 +2070,9 @@ let () =
           Alcotest.test_case "corpus survives a crash, bits unchanged" `Slow
             test_pool_corpus_crash_durability;
           Alcotest.test_case "resynthesize fast path" `Slow test_pool_resynthesize;
+          Alcotest.test_case "resynthesize refuses a sweep" `Slow
+            test_resynthesize_sweep_refused;
+          Alcotest.test_case "corpus replay counts rejected lines" `Quick
+            test_corpus_replay_counts_rejected;
         ] );
     ]
