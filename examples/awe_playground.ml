@@ -58,5 +58,5 @@ let () =
           let t_ac = time (fun () -> ignore (Mna.Ac.sweep lin ~b ~sel freqs)) in
           Printf.printf
             "ladder n=%2d: AWE order %d, worst |H| error %.2e, %5.2f ms vs %6.2f ms direct (%.0fx)\n"
-            n rom.Awe.Rom.rom.Awe.Pade.q !worst t_awe t_ac (t_ac /. t_awe))
+            n (Array.length (Awe.Rom.poles rom)) !worst t_awe t_ac (t_ac /. t_awe))
     [ 2; 5; 10; 20; 40 ]

@@ -21,7 +21,7 @@ let () =
       (match List.assoc_opt "tf" m.Core.Eval.roms with
       | Some (Ok rom) ->
           Printf.printf "AWE model of the differential path (order %d):\n"
-            rom.Awe.Rom.rom.Awe.Pade.q;
+            (Array.length (Awe.Rom.poles rom));
           Array.iter
             (fun z ->
               Printf.printf "  pole at (%s, %s) rad/s\n" (Core.Report.eng z.La.Cpx.re)

@@ -7,14 +7,19 @@ let pick_scale moments =
     Float.abs (moments.(0) /. moments.(1))
   else 1.0
 
+type scaled = { w0 : float; m : float array }
+
+let scale_moments moments =
+  let w0 = pick_scale moments in
+  { w0; m = Array.mapi (fun k v -> v *. (w0 ** float_of_int k)) moments }
+
 type coeffs = { qpoly : La.Poly.t; ppoly : La.Poly.t; w0 : float }
 
-let fit_coeffs ~q moments =
-  if Array.length moments < 2 * q then Error "pade: not enough moments"
+let fit_coeffs ~q (s : scaled) =
+  if Array.length s.m < 2 * q then Error "pade: not enough moments"
   else if q < 1 then Error "pade: order must be >= 1"
   else begin
-    let w0 = pick_scale moments in
-    let m = Array.mapi (fun k v -> v *. (w0 ** float_of_int k)) moments in
+    let m = s.m in
     (* Solve for denominator coefficients a_1..a_q of
        Q(s) = 1 + a1 s + ... + aq s^q from the moment-cancellation rows. *)
     let a_mat = La.Mat.init q q (fun r c -> m.(q + r - (c + 1))) in
@@ -39,15 +44,15 @@ let fit_coeffs ~q moments =
                 done;
                 !acc)
           in
-          Ok { qpoly; ppoly; w0 }
+          Ok { qpoly; ppoly; w0 = s.w0 }
         end
   end
 
 (* Power-series division: c_k of P/Q, compared against the scaled input
    moments — validates the fit without any root finding. *)
-let series_matches c moments ~q ~tol =
+let series_matches c (s : scaled) ~q ~tol =
   let n = 2 * q in
-  let m = Array.init n (fun k -> moments.(k) *. (c.w0 ** float_of_int k)) in
+  let m = s.m in
   let coef = Array.make n 0.0 in
   let ok = ref true in
   for k = 0 to n - 1 do
@@ -115,45 +120,102 @@ let rom_of_coeffs c ~q =
       else if not (Array.for_all La.Cpx.is_finite poles_scaled) then
         Error "pade: non-finite poles"
       else begin
+        (* k_i = P(p_i) / Q'(p_i) in the scaled domain (zero where Q'
+           vanishes), then poles and residues scaled by w0: Cpx.div and
+           Cpx.scale on the float parts. *)
         let dq = La.Poly.derivative c.qpoly in
-        let residues_scaled =
-          Array.map
-            (fun p ->
-              let num = La.Poly.eval_cpx c.ppoly p in
-              let den = La.Poly.eval_cpx dq p in
-              if La.Cpx.abs den < 1e-30 then La.Cpx.zero else La.Cpx.div num den)
-            poles_scaled
-        in
-        let poles = Array.map (fun p -> La.Cpx.scale c.w0 p) poles_scaled in
-        let residues = Array.map (fun k -> La.Cpx.scale c.w0 k) residues_scaled in
-        if Array.for_all La.Cpx.is_finite residues then Ok { poles; residues; q; scale = c.w0 }
+        let pr = Array.map (fun (p : La.Cpx.t) -> p.re) poles_scaled in
+        let pi = Array.map (fun (p : La.Cpx.t) -> p.im) poles_scaled in
+        let num = [| 0.0; 0.0 |] and den = [| 0.0; 0.0 |] in
+        let kr = Array.make q 0.0 and ki = Array.make q 0.0 in
+        for i = 0 to q - 1 do
+          La.Poly.eval_cpx_at c.ppoly ~re:pr ~im:pi i ~out:num;
+          La.Poly.eval_cpx_at dq ~re:pr ~im:pi i ~out:den;
+          let xr = num.(0) and xi = num.(1) and yr = den.(0) and yi = den.(1) in
+          if not (Float.hypot yr yi < 1e-30) then begin
+            if Float.abs yr >= Float.abs yi then begin
+              let r = yi /. yr in
+              let d = yr +. (r *. yi) in
+              kr.(i) <- (xr +. (r *. xi)) /. d;
+              ki.(i) <- (xi -. (r *. xr)) /. d
+            end
+            else begin
+              let r = yr /. yi in
+              let d = yi +. (r *. yr) in
+              kr.(i) <- ((r *. xr) +. xi) /. d;
+              ki.(i) <- ((r *. xi) -. xr) /. d
+            end
+          end
+        done;
+        let w0 = c.w0 in
+        let poles = Array.init q (fun i -> { La.Cpx.re = w0 *. pr.(i); im = w0 *. pi.(i) }) in
+        let residues = Array.init q (fun i -> { La.Cpx.re = w0 *. kr.(i); im = w0 *. ki.(i) }) in
+        if Array.for_all La.Cpx.is_finite residues then Ok { poles; residues; q; scale = w0 }
         else Error "pade: non-finite residues"
       end
 
 let fit ~q moments =
-  match fit_coeffs ~q moments with
+  match fit_coeffs ~q (scale_moments moments) with
   | Error e -> Error e
   | Ok c -> rom_of_coeffs c ~q
 
-let moment rom k =
-  (* m_k = - sum_i k_i / p_i^(k+1) *)
-  let acc = ref La.Cpx.zero in
-  Array.iteri
-    (fun i p ->
-      let pk = ref La.Cpx.one in
-      for _ = 0 to k do
-        pk := La.Cpx.mul !pk p
-      done;
-      acc := La.Cpx.sub !acc (La.Cpx.div rom.residues.(i) !pk))
-    rom.poles;
-  !acc.La.Cpx.re
+(* m_k = - sum_i k_i / p_i^(k+1), for every k < n at once: pole i's
+   power p_i^(k+1) is carried from k to k + 1, the same chain of Cpx.mul
+   from Cpx.one that a lone m_k multiplies out, and each m_k subtracts the
+   poles' terms in pole order. Only real parts are kept: an imaginary part
+   never feeds a real one in Cpx.sub. *)
+let moments rom n =
+  let acc = Array.make n 0.0 in
+  for i = 0 to Array.length rom.poles - 1 do
+    let pr = rom.poles.(i).La.Cpx.re and pim = rom.poles.(i).La.Cpx.im in
+    let xr = rom.residues.(i).La.Cpx.re and xi = rom.residues.(i).La.Cpx.im in
+    let yr = ref 1.0 and yi = ref 0.0 in
+    for k = 0 to n - 1 do
+      let nr = (!yr *. pr) -. (!yi *. pim) and ni = (!yr *. pim) +. (!yi *. pr) in
+      yr := nr;
+      yi := ni;
+      (* the real part of Cpx.div k_i y *)
+      let t =
+        if Float.abs nr >= Float.abs ni then begin
+          let r = ni /. nr in
+          (xr +. (r *. xi)) /. (nr +. (r *. ni))
+        end
+        else begin
+          let r = nr /. ni in
+          ((r *. xr) +. xi) /. (ni +. (r *. nr))
+        end
+      in
+      acc.(k) <- acc.(k) -. t
+    done
+  done;
+  acc
+
+(* H(jw) = sum_i k_i / (jw - p_i): Cpx.sub, Cpx.div and Cpx.add per pole,
+   from Cpx.zero, on the float parts. *)
+let eval_into rom ~w (out : float array) =
+  let ar = ref 0.0 and ai = ref 0.0 in
+  for i = 0 to Array.length rom.poles - 1 do
+    let yr = 0.0 -. rom.poles.(i).La.Cpx.re and yi = w -. rom.poles.(i).La.Cpx.im in
+    let xr = rom.residues.(i).La.Cpx.re and xi = rom.residues.(i).La.Cpx.im in
+    if Float.abs yr >= Float.abs yi then begin
+      let r = yi /. yr in
+      let d = yr +. (r *. yi) in
+      ar := !ar +. ((xr +. (r *. xi)) /. d);
+      ai := !ai +. ((xi -. (r *. xr)) /. d)
+    end
+    else begin
+      let r = yr /. yi in
+      let d = yi +. (r *. yr) in
+      ar := !ar +. (((r *. xr) +. xi) /. d);
+      ai := !ai +. (((r *. xi) -. xr) /. d)
+    end
+  done;
+  out.(0) <- !ar;
+  out.(1) <- !ai
 
 let eval rom ~w =
-  let jw = La.Cpx.make 0.0 w in
-  let acc = ref La.Cpx.zero in
-  Array.iteri
-    (fun i p -> acc := La.Cpx.add !acc (La.Cpx.div rom.residues.(i) (La.Cpx.sub jw p)))
-    rom.poles;
-  !acc
+  let out = [| 0.0; 0.0 |] in
+  eval_into rom ~w out;
+  { La.Cpx.re = out.(0); im = out.(1) }
 
 let stable rom = Array.for_all (fun p -> p.La.Cpx.re < 0.0) rom.poles

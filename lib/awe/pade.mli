@@ -17,15 +17,22 @@ type rom = {
     Errors: singular Hankel system, degenerate root-finding. *)
 val fit : q:int -> float array -> (rom, string) result
 
+(** Moments in the rescaled domain s' = s / w0: [m.(k)] is [m_k * w0^k].
+    They depend on the moments alone, so an order descent scales once and
+    fits every order from the same vector. *)
+type scaled = { w0 : float; m : float array }
+
+val scale_moments : float array -> scaled
+
 (** Numerator/denominator coefficients in the internally rescaled domain —
     the cheap first phase of [fit], before any root finding. *)
 type coeffs = { qpoly : La.Poly.t; ppoly : La.Poly.t; w0 : float }
 
-val fit_coeffs : q:int -> float array -> (coeffs, string) result
+val fit_coeffs : q:int -> scaled -> (coeffs, string) result
 
-(** [series_matches c moments ~q ~tol] checks by power-series division
+(** [series_matches c s ~q ~tol] checks by power-series division
     (no roots needed) that P/Q reproduces the first 2q scaled moments. *)
-val series_matches : coeffs -> float array -> q:int -> tol:float -> bool
+val series_matches : coeffs -> scaled -> q:int -> tol:float -> bool
 
 (** [routh_stable qpoly] is the Routh-Hurwitz left-half-plane test on a
     denominator polynomial (ascending coefficients) — stability screening
@@ -35,12 +42,17 @@ val routh_stable : La.Poly.t -> bool
 (** [rom_of_coeffs c ~q] finds poles and residues for a verified fit. *)
 val rom_of_coeffs : coeffs -> q:int -> (rom, string) result
 
-(** [moment rom k] is the k-th Maclaurin coefficient of the fitted model —
-    used to verify the fit against the input moments. *)
-val moment : rom -> int -> float
+(** [moments rom n] holds the first [n] Maclaurin coefficients of the
+    fitted model — used to verify the fit against the input moments. *)
+val moments : rom -> int -> float array
 
 (** [eval rom ~w] is H(jw). *)
 val eval : rom -> w:float -> La.Cpx.t
+
+(** [eval_into rom ~w out] writes the real and imaginary parts of H(jw)
+    to [out.(0)] and [out.(1)]: the bits of [eval], with no complex value
+    allocated. *)
+val eval_into : rom -> w:float -> float array -> unit
 
 (** [stable rom] is true when every pole has a negative real part. *)
 val stable : rom -> bool

@@ -7,10 +7,10 @@
     was fitted to. This mirrors the order/stability management any
     practical AWE implementation needs. *)
 
-type t = {
-  rom : Pade.rom;
-  moments : float array;  (** circuit moments the model was fitted against *)
-}
+(** A fitted model with the circuit moments it was fitted against, and a
+    memo of its unity-gain crossing ([unity_gain_freq] scans once per
+    model; [phase_margin] reuses the scan). *)
+type t
 
 val build :
   ?qmax:int -> Mna.Linearize.t -> b:La.Vec.t -> sel:La.Vec.t -> (t, string) result

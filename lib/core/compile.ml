@@ -129,7 +129,9 @@ let compile ?corner (ast : Netlist.Ast.problem) =
           j.jig_circuit.Netlist.Circuit.elements)
       jigs;
     (* 5. Spec sanity: called functions exist; tf names resolve; transient
-       measurements have a .tran budget; corner names resolve. *)
+       measurements have a .tran budget; dotted references name a MOS or
+       BJT of the bias network and one of its fields; corner names
+       resolve. *)
     let all_tfs = List.concat_map (fun (j : Problem.jig) -> List.map fst j.tfs) jigs in
     let jig_of_tf tfname =
       List.find_opt (fun (j : Problem.jig) -> List.mem_assoc tfname j.tfs) jigs
@@ -167,6 +169,27 @@ let compile ?corner (ast : Netlist.Ast.problem) =
               | _ -> err "spec %s: %s expects a transfer-function name" s.spec_name fname
             end)
           (Netlist.Expr.calls s.expr);
+        List.iter
+          (fun path ->
+            match List.rev path with
+            | [] | [ _ ] -> ()
+            | field :: rev_dev ->
+                let dev = String.concat "." (List.rev rev_dev) in
+                let fields =
+                  match Netlist.Circuit.find_element bias dev with
+                  | Netlist.Circuit.Mosfet _ -> Eval.mos_op_fields
+                  | Netlist.Circuit.Bjt _ -> Eval.bjt_op_fields
+                  | Netlist.Circuit.Resistor _ | Netlist.Circuit.Capacitor _
+                  | Netlist.Circuit.Inductor _ | Netlist.Circuit.Vsource _
+                  | Netlist.Circuit.Isource _ | Netlist.Circuit.Vcvs _ | Netlist.Circuit.Vccs _
+                  | Netlist.Circuit.Cccs _ | Netlist.Circuit.Ccvs _ | (exception Not_found) ->
+                      err "spec %s: %s: %s is not a MOS or BJT of the bias network" s.spec_name
+                        (String.concat "." path) dev
+                in
+                if not (List.mem field fields) then
+                  err "spec %s: %s: %s has no field %s" s.spec_name (String.concat "." path) dev
+                    field)
+          (Netlist.Expr.refs s.expr);
         (match s.spec_corner with
         | Some cname when Devices.Registry.find_corner cname = None ->
             err "spec %s: unknown corner %s (known: %s)" s.spec_name cname

@@ -228,35 +228,52 @@ type measured = {
   spec_values : (string * float option) list;
 }
 
-(* Fields of a device operating point addressable from spec expressions. *)
+(* Fields of a device operating point addressable from spec expressions
+   (LANGUAGE.md 5.3), by device kind; Compile checks every dotted
+   reference against the names. *)
+let mos_fields : (string * (Devices.Sig.mos_op -> float)) list =
+  [
+    ("id", fun o -> Float.abs o.Devices.Sig.id_);
+    ("gm", fun o -> o.Devices.Sig.gm);
+    ("gds", fun o -> o.Devices.Sig.gds);
+    ("gmbs", fun o -> o.Devices.Sig.gmbs);
+    ("vth", fun o -> o.Devices.Sig.vth);
+    ("vdsat", fun o -> o.Devices.Sig.vdsat);
+    ("vgst", fun o -> o.Devices.Sig.vgst);
+    ("vds", fun o -> o.Devices.Sig.vds_mag);
+    ("cgs", fun o -> o.Devices.Sig.cgs);
+    ("cgd", fun o -> o.Devices.Sig.cgd);
+    ("cgb", fun o -> o.Devices.Sig.cgb);
+    ("cbd", fun o -> o.Devices.Sig.cbd);
+    ("cbs", fun o -> o.Devices.Sig.cbs);
+    ("cd", fun o -> o.Devices.Sig.cgd +. o.Devices.Sig.cbd);
+    ("cs", fun o -> o.Devices.Sig.cgs +. o.Devices.Sig.cbs);
+    ("cg", fun o -> o.Devices.Sig.cgs +. o.Devices.Sig.cgd +. o.Devices.Sig.cgb);
+  ]
+
+let bjt_fields : (string * (Devices.Sig.bjt_op -> float)) list =
+  [
+    ("ic", fun o -> Float.abs o.Devices.Sig.ic);
+    ("ib", fun o -> Float.abs o.Devices.Sig.ib);
+    ("gm", fun o -> o.Devices.Sig.bjt_gm);
+    ("gpi", fun o -> o.Devices.Sig.gpi);
+    ("go", fun o -> o.Devices.Sig.go);
+    ("cpi", fun o -> o.Devices.Sig.cpi);
+    ("cmu", fun o -> o.Devices.Sig.cmu);
+    ("ccs", fun o -> o.Devices.Sig.ccs);
+    ("vbe", fun o -> o.Devices.Sig.vbe_f);
+  ]
+
+let mos_op_fields = List.map fst mos_fields
+let bjt_op_fields = List.map fst bjt_fields
+
 let op_field (op : Mna.Dc.op_info) field =
-  match (op, field) with
-  | Mna.Dc.Mos_op o, "id" -> Float.abs o.Devices.Sig.id_
-  | Mna.Dc.Mos_op o, "gm" -> o.Devices.Sig.gm
-  | Mna.Dc.Mos_op o, "gds" -> o.Devices.Sig.gds
-  | Mna.Dc.Mos_op o, "gmbs" -> o.Devices.Sig.gmbs
-  | Mna.Dc.Mos_op o, "vth" -> o.Devices.Sig.vth
-  | Mna.Dc.Mos_op o, "vdsat" -> o.Devices.Sig.vdsat
-  | Mna.Dc.Mos_op o, "vgst" -> o.Devices.Sig.vgst
-  | Mna.Dc.Mos_op o, "vds" -> o.Devices.Sig.vds_mag
-  | Mna.Dc.Mos_op o, "cgs" -> o.Devices.Sig.cgs
-  | Mna.Dc.Mos_op o, "cgd" -> o.Devices.Sig.cgd
-  | Mna.Dc.Mos_op o, "cgb" -> o.Devices.Sig.cgb
-  | Mna.Dc.Mos_op o, "cbd" -> o.Devices.Sig.cbd
-  | Mna.Dc.Mos_op o, "cbs" -> o.Devices.Sig.cbs
-  | Mna.Dc.Mos_op o, "cd" -> o.Devices.Sig.cgd +. o.Devices.Sig.cbd
-  | Mna.Dc.Mos_op o, "cs" -> o.Devices.Sig.cgs +. o.Devices.Sig.cbs
-  | Mna.Dc.Mos_op o, "cg" -> o.Devices.Sig.cgs +. o.Devices.Sig.cgd +. o.Devices.Sig.cgb
-  | Mna.Dc.Bjt_op o, "ic" -> Float.abs o.Devices.Sig.ic
-  | Mna.Dc.Bjt_op o, "ib" -> Float.abs o.Devices.Sig.ib
-  | Mna.Dc.Bjt_op o, "gm" -> o.Devices.Sig.bjt_gm
-  | Mna.Dc.Bjt_op o, "gpi" -> o.Devices.Sig.gpi
-  | Mna.Dc.Bjt_op o, "go" -> o.Devices.Sig.go
-  | Mna.Dc.Bjt_op o, "cpi" -> o.Devices.Sig.cpi
-  | Mna.Dc.Bjt_op o, "cmu" -> o.Devices.Sig.cmu
-  | Mna.Dc.Bjt_op o, "ccs" -> o.Devices.Sig.ccs
-  | Mna.Dc.Bjt_op o, "vbe" -> o.Devices.Sig.vbe_f
-  | (Mna.Dc.Mos_op _ | Mna.Dc.Bjt_op _), f -> raise (Measurement_failed ("unknown op field " ^ f))
+  let read fields o =
+    match List.assoc_opt field fields with
+    | Some get -> get o
+    | None -> raise (Measurement_failed ("unknown op field " ^ field))
+  in
+  match op with Mna.Dc.Mos_op o -> read mos_fields o | Mna.Dc.Bjt_op o -> read bjt_fields o
 
 (* Active area of the circuit under design, reported in square microns:
    W*L*m per MOS plus a nominal per-unit-area footprint for BJTs. *)

@@ -36,6 +36,12 @@ exception Measurement_failed of string
     like [xamp.m1.cd] in specification expressions. *)
 val op_field : Mna.Dc.op_info -> string -> float
 
+(** The field names [op_field] serves for a MOS and for a BJT — what
+    {!Compile} checks each dotted reference against. *)
+val mos_op_fields : string list
+
+val bjt_op_fields : string list
+
 (** [active_area_um2 p st] is the summed device area of the circuit under
     design, square microns. *)
 val active_area_um2 : Problem.t -> State.t -> float

@@ -144,6 +144,17 @@ let make_env (p : Problem.t) (st : State.t) =
       let _, r, v, t_step = tran_of tfn in
       Mna.Tran.settling_time ~times:r.Mna.Tran.times v ~t_from:t_step ~tol
     in
+    (* [ugf] and [phase_margin] of one tf read one unity-gain scan. *)
+    let ugfs = ref [] in
+    let ugf_of tfn =
+      match List.assoc_opt tfn !ugfs with
+      | Some fu -> fu
+      | None ->
+          let js, b, sel = tf_measure tfn in
+          let fu = Mna.Ac.unity_gain_freq js.lin ~b ~sel in
+          ugfs := (tfn, fu) :: !ugfs;
+          fu
+    in
     let call name args =
       let tfarg = function
         | Netlist.Expr.Name n -> n
@@ -157,12 +168,14 @@ let make_env (p : Problem.t) (st : State.t) =
       | "dc_gain", [ tf ] ->
           let js, b, sel = tf_measure (tfarg tf) in
           Mna.Ac.dc_gain js.lin ~b ~sel
-      | "ugf", [ tf ] ->
-          let js, b, sel = tf_measure (tfarg tf) in
-          Option.value ~default:0.0 (Mna.Ac.unity_gain_freq js.lin ~b ~sel)
-      | ("phase_margin" | "pm"), [ tf ] ->
-          let js, b, sel = tf_measure (tfarg tf) in
-          Option.value ~default:180.0 (Mna.Ac.phase_margin js.lin ~b ~sel)
+      | "ugf", [ tf ] -> Option.value ~default:0.0 (ugf_of (tfarg tf))
+      | ("phase_margin" | "pm"), [ tf ] -> (
+          let tfn = tfarg tf in
+          match ugf_of tfn with
+          | None -> 180.0
+          | Some fu ->
+              let js, b, sel = tf_measure tfn in
+              Mna.Ac.phase_margin_at js.lin ~b ~sel ~fu)
       | "gain_at", [ tf; f ] ->
           let js, b, sel = tf_measure (tfarg tf) in
           La.Cpx.abs (Mna.Ac.transfer js.lin ~b ~sel ~w:(2.0 *. Float.pi *. numarg f))

@@ -15,12 +15,25 @@ let eval c x =
   done;
   !acc
 
-let eval_cpx c z =
-  let acc = ref Cpx.zero in
+(* Horner's rule acc <- acc * z + c_k on the float parts: Cpx.mul, then
+   Cpx.add of the real coefficient, whose imaginary 0.0 is still added (it
+   turns a -0.0 into +0.0). The point is read from arrays, so no float
+   crosses the call boxed. *)
+let eval_cpx_at c ~re ~im i ~out =
+  let zr = re.(i) and zi = im.(i) in
+  let ar = ref 0.0 and ai = ref 0.0 in
   for k = Array.length c - 1 downto 0 do
-    acc := Cpx.add (Cpx.mul !acc z) (Cpx.of_float c.(k))
+    let mr = (!ar *. zr) -. (!ai *. zi) and mi = (!ar *. zi) +. (!ai *. zr) in
+    ar := mr +. c.(k);
+    ai := mi +. 0.0
   done;
-  !acc
+  out.(0) <- !ar;
+  out.(1) <- !ai
+
+let eval_cpx c (z : Cpx.t) =
+  let out = [| 0.0; 0.0 |] in
+  eval_cpx_at c ~re:[| z.re |] ~im:[| z.im |] 0 ~out;
+  { Cpx.re = out.(0); im = out.(1) }
 
 let derivative c =
   let n = Array.length c in

@@ -13,6 +13,11 @@ val trim : t -> t
 
 val eval : t -> float -> float
 val eval_cpx : t -> Cpx.t -> Cpx.t
+
+(** [eval_cpx_at c ~re ~im i ~out] writes the real and imaginary parts of
+    [c] at [re.(i) + j im.(i)] to [out.(0)] and [out.(1)]: the bits of
+    [eval_cpx], with no complex value allocated. *)
+val eval_cpx_at : t -> re:float array -> im:float array -> int -> out:float array -> unit
 val derivative : t -> t
 val mul : t -> t -> t
 val add : t -> t -> t

@@ -23,86 +23,143 @@ let find ?(max_iter = 120) ?(tol = 1e-12) c =
   else begin
     let r = cauchy_radius c in
     let cs = Poly.normalize (rescale c r) in
-    (* Initial guesses on a spiral that is not a root-of-unity pattern. *)
-    let seed = Cpx.make 0.4 0.9 in
-    let z = Array.make d Cpx.one in
-    let () =
-      let cur = ref seed in
-      for k = 0 to d - 1 do
-        z.(k) <- !cur;
-        cur := Cpx.mul !cur seed
-      done
-    in
+    (* The iterates live in two float planes, and every step below writes
+       out the stdlib Complex formula it stands for (mul, sub, both
+       branches of div, norm as hypot), operation for operation, so the
+       roots keep the bits of the boxed formulation.
+
+       Initial guesses on a spiral that is not a root-of-unity pattern:
+       z_k = seed^(k+1), multiplied out one Cpx.mul at a time. *)
+    let seed_re = 0.4 and seed_im = 0.9 in
+    let zr = Array.make d 1.0 and zi = Array.make d 0.0 in
+    let cur_re = ref seed_re and cur_im = ref seed_im in
+    for k = 0 to d - 1 do
+      zr.(k) <- !cur_re;
+      zi.(k) <- !cur_im;
+      let nr = (!cur_re *. seed_re) -. (!cur_im *. seed_im)
+      and ni = (!cur_re *. seed_im) +. (!cur_im *. seed_re) in
+      cur_re := nr;
+      cur_im := ni
+    done;
+    let p = [| 0.0; 0.0 |] in
     let converged = ref false in
     let iter = ref 0 in
     while (not !converged) && !iter < max_iter do
       incr iter;
       let worst = ref 0.0 in
       for i = 0 to d - 1 do
-        let p = Poly.eval_cpx cs z.(i) in
-        let denom = ref Cpx.one in
+        Poly.eval_cpx_at cs ~re:zr ~im:zi i ~out:p;
+        let xr = zr.(i) and xi = zi.(i) in
+        (* denom = prod over j <> i of (z_i - z_j), from Cpx.one *)
+        let dr = ref 1.0 and di = ref 0.0 in
         for j = 0 to d - 1 do
-          if j <> i then denom := Cpx.mul !denom (Cpx.sub z.(i) z.(j))
+          if j <> i then begin
+            let er = xr -. zr.(j) and ei = xi -. zi.(j) in
+            let nr = (!dr *. er) -. (!di *. ei) and ni = (!dr *. ei) +. (!di *. er) in
+            dr := nr;
+            di := ni
+          end
         done;
-        let step =
-          if Cpx.abs !denom < 1e-30 then Cpx.make 1e-6 1e-6 else Cpx.div p !denom
-        in
-        z.(i) <- Cpx.sub z.(i) step;
-        worst := Float.max !worst (Cpx.abs step)
+        (* step = p / denom, or a fixed nudge off coincident iterates *)
+        let sr = ref 1e-6 and si = ref 1e-6 in
+        if not (Float.hypot !dr !di < 1e-30) then begin
+          let pr = p.(0) and pi = p.(1) in
+          if Float.abs !dr >= Float.abs !di then begin
+            let q = !di /. !dr in
+            let e = !dr +. (q *. !di) in
+            sr := (pr +. (q *. pi)) /. e;
+            si := (pi -. (q *. pr)) /. e
+          end
+          else begin
+            let q = !dr /. !di in
+            let e = !di +. (q *. !dr) in
+            sr := ((q *. pr) +. pi) /. e;
+            si := ((q *. pi) -. pr) /. e
+          end
+        end;
+        zr.(i) <- xr -. !sr;
+        zi.(i) <- xi -. !si;
+        worst := Float.max !worst (Float.hypot !sr !si)
       done;
       if !worst < tol then converged := true
     done;
-    if not (Array.for_all Cpx.is_finite z) then failwith "Roots.find: diverged";
-    (* Newton polish on the original (unscaled) polynomial. *)
-    let out = Array.map (fun t -> Cpx.scale r t) z in
+    for k = 0 to d - 1 do
+      if not (Float.is_finite zr.(k) && Float.is_finite zi.(k)) then
+        failwith "Roots.find: diverged"
+    done;
+    (* Newton polish on the original (unscaled) polynomial, from r * z. *)
+    for k = 0 to d - 1 do
+      zr.(k) <- r *. zr.(k);
+      zi.(k) <- r *. zi.(k)
+    done;
     let dc = Poly.derivative c in
+    let dp = [| 0.0; 0.0 |] in
     for i = 0 to d - 1 do
       for _ = 1 to 3 do
-        let p = Poly.eval_cpx c out.(i) and dp = Poly.eval_cpx dc out.(i) in
-        if Cpx.abs dp > 1e-30 then begin
-          let step = Cpx.div p dp in
-          if Cpx.is_finite step && Cpx.abs step < 0.5 *. (1.0 +. Cpx.abs out.(i)) then
-            out.(i) <- Cpx.sub out.(i) step
+        Poly.eval_cpx_at c ~re:zr ~im:zi i ~out:p;
+        Poly.eval_cpx_at dc ~re:zr ~im:zi i ~out:dp;
+        let dr = dp.(0) and di = dp.(1) in
+        if Float.hypot dr di > 1e-30 then begin
+          (* step = p / dp *)
+          let pr = p.(0) and pi = p.(1) in
+          let sr = ref 0.0 and si = ref 0.0 in
+          if Float.abs dr >= Float.abs di then begin
+            let q = di /. dr in
+            let e = dr +. (q *. di) in
+            sr := (pr +. (q *. pi)) /. e;
+            si := (pi -. (q *. pr)) /. e
+          end
+          else begin
+            let q = dr /. di in
+            let e = di +. (q *. dr) in
+            sr := ((q *. pr) +. pi) /. e;
+            si := ((q *. pi) -. pr) /. e
+          end;
+          if
+            Float.is_finite !sr && Float.is_finite !si
+            && Float.hypot !sr !si < 0.5 *. (1.0 +. Float.hypot zr.(i) zi.(i))
+          then begin
+            zr.(i) <- zr.(i) -. !sr;
+            zi.(i) <- zi.(i) -. !si
+          end
         end
       done
     done;
     (* Enforce conjugate symmetry: snap near-real roots to the axis, average
        conjugate pairs. *)
-    let snapped =
-      Array.map
-        (fun zr ->
-          if Float.abs zr.Cpx.im <= 1e-9 *. (1.0 +. Float.abs zr.Cpx.re) then
-            { zr with Cpx.im = 0.0 }
-          else zr)
-        out
-    in
+    for k = 0 to d - 1 do
+      if Float.abs zi.(k) <= 1e-9 *. (1.0 +. Float.abs zr.(k)) then zi.(k) <- 0.0
+    done;
     let used = Array.make d false in
     for i = 0 to d - 1 do
-      if (not used.(i)) && snapped.(i).Cpx.im <> 0.0 then begin
-        let target = Cpx.conj snapped.(i) in
+      if (not used.(i)) && zi.(i) <> 0.0 then begin
+        (* the nearest unused root to the conjugate target (tr, ti) *)
+        let tr = zr.(i) and ti = -.zi.(i) in
         let best = ref (-1) and bestd = ref infinity in
         for j = 0 to d - 1 do
           if j <> i && not used.(j) then begin
-            let dd = Cpx.dist snapped.(j) target in
+            let dd = Float.hypot (zr.(j) -. tr) (zi.(j) -. ti) in
             if dd < !bestd then begin
               bestd := dd;
               best := j
             end
           end
         done;
-        if !best >= 0 && !bestd < 1e-6 *. (1.0 +. Cpx.abs target) then begin
-          let a = snapped.(i) and b = snapped.(!best) in
-          let re = 0.5 *. (a.Cpx.re +. b.Cpx.re) in
-          let im = 0.5 *. (Float.abs a.Cpx.im +. Float.abs b.Cpx.im) in
-          let s = if a.Cpx.im >= 0.0 then 1.0 else -1.0 in
-          snapped.(i) <- Cpx.make re (s *. im);
-          snapped.(!best) <- Cpx.make re (-.s *. im);
+        if !best >= 0 && !bestd < 1e-6 *. (1.0 +. Float.hypot tr ti) then begin
+          let b = !best in
+          let re = 0.5 *. (zr.(i) +. zr.(b)) in
+          let im = 0.5 *. (Float.abs zi.(i) +. Float.abs zi.(b)) in
+          let s = if zi.(i) >= 0.0 then 1.0 else -1.0 in
+          zr.(i) <- re;
+          zi.(i) <- s *. im;
+          zr.(b) <- re;
+          zi.(b) <- -.s *. im;
           used.(i) <- true;
-          used.(!best) <- true
+          used.(b) <- true
         end
       end
     done;
-    snapped
+    Array.init d (fun k -> { Cpx.re = zr.(k); im = zi.(k) })
   end
 
 let residual c roots =

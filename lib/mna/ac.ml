@@ -45,24 +45,20 @@ let unity_gain_freq lin ~b ~sel =
   scan 0 None
 
 (* Phase margin with phase unwrapping: track the phase continuously from
-   1 Hz up to the unity-gain frequency (principal-value arg alone wraps for
-   3+ pole systems). The response is sign-normalized so that inverting
-   amplifiers measure the same margin as their differential equivalents. *)
-let phase_margin lin ~b ~sel =
-  match unity_gain_freq lin ~b ~sel with
-  | None -> None
-  | Some fu ->
-      let sgn = if dc_gain lin ~b ~sel >= 0.0 then 1.0 else -1.0 in
-      let h f =
-        La.Cpx.scale sgn (transfer lin ~b ~sel ~w:(2.0 *. Float.pi *. f))
-      in
-      let steps = 120 in
-      let phase = ref (La.Cpx.arg (h 1.0)) in
-      let prev = ref (h 1.0) in
-      for k = 1 to steps do
-        let f = fu ** (float_of_int k /. float_of_int steps) in
-        let cur = h f in
-        phase := !phase +. La.Cpx.arg (La.Cpx.div cur !prev);
-        prev := cur
-      done;
-      Some (180.0 +. (!phase *. 180.0 /. Float.pi))
+   1 Hz up to the unity-gain frequency [fu] (principal-value arg alone
+   wraps for 3+ pole systems). The response is sign-normalized so that
+   inverting amplifiers measure the same margin as their differential
+   equivalents. *)
+let phase_margin_at lin ~b ~sel ~fu =
+  let sgn = if dc_gain lin ~b ~sel >= 0.0 then 1.0 else -1.0 in
+  let h f = La.Cpx.scale sgn (transfer lin ~b ~sel ~w:(2.0 *. Float.pi *. f)) in
+  let steps = 120 in
+  let phase = ref (La.Cpx.arg (h 1.0)) in
+  let prev = ref (h 1.0) in
+  for k = 1 to steps do
+    let f = fu ** (float_of_int k /. float_of_int steps) in
+    let cur = h f in
+    phase := !phase +. La.Cpx.arg (La.Cpx.div cur !prev);
+    prev := cur
+  done;
+  180.0 +. (!phase *. 180.0 /. Float.pi)

@@ -23,6 +23,8 @@ val dc_gain : Linearize.t -> b:La.Vec.t -> sel:La.Vec.t -> float
     crosses unity in [1 Hz, 100 GHz]. *)
 val unity_gain_freq : Linearize.t -> b:La.Vec.t -> sel:La.Vec.t -> float option
 
-(** [phase_margin lin ~b ~sel] is 180 + arg H(j w_ugf) in degrees. *)
-val phase_margin : Linearize.t -> b:La.Vec.t -> sel:La.Vec.t -> float option
+(** [phase_margin_at lin ~b ~sel ~fu] is 180 + arg H(j 2 pi fu) in
+    degrees, the phase unwrapped from 1 Hz, at the unity-gain frequency
+    [fu] (Hz) that [unity_gain_freq] found. *)
+val phase_margin_at : Linearize.t -> b:La.Vec.t -> sel:La.Vec.t -> fu:float -> float
 

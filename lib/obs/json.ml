@@ -255,3 +255,12 @@ let to_int v =
 let to_bool v = match v with Bool b -> b | _ -> decode_fail "expected bool"
 let to_str v = match v with Str s -> s | _ -> decode_fail "expected string"
 let to_list v = match v with Arr l -> l | _ -> decode_fail "expected array"
+
+(* Strict readers: a missing member, or one its converter rejects, raises
+   [Decode_error] naming the member, so a fault nested in a sweep row
+   reads [field "sweep": field "moves": ...]. *)
+let located k conv v =
+  try conv v with Decode_error m -> raise (Decode_error (Printf.sprintf "field %S: %s" k m))
+
+let field k conv j =
+  match mem_opt k j with Some v -> located k conv v | None -> decode_fail "missing field %S" k

@@ -32,3 +32,11 @@ val to_int : t -> int
 val to_bool : t -> bool
 val to_str : t -> string
 val to_list : t -> t list
+
+(** [located k conv v] is [conv v], with a [Decode_error] it raises
+    prefixed by [field "k": ]. *)
+val located : string -> (t -> 'a) -> t -> 'a
+
+(** [field k conv j] is [conv] applied to member [k] of [j]. A missing
+    member, or one [conv] rejects, raises [Decode_error] naming [k]. *)
+val field : string -> (t -> 'a) -> t -> 'a

@@ -50,29 +50,27 @@ let entry_to_json (e : entry) =
       ("probs", farr e.en_probs);
     ]
 
+(* Every member [entry_to_json] writes must be there with its type: a
+   line that lacks one, or carries a mistyped one, is an error naming
+   the member, never a defaulted field. *)
 let entry_of_json j =
+  let floats v = Array.of_list (List.map Json.to_float (Json.to_list v)) in
+  let ints v = Array.of_list (List.map Json.to_int (Json.to_list v)) in
   match
-    let str k = Json.to_str (Json.mem k j) in
-    let fl k =
-      match Json.mem_opt k j with
-      | Some (Json.Arr vs) -> Array.of_list (List.map Json.to_float vs)
-      | Some _ -> raise (Json.Decode_error ("corpus entry: \"" ^ k ^ "\" must be an array"))
-      | None -> [||]
-    in
     {
-      en_shape = str "shape";
-      en_canon = str "canon";
-      en_job = Json.to_int (Json.mem "job" j);
-      en_name = (match Json.mem_opt "name" j with Some (Json.Str s) -> s | _ -> "");
-      en_cost = Json.to_float (Json.mem "cost" j);
-      en_values = fl "values";
-      en_grid = Array.map int_of_float (fl "grid");
-      en_probs = fl "probs";
+      en_shape = Json.field "shape" Json.to_str j;
+      en_canon = Json.field "canon" Json.to_str j;
+      en_job = Json.field "job" Json.to_int j;
+      en_name = Json.field "name" Json.to_str j;
+      en_cost = Json.field "cost" Json.to_float j;
+      en_values = Json.field "values" floats j;
+      en_grid = Json.field "grid" ints j;
+      en_probs = Json.field "probs" floats j;
     }
   with
   | e when e.en_shape <> "" && e.en_values <> [||] -> Ok e
   | _ -> Error "corpus entry: empty shape or values"
-  | exception Json.Decode_error m -> Error m
+  | exception Json.Decode_error m -> Error ("corpus entry: " ^ m)
 
 (* ------------------------------------------------------------------ *)
 (* The bounded, journal-backed store                                    *)

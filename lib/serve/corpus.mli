@@ -38,6 +38,10 @@ val warm_label : entry -> string
 val warm_start_of_entry : entry -> Core.Oblx.warm_start
 
 val entry_to_json : entry -> Obs.Json.t
+
+(** [entry_of_json j] — the inverse of {!entry_to_json}. Every member the
+    encoder writes must be present and well-typed; the [Error] names the
+    first one that is not (["corpus entry: missing field \"grid\""]). *)
 val entry_of_json : Obs.Json.t -> (entry, string) result
 
 type t

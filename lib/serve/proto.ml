@@ -109,17 +109,9 @@ let floats a = Json.Arr (Array.to_list a |> List.map (fun v -> Json.Num v))
 (* Strict field readers                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Every decoder here reads through these. A missing member, or one its
-   converter rejects, raises [Decode_error] naming the member, so a fault
-   nested in a sweep row reads [field "sweep": field "moves": ...]. *)
-let located k conv v =
-  try conv v
-  with Json.Decode_error m -> raise (Json.Decode_error (Printf.sprintf "field %S: %s" k m))
-
-let field k conv j =
-  match Json.mem_opt k j with
-  | Some v -> located k conv v
-  | None -> raise (Json.Decode_error (Printf.sprintf "missing field %S" k))
+(* Every decoder here reads through these, built on [Json.field]. *)
+let located = Json.located
+let field = Json.field
 
 let or_null conv = function Json.Null -> None | v -> Some (conv v)
 

@@ -191,9 +191,9 @@ val cache_of_json : Obs.Json.t -> Core.Compile_cache.outcome option
 
 (** {2 Strict field readers} *)
 
-(** [field k conv j] — [conv] applied to member [k] of [j]. A missing
-    member, or one [conv] rejects with [Obs.Json.Decode_error], raises
-    [Obs.Json.Decode_error] naming [k]. *)
+(** [field] is {!Obs.Json.field}: [conv] applied to member [k] of [j]. A
+    missing member, or one [conv] rejects with [Obs.Json.Decode_error],
+    raises [Obs.Json.Decode_error] naming [k]. *)
 val field : string -> (Obs.Json.t -> 'a) -> Obs.Json.t -> 'a
 
 (** [nullable k conv j] — like {!field} for a member written as [null]

@@ -15,6 +15,7 @@ let goldens =
     ("simple_ota.jsonl", "simple-ota", 11, 600, Obs.Event.Moves);
     ("folded_cascode_stage.jsonl", "folded-cascode", 3, 1200, Obs.Event.Stage);
     ("bicmos_two_stage_stage.jsonl", "bicmos-two-stage", 5, 1200, Obs.Event.Stage);
+    ("two_stage_stage.jsonl", "two-stage", 9, 1200, Obs.Event.Stage);
     ("tran_buffer_stage.jsonl", "tran-buffer", 7, 400, Obs.Event.Stage);
   ]
 

@@ -137,8 +137,9 @@ let test_pade_moment_reconstruction () =
   match Awe.Pade.fit ~q:2 moments with
   | Error e -> Alcotest.fail e
   | Ok rom ->
+      let fitted = Awe.Pade.moments rom 8 in
       for k = 0 to 7 do
-        let got = Awe.Pade.moment rom k in
+        let got = fitted.(k) in
         if Float.abs (got -. moments.(k)) > 1e-6 *. Float.abs moments.(k) then
           Alcotest.failf "moment %d mismatch: %g vs %g" k got moments.(k)
       done

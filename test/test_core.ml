@@ -100,6 +100,36 @@ let test_compile_errors () =
     (".jig j\nvin g 0 2 ac 1\nvd d0 0 5\nm9 d0 g 0 0 nmos w=10u l=2u\n.pz t v(d0) vin\n.endjig\n"
    ^ ".bias\nr1 a 0 1k\n.endbias\n.obj o 'dc_gain(t)' good=1 bad=0\n.process p1u2\n")
 
+(* A dotted reference must name a MOS or BJT of the bias network and one
+   of its fields (LANGUAGE.md 5.3); the error names the spec and the
+   reference. simple-ota's sr spec reads xamp.m2.cd. *)
+let test_compile_device_refs () =
+  let contains hay needle =
+    let n = String.length needle in
+    let rec go i = i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1)) in
+    go 0
+  in
+  let src = (Option.get (Suite.Ckts.find "simple-ota")).Suite.Ckts.source in
+  let replace a b =
+    let i =
+      let n = String.length a in
+      let rec go i = if String.sub src i n = a then i else go (i + 1) in
+      go 0
+    in
+    String.sub src 0 i ^ b ^ String.sub src (i + String.length a) (String.length src - i - String.length a)
+  in
+  List.iter
+    (fun (ref_, expect) ->
+      match Core.Compile.compile_source (replace "xamp.m2.cd" ref_) with
+      | Ok _ -> Alcotest.failf "%s compiled" ref_
+      | Error e ->
+          Alcotest.(check bool) (Printf.sprintf "%S names %S" e expect) true (contains e expect))
+    [
+      ("xamp.m9.cd", "spec sr: xamp.m9.cd: xamp.m9 is not a MOS or BJT");
+      ("xamp.m2.ic", "spec sr: xamp.m2.ic: xamp.m2 has no field ic");
+      ("vdd.cd", "spec sr: vdd.cd: vdd is not a MOS or BJT");
+    ]
+
 (* A digitless literal ([min=.u]) in a suite source is a line-located
    parse error: it used to escape the compiler as [Failure]. *)
 let test_compile_digitless_number () =
@@ -384,6 +414,7 @@ let () =
           Alcotest.test_case "whole suite compiles" `Quick test_compile_all_suite;
           Alcotest.test_case "simple-ota analysis" `Quick test_compile_simple_ota_analysis;
           Alcotest.test_case "errors" `Quick test_compile_errors;
+          Alcotest.test_case "device references" `Quick test_compile_device_refs;
           Alcotest.test_case "digitless number is a located error" `Quick
             test_compile_digitless_number;
         ] );

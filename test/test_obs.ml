@@ -677,6 +677,7 @@ let stage_goldens =
   [
     ("golden/folded_cascode_stage.jsonl", "folded-cascode", 3, 1200);
     ("golden/bicmos_two_stage_stage.jsonl", "bicmos-two-stage", 5, 1200);
+    ("golden/two_stage_stage.jsonl", "two-stage", 9, 1200);
     ("golden/tran_buffer_stage.jsonl", "tran-buffer", 7, 400);
   ]
 

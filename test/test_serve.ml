@@ -1922,19 +1922,99 @@ let test_replay_rejects_garbled_finish () =
   Serve.Pool.shutdown pool;
   rm_rf dir
 
+(* [entry_to_json corpus_entry] with member [k] replaced by [v], or
+   dropped when [v] is [None]. *)
+let corpus_json_with k v =
+  match Serve.Corpus.entry_to_json corpus_entry with
+  | Obs.Json.Obj kvs ->
+      Obs.Json.to_string
+        (Obs.Json.Obj
+           (List.filter_map
+              (fun (k', v') -> if k' <> k then Some (k', v') else Option.map (fun v -> (k, v)) v)
+              kvs))
+  | _ -> assert false
+
+let test_corpus_decode_names_field () =
+  let cases =
+    [
+      ("name", Some (Obs.Json.Num 5.0));
+      ("grid", None);
+      ("probs", None);
+      ("grid", Some (Obs.Json.Arr [ Obs.Json.Num 0.5 ]));
+      ("job", Some (Obs.Json.Str "3"));
+      ("canon", None);
+    ]
+  in
+  List.iter
+    (fun (k, v) ->
+      match Result.bind (Obs.Json.of_string (corpus_json_with k v)) Serve.Corpus.entry_of_json with
+      | Ok _ -> Alcotest.failf "%s: a garbled entry decoded" k
+      | Error e ->
+          Alcotest.(check bool) (Printf.sprintf "%s: error %S names the field" k e) true
+            (contains e (Printf.sprintf "%S" k)))
+    cases
+
 let test_corpus_replay_counts_rejected () =
   let dir = temp_state_dir "corpus-rejected" in
   rm_rf dir;
   Unix.mkdir dir 0o755;
   let path = Filename.concat dir "corpus.log" in
   let good = Obs.Json.to_string (Serve.Corpus.entry_to_json corpus_entry) in
-  write_lines path [ good; {|{"shape":"s","values":"none"}|}; String.sub good 0 20 ];
+  write_lines path
+    [
+      good;
+      {|{"shape":"s","values":"none"}|};
+      String.sub good 0 20;
+      corpus_json_with "name" (Some (Obs.Json.Num 5.0));
+      corpus_json_with "grid" None;
+    ];
   let c = Serve.Corpus.create ~path () in
   let st = Serve.Corpus.stats c in
   Alcotest.(check int) "the good line replays" 1 st.Serve.Corpus.replayed;
-  Alcotest.(check int) "the bad and the torn line are counted" 2 st.Serve.Corpus.rejected;
+  Alcotest.(check int) "the bad, torn and defaulted lines are counted" 4 st.Serve.Corpus.rejected;
   Serve.Corpus.close c;
   rm_rf dir
+
+(* Garbled corpus lines, as [prop_garbled_lines_rejected] garbles the job
+   log: replay never raises, counts every line as replayed or rejected,
+   and a line that still decodes carries every member the encoder writes
+   (none was defaulted) and round-trips through the codec. *)
+let prop_garbled_corpus_lines =
+  QCheck.Test.make ~name:"truncated or mutated corpus lines decode whole or are rejected"
+    ~count:200
+    (QCheck.make ~print:QCheck.Print.(triple bool int char) QCheck.Gen.(triple bool nat char))
+    (fun (truncate, pos, byte) ->
+      let line = Obs.Json.to_string (Serve.Corpus.entry_to_json corpus_entry) in
+      let pos = pos mod String.length line in
+      let garbled =
+        if truncate then String.sub line 0 pos
+        else String.mapi (fun i c -> if i = pos then byte else c) line
+      in
+      let members = [ "shape"; "canon"; "job"; "name"; "cost"; "values"; "grid"; "probs" ] in
+      let decoded l =
+        Result.bind (Obs.Json.of_string l) (fun j ->
+            Result.map (fun e -> (j, e)) (Serve.Corpus.entry_of_json j))
+      in
+      let whole (j, e) =
+        List.for_all (fun k -> Obs.Json.mem_opt k j <> None) members
+        && Serve.Corpus.entry_of_json (Serve.Corpus.entry_to_json e) = Ok e
+      in
+      let dir = temp_state_dir "corpus-garble" in
+      rm_rf dir;
+      Unix.mkdir dir 0o755;
+      write_lines (Filename.concat dir "corpus.log") [ garbled ];
+      match Serve.Corpus.create ~path:(Filename.concat dir "corpus.log") () with
+      | exception e -> QCheck.Test.fail_reportf "replay raised %s" (Printexc.to_string e)
+      | c ->
+          let st = Serve.Corpus.stats c in
+          Serve.Corpus.close c;
+          rm_rf dir;
+          (* A mutated byte may be a newline, which splits the line. *)
+          let pieces = String.split_on_char '\n' garbled in
+          let ok = List.filter_map (fun l -> Result.to_option (decoded l)) pieces in
+          List.for_all whole ok
+          && st.Serve.Corpus.replayed = List.length ok
+          && st.Serve.Corpus.replayed + st.Serve.Corpus.rejected = List.length pieces)
 
 let test_resynthesize_sweep_refused () =
   let dir = temp_state_dir "resynth-sweep" in
@@ -2074,5 +2154,8 @@ let () =
             test_resynthesize_sweep_refused;
           Alcotest.test_case "corpus replay counts rejected lines" `Quick
             test_corpus_replay_counts_rejected;
+          Alcotest.test_case "corpus decode errors name the field" `Quick
+            test_corpus_decode_names_field;
+          QCheck_alcotest.to_alcotest prop_garbled_corpus_lines;
         ] );
     ]
