@@ -1,6 +1,6 @@
 # Convenience targets; dune is the real build system.
 
-.PHONY: all build test bench bench-quick bench-perf-check bench-perf-incremental bench-serve bench-serve-concurrent bench-serve-fleet bench-sweep bench-warm-start bench-compare trace-replay serve-smoke fleet-smoke clean
+.PHONY: all build test qcheck-sweep bench bench-quick bench-perf-check bench-perf-incremental bench-serve bench-serve-concurrent bench-serve-fleet bench-sweep bench-warm-start bench-compare trace-replay serve-smoke fleet-smoke clean
 
 # One UTC stamp per make invocation; every bench target passes it down so
 # each artifact lands both at <name>-latest.json and as an immutable
@@ -14,6 +14,12 @@ build:
 
 test:
 	dune runtest
+
+# Every QCheck property once per QCHECK_SEED in 1..300; prints each
+# failing seed, executable and case (scripts/qcheck_sweep.sh takes any
+# range).
+qcheck-sweep:
+	bash scripts/qcheck_sweep.sh 1 300
 
 # Every paper table/figure (~15 min).
 bench:

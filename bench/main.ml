@@ -977,14 +977,13 @@ let perf_incremental () =
       circuits
   in
   (* Probed walk: the annealer's batched tournament. Each decision screens
-     [probe_batch] candidate perturbations with the low-rank probe
-     evaluator against the retained factorization, then confirms only the
-     screened winner through the exact incremental path. Every candidate
-     counts as a move — that is the throughput the annealer sees. The
-     timed pass does no verification; an untimed replay of the identical
-     trajectory (same seed, fresh session) re-confirms every decision
-     against the full evaluator bit for bit, and the two walks' running
-     cost sums must agree exactly. *)
+     [probe_batch] candidate perturbations with the reduced-order probe
+     evaluator, then confirms only the screened winner through the exact
+     incremental path. Every candidate counts as a move — that is the
+     throughput the annealer sees. The timed pass does no verification;
+     an untimed replay of the identical trajectory (same seed, fresh
+     session) re-confirms every decision against the full evaluator bit
+     for bit, and the two walks' running cost sums must agree exactly. *)
   let probe_batch = Core.Oblx.default_probe_batch in
   let probed_walk p ss w ~verify =
     let st = Core.State.snapshot p.Core.Problem.state0 in
@@ -1055,9 +1054,8 @@ let perf_incremental () =
         Printf.printf "   probed      %8.0f moves/s (%.2f s)  -> %.2fx vs full\n" probed_rate
           probed_wall speedup;
         Printf.printf "   verified replay bit-identical: %b\n" identical;
-        Printf.printf "   %d screens, %d probe refits (%d fresh fallbacks)\n"
-          sp.Core.Eval.Incr.probes sp.Core.Eval.Incr.probe_rom_builds
-          sp.Core.Eval.Incr.probe_fallbacks;
+        Printf.printf "   %d screens, %d probe refits\n" sp.Core.Eval.Incr.probes
+          sp.Core.Eval.Incr.probe_rom_builds;
         Printf.printf "   exact rom_builds per 4k moves: %.1f (plain incr %.1f) -> %.1fx drop\n"
           (4000.0 *. rb_rate_probed) (4000.0 *. rb_rate_incr) rom_builds_drop;
         if sp.Core.Eval.Incr.resync_mismatches > 0 then
@@ -1181,7 +1179,6 @@ let perf_incremental () =
                      ("rom_builds_drop", num rom_drop);
                      ("probes", int s.probes);
                      ("probe_rom_builds", int s.probe_rom_builds);
-                     ("probe_fallbacks", int s.probe_fallbacks);
                      ("resyncs", int s.resyncs);
                      ("resync_mismatches", int s.resync_mismatches);
                    ])

@@ -133,7 +133,7 @@ let probe_batch_arg =
     & opt int Core.Oblx.default_probe_batch
     & info [ "probe-batch" ] ~docv:"K"
         ~doc:
-          "Candidates screened per annealing decision with the low-rank probe evaluator \
+          "Candidates screened per annealing decision with the reduced-order probe evaluator \
            before the winner is confirmed exactly (accepted costs stay bit-identical to the \
            full evaluator). $(b,1) disables screening and reproduces the classic \
            one-candidate trajectory")
@@ -204,9 +204,8 @@ let synth_source name src seed moves runs jobs early_stop no_incremental probe_b
             (pct es.Core.Eval.Incr.spec_reuses es.Core.Eval.Incr.spec_evals)
             es.Core.Eval.Incr.resyncs es.Core.Eval.Incr.resync_mismatches;
           if es.Core.Eval.Incr.probes > 0 then
-            Printf.printf "probe: %d screens, %d jig refits (%d fresh fallbacks)\n"
-              es.Core.Eval.Incr.probes es.Core.Eval.Incr.probe_rom_builds
-              es.Core.Eval.Incr.probe_fallbacks
+            Printf.printf "probe: %d screens, %d jig refits\n" es.Core.Eval.Incr.probes
+              es.Core.Eval.Incr.probe_rom_builds
       | Some _ | None -> ());
       (match dump with
       | Some path ->
@@ -1041,8 +1040,8 @@ let stats_cmd =
             (n ev "resync_mismatches");
           (match jnum ev "probes" with
           | Some p when p > 0.0 ->
-              Printf.printf "probe: %s screens, %s jig refits (%s fresh fallbacks)\n"
-                (n ev "probes") (n ev "probe_rom_builds") (n ev "probe_fallbacks")
+              Printf.printf "probe: %s screens, %s jig refits\n" (n ev "probes")
+                (n ev "probe_rom_builds")
           | Some _ | None -> ())
       | Some _ | None -> ());
       match Json.mem_opt "workers_detail" j with

@@ -60,8 +60,9 @@ let log_rotate_bytes_arg =
     & opt (some int) None
     & info [ "log-rotate-bytes" ] ~docv:"BYTES"
         ~doc:
-          "Compact state-dir/jobs.log once it exceeds BYTES (one terminal record per \
-           finished job); default: never rotate")
+          "Compact state-dir/jobs.log once it exceeds BYTES and twice its size after the \
+           previous compaction (one terminal record per finished job), so the log may reach \
+           twice its compacted size; default: never rotate")
 
 let workers_arg =
   Arg.(

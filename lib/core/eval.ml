@@ -334,41 +334,41 @@ let static_power_parts (p : Problem.t) (st : State.t) ~(nv : float array)
 let jig_failed (jig : Problem.jig) m =
   List.map (fun (tfname, _) -> (tfname, Error m)) jig.Problem.tfs
 
-(* Per-tf ROM list of one stamped jig system: each tf's excitation and
-   output selector, [moments ~b ~sel ~count] for the 2*qmax + 2 moments
-   of the fit, then the Padé order descent from [qmax]. A failure is
-   recorded against its tf alone. Exact and probe fits differ only in
-   [moments] (fresh factorization or low-rank update) and [qmax]. *)
-let jig_rom_list (jig : Problem.jig) lin ~qmax ~moments =
-  List.map
-    (fun (tfname, (tf : Problem.tf)) ->
-      let rom =
-        try
-          let b = Mna.Linearize.excitation_of lin ~src:tf.src in
-          let sel = Mna.Linearize.output_vector lin ~pos:tf.out_pos ~neg:tf.out_neg in
-          Awe.Rom.of_moments ~qmax (moments ~b ~sel ~count:((2 * qmax) + 2))
-        with
-        | Failure m -> Error m
-        | La.Lu.Singular _ -> Error "singular AWE system"
-      in
-      (tfname, rom))
-    jig.Problem.tfs
-
 (* The exact fit: [Rom.build_with]'s default order. *)
 let exact_qmax = 6
 
-(* Stamp [jig] and fit its ROM list through a fresh factorization.
-   [retain] first sees the stamped system and its factorization ([None]
-   when the stamp failed): the incremental session keeps them for probes. *)
-let jig_roms_exact ?(retain = ignore) ~value ~ops (jig : Problem.jig) =
-  match Mna.Linearize.build ~value ~ops jig.Problem.jig_circuit with
-  | exception Failure m ->
-      retain None;
-      jig_failed jig m
-  | lin ->
-      let fac = Awe.Moments.factor lin in
-      retain (Some (lin, fac));
-      jig_rom_list jig lin ~qmax:exact_qmax ~moments:(Awe.Moments.compute_with fac)
+(* Stamp [jig] with [stamp] and fit its ROM list through a fresh
+   factorization: per tf, its excitation and output selector, the
+   2*qmax + 2 moments of the fit, then the Padé order descent from
+   [qmax]. A failed stamp or factorization fails every tf of the jig;
+   any other failure is recorded against its tf alone. The exact and
+   probe paths differ only in how they stamp and in [qmax]. *)
+let jig_fit (jig : Problem.jig) ~stamp ~qmax =
+  match stamp () with
+  | exception Failure m -> jig_failed jig m
+  | lin -> (
+      match Awe.Moments.factor lin with
+      | exception La.Lu.Singular _ -> jig_failed jig "singular AWE system"
+      | fac ->
+          List.map
+            (fun (tfname, (tf : Problem.tf)) ->
+              let rom =
+                try
+                  let b = Mna.Linearize.excitation_of lin ~src:tf.src in
+                  let sel = Mna.Linearize.output_vector lin ~pos:tf.out_pos ~neg:tf.out_neg in
+                  Awe.Rom.of_moments ~qmax
+                    (Awe.Moments.compute_with fac ~b ~sel ~count:((2 * qmax) + 2))
+                with
+                | Failure m -> Error m
+                | La.Lu.Singular _ -> Error "singular AWE system"
+              in
+              (tfname, rom))
+            jig.Problem.tfs)
+
+(* The exact ROM list of [jig], stamped fresh. *)
+let jig_roms_exact ~value ~ops (jig : Problem.jig) =
+  jig_fit jig ~qmax:exact_qmax ~stamp:(fun () ->
+      Mna.Linearize.build ~value ~ops jig.Problem.jig_circuit)
 
 let build_roms (p : Problem.t) (st : State.t) (bp : bias_point) =
   let env = value_env p st in
@@ -955,12 +955,6 @@ module Incr = struct
     residuals : float array;
     res_scale : float array;
     mutable ops_list : (string * Mna.Dc.op_info) list;  (* element order *)
-    (* Probe-path retention: the stamped linear system and its
-       factorization of the last exact build of each jig, kept so
-       candidate screening can restamp against the retained layout and
-       solve through a low-rank update instead of factoring fresh. *)
-    jig_lin : Mna.Linearize.t option array;
-    jig_fac : Awe.Moments.factored option array;
     jig_plin : Mna.Linearize.t option array;
         (* per jig: the buffer probe candidates are restamped into *)
     (* Probe scratch: candidate screening writes here, never into the
@@ -993,7 +987,6 @@ module Incr = struct
     mutable c_mismatches : int;
     mutable c_probes : int;
     mutable c_probe_rom_builds : int;
-    mutable c_probe_fallbacks : int;
     hist : int array;
     by_class : (string, counters) Hashtbl.t;
   }
@@ -1113,8 +1106,6 @@ module Incr = struct
       residuals = Array.make p.Problem.tl.Treelink.n_free 0.0;
       res_scale = Array.make p.Problem.tl.Treelink.n_free 0.0;
       ops_list = [];
-      jig_lin = Array.make n_jigs None;
-      jig_fac = Array.make n_jigs None;
       jig_plin = Array.make n_jigs None;
       p_nv = Array.make n_nodes 0.0;
       p_cur = Array.make n_nodes 0.0;
@@ -1142,7 +1133,6 @@ module Incr = struct
       c_mismatches = 0;
       c_probes = 0;
       c_probe_rom_builds = 0;
-      c_probe_fallbacks = 0;
       hist = Array.make 9 0;
       by_class = Hashtbl.create 8;
     }
@@ -1199,9 +1189,6 @@ module Incr = struct
     ss.c_mismatches <- 0;
     ss.c_probes <- 0;
     ss.c_probe_rom_builds <- 0;
-    ss.c_probe_fallbacks <- 0;
-    Array.fill ss.jig_lin 0 (Array.length ss.jig_lin) None;
-    Array.fill ss.jig_fac 0 (Array.length ss.jig_fac) None;
     Array.fill ss.hist 0 (Array.length ss.hist) 0;
     Hashtbl.reset ss.by_class
 
@@ -1463,11 +1450,7 @@ module Incr = struct
        List.iteri
          (fun j jig ->
            if not ss.jig_valid.(j) then begin
-             let retain lf =
-               ss.jig_lin.(j) <- Option.map fst lf;
-               ss.jig_fac.(j) <- Option.map snd lf
-             in
-             ss.jig_roms.(j) <- jig_roms_exact ~retain ~value ~ops jig;
+             ss.jig_roms.(j) <- jig_roms_exact ~value ~ops jig;
              ss.jig_vals.(j) <-
                Array.of_list
                  (List.map
@@ -1592,60 +1575,23 @@ module Incr = struct
      linear in the moment count. *)
   let probe_qmax = 3
 
-  (* Restamp a probe candidate of jig [j] into the session's probe buffer
-     for that jig (built on its first use). The exact path's retained
-     system is never written here. *)
-  let probe_restamp ss j (jig : Problem.jig) ~value ~ops =
-    match ss.jig_plin.(j) with
-    | Some lin ->
-        Mna.Linearize.restamp lin ~value ~ops jig.Problem.jig_circuit;
-        lin
-    | None ->
-        let lin = Mna.Linearize.build ~value ~ops jig.Problem.jig_circuit in
-        ss.jig_plin.(j) <- Some lin;
-        lin
-
-  (* Fresh probe-side fit of a restamped candidate when no retained
-     factorization serves (the jig never built exactly, or the low-rank
-     guard refused the update). *)
-  let probe_jig_fresh (jig : Problem.jig) lin =
-    match Awe.Moments.factor lin with
-    | exception La.Lu.Singular _ -> jig_failed jig "singular AWE system"
-    | fac -> jig_rom_list jig lin ~qmax:probe_qmax ~moments:(Awe.Moments.compute_with fac)
-
-  (* Probe ROM list of one touched jig: restamp into the probe buffer,
-     diff the matrices bitwise against the retained system, and solve the
-     moment recurrence through the retained factorization plus a low-rank
-     update — falling back to a fresh (still reduced-order) factorization
-     when the guard refuses. *)
+  (* Probe ROM list of one touched jig: the candidate is restamped into
+     the session's probe buffer for that jig (built on its first use; the
+     exact path never reads it) and fit at [probe_qmax]. *)
   let probe_jig_roms ss j (jig : Problem.jig) ~value ~ops =
     ss.c_probe_rom_builds <- ss.c_probe_rom_builds + 1;
-    match (ss.jig_lin.(j), ss.jig_fac.(j)) with
-    | Some lin_old, Some fac -> begin
-        match probe_restamp ss j jig ~value ~ops with
-        | exception Failure m -> jig_failed jig m
-        | lin_new -> begin
-            match
-              Awe.Moments.prepare_update fac ~g_old:lin_old.Mna.Linearize.g
-                ~g_new:lin_new.Mna.Linearize.g ~c_old:lin_old.Mna.Linearize.c
-                ~c_new:lin_new.Mna.Linearize.c
-            with
-            | Ok u ->
-                jig_rom_list jig lin_new ~qmax:probe_qmax ~moments:(Awe.Moments.compute_probe u)
-            | Error _ ->
-                ss.c_probe_fallbacks <- ss.c_probe_fallbacks + 1;
-                probe_jig_fresh jig lin_new
-          end
-      end
-    | _ -> begin
-        ss.c_probe_fallbacks <- ss.c_probe_fallbacks + 1;
-        match probe_restamp ss j jig ~value ~ops with
-        | exception Failure m -> jig_failed jig m
-        | lin -> probe_jig_fresh jig lin
-      end
+    jig_fit jig ~qmax:probe_qmax ~stamp:(fun () ->
+        match ss.jig_plin.(j) with
+        | Some lin ->
+            Mna.Linearize.restamp lin ~value ~ops jig.Problem.jig_circuit;
+            lin
+        | None ->
+            let lin = Mna.Linearize.build ~value ~ops jig.Problem.jig_circuit in
+            ss.jig_plin.(j) <- Some lin;
+            lin)
 
   (* Screening cost of a candidate state: approximate by design (probe
-     ROMs are reduced-order and solved through low-rank updates), cheap by
+     ROMs are fit at [probe_qmax], not the exact order), cheap by
      construction (only the slice a candidate touches is recomputed, into
      the p_* scratch arrays). Nothing the probe writes is read by the
      exact path: the only shared mutable structures it touches are the
@@ -1807,7 +1753,7 @@ module Incr = struct
       resync_mismatches = ss.c_mismatches;
       probes = ss.c_probes;
       probe_rom_builds = ss.c_probe_rom_builds;
-      probe_fallbacks = ss.c_probe_fallbacks;
+      probe_fallbacks = 0;
       mom_reuses = 0;
       mom_refreshes = 0;
       dirty_hist = Array.copy ss.hist;

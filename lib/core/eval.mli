@@ -170,12 +170,11 @@ module Incr : sig
     probes : int;  (** candidate screenings served by [probe_cost] *)
     probe_rom_builds : int;  (** touched jigs refit on the probe path *)
     probe_fallbacks : int;
-        (** probe refits that factored fresh: no retained system, or the
-            low-rank guard refused the update *)
     mom_reuses : int;
     mom_refreshes : int;
-        (** always 0: probes have no moment-vector tiers; the two fields
-            stay for existing readers of this record *)
+        (** always 0: every probe refit factors fresh, and probes have no
+            moment-vector tiers; the three fields stay for existing
+            readers of this record *)
     dirty_hist : int array;
         (** histogram of dirty-variable counts per incremental eval;
             last bucket accumulates everything >= its index *)
@@ -212,10 +211,9 @@ module Incr : sig
       candidate goes through the same dependency walk and element kernel
       as {!cost}, into probe scratch; its node sums retract and re-add
       only the dirty elements' flows; every jig a dirty element reaches
-      is restamped on the retained layout and refit at reduced moment
-      order through the retained factorization, or a low-rank
-      (Sherman-Morrison-Woodbury) update of it when conductance stamps
-      moved; specs are re-measured only where the candidate reaches. At
+      is restamped into a per-jig probe buffer and refit at reduced
+      moment order through a fresh factorization; specs are re-measured
+      only where the candidate reaches. At
       the session's own exact state nothing is dirty and the screen
       returns {!cost}'s total bit for bit. Probing never writes the exact
       caches: any number of probes may run between two exact evaluations

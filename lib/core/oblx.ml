@@ -145,7 +145,6 @@ let synthesize ?(seed = 1) ?rng ?moves ?(incremental = true)
                resync_mismatches = es.Eval.Incr.resync_mismatches;
                probes = es.Eval.Incr.probes;
                probe_rom_builds = es.Eval.Incr.probe_rom_builds;
-               probe_fallbacks = es.Eval.Incr.probe_fallbacks;
                per_class =
                  List.map
                    (fun (c : Eval.Incr.class_row) ->
@@ -214,7 +213,7 @@ let synthesize ?(seed = 1) ?rng ?moves ?(incremental = true)
          session — without one there is no cheap probe, so the full
          evaluator keeps its one-candidate-per-move behavior. Screens are
          not counted in [evals]/[eval_clock]: those meter exact
-         evaluations, and the probe/refresh counters in [Eval.Incr.stats]
+         evaluations, and the probe counters in [Eval.Incr.stats]
          meter the screening work. *)
       batch =
         (match session with

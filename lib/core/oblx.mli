@@ -73,7 +73,7 @@ type control = {
     [probe_batch] (default {!default_probe_batch}) enables batched
     candidate screening when the incremental evaluator is on: for each
     screenable move class the annealer proposes up to [probe_batch]
-    candidates, orders them with {!Eval.Incr.probe_cost} (a low-rank
+    candidates, orders them with {!Eval.Incr.probe_cost} (a reduced-order
     approximate screen that never writes the exact caches), then replays
     and confirms only the winner through the exact path — so every
     accepted state's cost is still bit-identical to {!Eval.cost}.
@@ -109,8 +109,8 @@ val synthesize :
   Problem.t ->
   result
 
-(** Candidates screened per retained factorization when batched probing is
-    on — the [probe_batch] default of {!synthesize}, {!best_of} and
+(** Candidates screened per move when batched probing is on — the
+    [probe_batch] default of {!synthesize}, {!best_of} and
     {!run_job}. *)
 val default_probe_batch : int
 

@@ -18,20 +18,29 @@ type jig_sim = {
    retry starts from the design's own relaxed-dc node voltages, mapped by
    node name like a SPICE .nodeset: a winner whose bias point already
    satisfies KCL can still sit where the cold gmin schedule does not lead.
-   A cold solve that converges is used as is. *)
+   Where that fails too, a fine source ramp is the last try: a winner far
+   from KCL can have an operating point that the cold solve's coarse ramp
+   steps past. The first attempt that converges is used as is. *)
 let dc_solve (p : Problem.t) st ~value circuit =
-  match Mna.Dc.solve ~value ~registry:p.Problem.registry circuit with
+  let registry = p.Problem.registry in
+  let nodeset_retry () =
+    match Eval.node_voltages p st with
+    | exception (Failure _ | Netlist.Expr.Eval_error _) -> None
+    | nv ->
+        let names = p.Problem.bias.Netlist.Circuit.node_names in
+        let hint name = Option.map (Array.get nv) (Array.find_index (String.equal name) names) in
+        let x0 = Mna.Dc.nodeset circuit hint in
+        Result.to_option (Mna.Dc.solve ~x0 ~value ~registry circuit)
+  in
+  match Mna.Dc.solve ~value ~registry circuit with
   | Ok sol -> Ok sol
   | Error e -> (
-      match Eval.node_voltages p st with
-      | exception (Failure _ | Netlist.Expr.Eval_error _) -> Error e
-      | nv ->
-          let names = p.Problem.bias.Netlist.Circuit.node_names in
-          let hint name = Option.map (Array.get nv) (Array.find_index (String.equal name) names) in
-          let x0 = Mna.Dc.nodeset circuit hint in
-          match Mna.Dc.solve ~x0 ~value ~registry:p.Problem.registry circuit with
+      match nodeset_retry () with
+      | Some sol -> Ok sol
+      | None -> (
+          match Mna.Dc.solve_ramped ~value ~registry circuit with
           | Ok sol -> Ok sol
-          | Error _ -> Error e)
+          | Error _ -> Error e))
 
 let solve_jigs p st =
   let value = value_of p st in

@@ -35,10 +35,6 @@ val solve_in_place : t -> Vec.t -> unit
 (** [solve_transposed lu b] solves A^T x = b (used for adjoint sensitivity). *)
 val solve_transposed : t -> Vec.t -> Vec.t
 
-(** [solve_transposed_in_place lu b] overwrites [b] with the solution of
-    A^T x = b, avoiding the allocation in the low-rank capacitance loop. *)
-val solve_transposed_in_place : t -> Vec.t -> unit
-
 (** [det lu] is the determinant of the factored matrix. *)
 val det : t -> float
 
@@ -47,6 +43,3 @@ val det : t -> float
     near 0 flag ill-conditioning; a singular-direction hit (zero solve or
     matrix norm) reports exactly 0.0. *)
 val rcond_estimate : t -> Mat.t -> float
-
-(** [dim lu] is the order of the factored matrix. *)
-val dim : t -> int

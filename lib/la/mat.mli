@@ -4,7 +4,7 @@
     index, [j] a column index. *)
 
 (** The storage is exposed read-only so the numeric kernels ({!Lu},
-    {!Lowrank}, {!Sparse}, AWE moments) can index it directly: entry
+    {!Sparse}, AWE moments) can index it directly: entry
     (i, j) lives at [a.((i * n) + j)], [Array.length a = m * n]. Only
     this module builds values of the type, so that layout always holds;
     writing through [a] is how a kernel updates a matrix it owns. *)

@@ -241,60 +241,29 @@ let nodeset (circuit : Netlist.Circuit.t) hint =
     circuit.Netlist.Circuit.node_names;
   x
 
-let solve ?(max_iter = 200) ?x0 ~value ~registry circuit =
-  let idx = Sysmat.of_circuit circuit in
-  let x = match x0 with Some v -> Array.copy v | None -> Array.make idx.Sysmat.size 0.0 in
-  if Array.length x <> idx.Sysmat.size then invalid_arg "Dc.solve: x0 size";
+(* Ramp every source through [scales] at gmin 1e-9, each Newton
+   warm-started from the last whether or not it converged, then a plain
+   Newton at the final gmin from the ramp's end point. *)
+let source_ramp idx ~value ~registry ~max_iter ~total_iters scales =
+  let x =
+    List.fold_left
+      (fun x scale ->
+        let x', _, it = newton idx ~value ~registry ~gmin:1e-9 ~srcscale:scale ~max_iter x in
+        total_iters := !total_iters + it;
+        x')
+      (Array.make idx.Sysmat.size 0.0)
+      scales
+  in
+  let x', ok, it = newton idx ~value ~registry ~gmin:1e-12 ~srcscale:1.0 ~max_iter x in
+  total_iters := !total_iters + it;
+  (x', ok)
+
+(* The solution record of a converged [run], or the error of a failed or
+   raising one. *)
+let converge idx ~value ~registry run =
   try
     let total_iters = ref 0 in
-    (* A start point given by the caller is tried first with a plain
-       Newton at the final gmin: from a point that already solves the
-       circuit it converges at once, where the gmin schedule's heavy first
-       damping would pull it away. *)
-    let direct =
-      match x0 with
-      | None -> None
-      | Some _ ->
-          let x', ok, it = newton idx ~value ~registry ~gmin:1e-12 ~srcscale:1.0 ~max_iter x in
-          total_iters := it;
-          if ok then Some x' else None
-    in
-    (* gmin stepping: solve a heavily damped system first, then relax. *)
-    let gmins = [ 1e-3; 1e-6; 1e-9; 1e-12 ] in
-    let run_schedule x =
-      List.fold_left
-        (fun (x, ok_all) gmin ->
-          let x', ok, it =
-            newton idx ~value ~registry ~gmin ~srcscale:1.0 ~max_iter x
-          in
-          total_iters := !total_iters + it;
-          (x', ok_all && ok))
-        (x, true) gmins
-    in
-    let x_final, ok =
-      match direct with Some x' -> (x', true) | None -> run_schedule x
-    in
-    let x_final, ok =
-      if ok then (x_final, ok)
-      else begin
-        (* Source stepping fallback: ramp sources from 10% with gmin help. *)
-        let x = Array.make idx.Sysmat.size 0.0 in
-        let x =
-          List.fold_left
-            (fun x scale ->
-              let x', _, it =
-                newton idx ~value ~registry ~gmin:1e-9 ~srcscale:scale ~max_iter x
-              in
-              total_iters := !total_iters + it;
-              x')
-            x
-            [ 0.1; 0.3; 0.5; 0.7; 0.9; 1.0 ]
-        in
-        let x', ok, it = newton idx ~value ~registry ~gmin:1e-12 ~srcscale:1.0 ~max_iter x in
-        total_iters := !total_iters + it;
-        (x', ok)
-      end
-    in
+    let x_final, ok = run total_iters in
     if not ok then Error "dc: Newton-Raphson failed to converge"
     else
       Ok
@@ -307,3 +276,44 @@ let solve ?(max_iter = 200) ?x0 ~value ~registry circuit =
   with
   | Failure msg -> Error ("dc: " ^ msg)
   | Netlist.Expr.Eval_error msg -> Error ("dc: " ^ msg)
+
+let solve ?(max_iter = 200) ?x0 ~value ~registry circuit =
+  let idx = Sysmat.of_circuit circuit in
+  let x = match x0 with Some v -> Array.copy v | None -> Array.make idx.Sysmat.size 0.0 in
+  if Array.length x <> idx.Sysmat.size then invalid_arg "Dc.solve: x0 size";
+  converge idx ~value ~registry (fun total_iters ->
+      (* A start point given by the caller is tried first with a plain
+         Newton at the final gmin: from a point that already solves the
+         circuit it converges at once, where the gmin schedule's heavy first
+         damping would pull it away. *)
+      let direct =
+        match x0 with
+        | None -> None
+        | Some _ ->
+            let x', ok, it = newton idx ~value ~registry ~gmin:1e-12 ~srcscale:1.0 ~max_iter x in
+            total_iters := it;
+            if ok then Some x' else None
+      in
+      (* gmin stepping: solve a heavily damped system first, then relax. *)
+      let gmins = [ 1e-3; 1e-6; 1e-9; 1e-12 ] in
+      let run_schedule x =
+        List.fold_left
+          (fun (x, ok_all) gmin ->
+            let x', ok, it = newton idx ~value ~registry ~gmin ~srcscale:1.0 ~max_iter x in
+            total_iters := !total_iters + it;
+            (x', ok_all && ok))
+          (x, true) gmins
+      in
+      let x_final, ok = match direct with Some x' -> (x', true) | None -> run_schedule x in
+      if ok then (x_final, ok)
+      else
+        (* Source stepping fallback: ramp sources from 10% with gmin help. *)
+        source_ramp idx ~value ~registry ~max_iter ~total_iters [ 0.1; 0.3; 0.5; 0.7; 0.9; 1.0 ])
+
+let ramp_steps = 50
+
+let solve_ramped ~value ~registry circuit =
+  let idx = Sysmat.of_circuit circuit in
+  converge idx ~value ~registry (fun total_iters ->
+      source_ramp idx ~value ~registry ~max_iter:200 ~total_iters
+        (List.init ramp_steps (fun k -> float_of_int (k + 1) /. float_of_int ramp_steps)))

@@ -40,6 +40,17 @@ val solve :
   Netlist.Circuit.t ->
   (solution, string) result
 
+(** [solve_ramped ~value ~registry circuit] is [solve]'s source-stepping
+    fallback alone, in 50 equal steps instead of 6: slower, and it finds
+    operating points the coarse ramp steps past. For callers with no
+    other way left, such as the reference simulator on a design whose
+    [solve] failed. *)
+val solve_ramped :
+  value:(Netlist.Expr.t -> float) ->
+  registry:Devices.Registry.t ->
+  Netlist.Circuit.t ->
+  (solution, string) result
+
 (** [nodeset circuit hint] is a start point for [solve ~x0], in the
     style of a SPICE [.nodeset]: node [k]'s voltage is [hint] of its name
     (0 where [hint] gives [None]), every branch current 0. *)

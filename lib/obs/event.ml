@@ -44,7 +44,6 @@ type evals_data = {
   resync_mismatches : int;
   probes : int;
   probe_rom_builds : int;
-  probe_fallbacks : int;
   per_class : eval_class list;
 }
 
@@ -173,7 +172,6 @@ let to_json t =
           ("mismatches", Json.Num (float_of_int e.resync_mismatches));
           ("probes", Json.Num (float_of_int e.probes));
           ("probe_rom_builds", Json.Num (float_of_int e.probe_rom_builds));
-          ("probe_fallbacks", Json.Num (float_of_int e.probe_fallbacks));
           ( "classes",
             Json.Arr
               (List.map
@@ -301,7 +299,6 @@ let of_json j =
                  recorded before batched screening existed, i.e. zero. *)
               probes = int_or0 "probes" j;
               probe_rom_builds = int_or0 "probe_rom_builds" j;
-              probe_fallbacks = int_or0 "probe_fallbacks" j;
               per_class = List.map cls (Json.to_list (Json.mem "classes" j));
             }
       | "done" ->

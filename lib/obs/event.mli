@@ -57,7 +57,6 @@ type evals_data = {
   resync_mismatches : int;  (** nonzero = incremental evaluator bug *)
   probes : int;  (** batched candidate screenings *)
   probe_rom_builds : int;  (** jigs refit on the probe path *)
-  probe_fallbacks : int;  (** probe refits that factored fresh *)
   per_class : eval_class list;
 }
 

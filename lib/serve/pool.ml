@@ -70,6 +70,7 @@ type t = {
   mutable log : out_channel option;  (** [state_dir/jobs.log], append mode *)
   log_mutex : Mutex.t;  (** appends are whole lines, never interleaved *)
   mutable log_bytes : int;  (** bytes in jobs.log, for the rotation check *)
+  mutable compacted_bytes : int;  (** jobs.log's size right after the last rotation *)
   mutable rotations : int;
   cache : Core.Compile_cache.t;
   summary : Obs.Sink.Summary.summary;
@@ -254,7 +255,8 @@ let finish_record ?(inputs = false) (j : job) =
 
 (* --- Rotation: compact the journal while the daemon runs -------------- *)
 
-(* When jobs.log grows past [log_rotate_bytes], rewrite it as one
+(* When jobs.log grows past [log_rotate_bytes] and past twice its size
+   right after the previous compaction, rewrite it as one
    self-contained terminal record per finished job (a finish record
    carrying the inputs a submit line used to provide) plus the submit line
    for every job still queued or running, then atomically rename over the
@@ -310,6 +312,7 @@ let rotate t =
                            with Sys_error _ -> None);
                         t.log_bytes <-
                           (try (Unix.stat path).Unix.st_size with Unix.Unix_error _ -> 0);
+                        t.compacted_bytes <- t.log_bytes;
                         t.rotations <- t.rotations + 1
                       with Sys_error _ -> (
                         (* Rotation is best-effort: keep appending to the
@@ -317,13 +320,18 @@ let rotate t =
                         try close_out tmp_oc with Sys_error _ -> ()))
                 end))
 
+(* Compaction keeps a record per job ever run, so the compacted log only
+   grows: rotating whenever it exceeds the limit would rewrite the whole
+   journal on every later append. Waiting for it to double since the last
+   compaction bounds the rewriting to a constant factor of the appends, at
+   the price of a log up to twice its compacted size. *)
 let maybe_rotate t =
   let due =
     match t.cfg.log_rotate_bytes with
     | None -> false
     | Some limit ->
         Mutex.lock t.log_mutex;
-        let b = t.log <> None && t.log_bytes > limit in
+        let b = t.log <> None && t.log_bytes > limit && t.log_bytes > 2 * t.compacted_bytes in
         Mutex.unlock t.log_mutex;
         b
   in
@@ -912,6 +920,7 @@ let create cfg =
       log;
       log_mutex = Mutex.create ();
       log_bytes;
+      compacted_bytes = 0;
       rotations = 0;
       cache = Core.Compile_cache.create ~capacity:cfg.cache_capacity ();
       summary;
@@ -1183,8 +1192,6 @@ let stats_json t =
                   ("probes", num_i (sum (fun e -> e.Obs.Event.probes)));
                   ( "probe_rom_builds",
                     num_i (sum (fun e -> e.Obs.Event.probe_rom_builds)) );
-                  ( "probe_fallbacks",
-                    num_i (sum (fun e -> e.Obs.Event.probe_fallbacks)) );
                 ] );
           ( "corpus",
             let c = Corpus.stats t.corpus in

@@ -20,10 +20,11 @@
     cannot parse or decode is counted (the [journal.rejected] stat) and
     never applied: a job whose finish line is rejected replays as
     interrupted. With [log_rotate_bytes],
-    a journal grown past the threshold is compacted in place — one
-    self-contained terminal record per finished job, original submit
-    lines for live ones, atomically renamed over the old log — without
-    losing replay fidelity.
+    a journal grown past the threshold and past twice its size after the
+    previous compaction is compacted in place — one self-contained
+    terminal record per finished job, original submit lines for live
+    ones, atomically renamed over the old log — without losing replay
+    fidelity.
 
     With a {!Fleet.t}, the pool is fleet-aware on two paths: a local
     compile-cache miss consults the fleet's replicated verdict directory
@@ -63,8 +64,8 @@ type config = {
       (** peer coordination: restart scattering and compile-cache
           replication; [None] = the classic single-daemon pool *)
   log_rotate_bytes : int option;
-      (** compact [jobs.log] once it exceeds this many bytes; [None] =
-          never rotate *)
+      (** compact [jobs.log] once it exceeds this many bytes and twice
+          its size after the previous compaction; [None] = never rotate *)
   warm : bool;
       (** seed plain submits from the winner corpus. Recording into the
           corpus is always on (passive, like the journal); this gates

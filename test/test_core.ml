@@ -130,6 +130,45 @@ let test_compile_device_refs () =
       ("vdd.cd", "spec sr: vdd.cd: vdd is not a MOS or BJT");
     ]
 
+(* The .ast front end over mutated suite sources: whatever the mutation,
+   compiling returns [Ok] or [Error] and never raises. *)
+let mutate src (kind, pos, c) =
+  let n = String.length src in
+  let at = if n = 0 then 0 else pos mod n in
+  let lines () = Array.of_list (String.split_on_char '\n' src) in
+  match kind with
+  | 0 -> String.sub src 0 at
+  | 1 -> String.sub src 0 at ^ String.sub src (at + 1) (n - at - 1)
+  | 2 -> String.sub src 0 at ^ String.make 1 c ^ String.sub src at (n - at)
+  | 3 ->
+      let ls = lines () in
+      let k = pos mod Array.length ls in
+      String.concat "\n" (List.filteri (fun i _ -> i <> k) (Array.to_list ls))
+  | 4 ->
+      let ls = lines () in
+      let k = pos mod Array.length ls in
+      let k' = (k + 1) mod Array.length ls in
+      let l = ls.(k) in
+      ls.(k) <- ls.(k');
+      ls.(k') <- l;
+      String.concat "\n" (Array.to_list ls)
+  | _ -> String.sub src 0 at ^ String.make 200 '(' ^ String.sub src at (n - at)
+
+let prop_mutated_sources_compile_or_error =
+  QCheck.Test.make ~name:"mutated suite sources compile or return an error" ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(triple int int char)
+       QCheck.Gen.(triple (int_bound 5) nat char))
+    (fun m ->
+      List.for_all
+        (fun (e : Suite.Ckts.entry) ->
+          match Core.Compile.compile_source (mutate e.Suite.Ckts.source m) with
+          | Ok _ | Error _ -> true
+          | exception ex ->
+              QCheck.Test.fail_reportf "%s: compile_source raised %s" e.Suite.Ckts.name
+                (Printexc.to_string ex))
+        Suite.Ckts.all)
+
 (* A digitless literal ([min=.u]) in a suite source is a line-located
    parse error: it used to escape the compiler as [Failure]. *)
 let test_compile_digitless_number () =
@@ -417,6 +456,7 @@ let () =
           Alcotest.test_case "device references" `Quick test_compile_device_refs;
           Alcotest.test_case "digitless number is a located error" `Quick
             test_compile_digitless_number;
+          QCheck_alcotest.to_alcotest prop_mutated_sources_compile_or_error;
         ] );
       ("state", [ Alcotest.test_case "grids and clamps" `Quick test_state_grid ]);
       ( "eval",

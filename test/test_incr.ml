@@ -91,7 +91,7 @@ let walk_case name =
 
 (* Batched screening must probe without perturbing: a fuzz walk that
    screens k candidate perturbations per step with [probe_cost] (the
-   approximate low-rank path) and then confirms the chosen one exactly
+   approximate reduced-order path) and then confirms the chosen one exactly
    must leave [Incr.cost] bit-identical to the full evaluator at every
    confirmation — probing never writes the exact caches. *)
 let probe_walk ?(moves = 400) name =
@@ -101,7 +101,7 @@ let probe_walk ?(moves = 400) name =
   let w = Core.Weights.create () in
   let ss = Core.Eval.Incr.create p in
   let n = Core.State.n_vars st in
-  (* prime the session: probing needs retained factorizations *)
+  (* prime the session: probing screens against the exact caches *)
   ignore (Core.Eval.Incr.cost ss w st);
   for _step = 1 to moves do
     let base = Core.State.snapshot st in
@@ -224,10 +224,9 @@ let test_invalidate_recovers () =
   let s = Core.Eval.Incr.stats ss in
   Alcotest.(check int) "both were full evals" 2 s.Core.Eval.Incr.full_evals
 
-(* Same recovery story for the probe-side retention (factorizations and
-   recorded moment vectors): poisoning the session must not leave stale
-   moment caches behind — the next exact eval rebuilds them, and probing
-   keeps screening against fresh retained state. *)
+(* Same recovery story for probing: poisoning the session must not leave
+   stale caches behind — the next exact eval rebuilds them, and probing
+   keeps screening against fresh state. *)
 let test_probe_invalidate_recovers () =
   let p = compile "simple-ota" in
   let st = Core.State.snapshot p.Core.Problem.state0 in
@@ -244,7 +243,7 @@ let test_probe_invalidate_recovers () =
   (* recovery: full re-eval repopulates every cache, bit-identically *)
   let b = Core.Eval.Incr.cost ss w st in
   check_breakdown "simple-ota" full b;
-  (* and the rebuilt moment caches serve the same screen again *)
+  (* and the rebuilt caches serve the same screen again *)
   perturb ();
   let pc2 = Core.Eval.Incr.probe_cost ss w st in
   check_bits "simple-ota" "probe cost across invalidate" pc1 pc2;

@@ -150,15 +150,16 @@ let test_manual_novel_cascode_simulates () =
         end)
 
 let test_nodeset_retry_verifies () =
-  (* folded-cascode, seed 705, 2000 moves: the winner's relaxed-dc point
+  (* folded-cascode, seed 115, 2000 moves: the winner's relaxed-dc point
      already satisfies KCL, yet a cold DC solve of its jig and bias
      network does not converge. Verify retries from the design's own node
-     voltages, so the winner now verifies and simulation agrees with the
-     prediction. *)
+     voltages, so the winner verifies and simulation agrees with the
+     prediction. Winners that need the retry are rare, so a change to the
+     annealing trajectory may need a new seed here. *)
   match Core.Compile.compile_source Suite.Folded_cascode.source with
   | Error e -> Alcotest.fail e
   | Ok p -> (
-      let best, _ = Core.Oblx.best_of ~seed:705 ~moves:2000 ~jobs:1 ~runs:1 p in
+      let best, _ = Core.Oblx.best_of ~seed:115 ~moves:2000 ~jobs:1 ~runs:1 p in
       let st = best.Core.Oblx.final in
       let value e = Netlist.Expr.eval (Core.Eval.value_env p st) e in
       (match Mna.Dc.solve ~value ~registry:p.Core.Problem.registry p.Core.Problem.bias with
@@ -177,6 +178,33 @@ let test_nodeset_retry_verifies () =
               | Ok _, _ -> ())
             sims)
 
+let test_ramp_retry_verifies () =
+  (* folded-cascode, seed 71, 2000 moves: the winner is far from KCL, and
+     neither a cold DC solve of its main jig nor a retry from its node
+     voltages converges. Verify's last try, a fine source ramp, finds the
+     operating point, so the winner verifies. *)
+  match Core.Compile.compile_source Suite.Folded_cascode.source with
+  | Error e -> Alcotest.fail e
+  | Ok p -> (
+      let best, _ = Core.Oblx.best_of ~seed:71 ~moves:2000 ~jobs:1 ~runs:1 p in
+      let st = best.Core.Oblx.final in
+      let value e = Netlist.Expr.eval (Core.Eval.value_env p st) e in
+      let registry = p.Core.Problem.registry in
+      let jig = List.hd p.Core.Problem.jigs in
+      let circuit = jig.Core.Problem.jig_circuit in
+      (match Mna.Dc.solve ~value ~registry circuit with
+      | Ok _ -> Alcotest.fail "cold jig solve converges: the ramp is no longer exercised"
+      | Error _ -> ());
+      let nv = Core.Eval.node_voltages p st in
+      let names = p.Core.Problem.bias.Netlist.Circuit.node_names in
+      let hint name = Option.map (Array.get nv) (Array.find_index (String.equal name) names) in
+      (match Mna.Dc.solve ~x0:(Mna.Dc.nodeset circuit hint) ~value ~registry circuit with
+      | Ok _ -> Alcotest.fail "nodeset retry converges: the ramp is no longer exercised"
+      | Error _ -> ());
+      match Core.Verify.simulate_specs p st with
+      | Error e -> Alcotest.failf "winner does not verify: %s" e
+      | Ok _ -> ())
+
 let () =
   Alcotest.run "integration"
     [
@@ -189,5 +217,6 @@ let () =
           Alcotest.test_case "multi-start smoke" `Slow test_multi_start_smoke;
           Alcotest.test_case "manual novel cascode" `Slow test_manual_novel_cascode_simulates;
           Alcotest.test_case "nodeset retry verifies" `Slow test_nodeset_retry_verifies;
+          Alcotest.test_case "ramp retry verifies" `Slow test_ramp_retry_verifies;
         ] );
     ]

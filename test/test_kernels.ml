@@ -140,17 +140,6 @@ let ref_solve_transposed_in_place t b =
     b.(t.rpiv.(i)) <- z.(i)
   done
 
-let ref_norm_inf a =
-  let best = ref 0.0 in
-  for i = 0 to La.Mat.rows a - 1 do
-    let s = ref 0.0 in
-    for j = 0 to La.Mat.cols a - 1 do
-      s := !s +. Float.abs (La.Mat.get a i j)
-    done;
-    if !s > !best then best := !s
-  done;
-  !best
-
 (* Outcome of a factorization, comparable across the two implementations. *)
 let factor_outcome a =
   match La.Lu.factor a with
@@ -194,232 +183,6 @@ let prop_lu_solves =
           let y = La.Lu.solve_transposed lu b and yr = Array.copy b in
           ref_solve_transposed_in_place r yr;
           vec_same x xr && vec_same y yr
-      | Error k, Error kr -> k = kr
-      | _ -> false)
-
-(* --- Reference SMW update (element by element, over the reference LU) --- *)
-
-type ref_v = Rdense of La.Mat.t | Rcols of int array
-
-type ref_lr = {
-  base : ref_lu;
-  ainv_u : La.Mat.t;
-  ainvT_v : La.Mat.t;
-  v : ref_v;
-  cap : ref_lu;
-  rank : int;
-}
-
-let ref_make ~rcond_min ~growth_max base ~u ~v =
-  let n = La.Mat.rows base.rlu in
-  let r = La.Mat.cols u in
-  let col = La.Vec.create n in
-  let solve_cols dst transposed src_col growth =
-    let ok = ref true in
-    for j = 0 to r - 1 do
-      if !ok then begin
-        src_col j col;
-        if transposed then ref_solve_transposed_in_place base col
-        else ref_solve_in_place base col;
-        for i = 0 to n - 1 do
-          let x = col.(i) in
-          if not (Float.is_finite x) then ok := false
-          else begin
-            let a = Float.abs x in
-            if a > !growth then growth := a
-          end;
-          La.Mat.set dst i j x
-        done
-      end
-    done;
-    !ok
-  in
-  let growth = ref 0.0 in
-  let ainv_u = La.Mat.create n r in
-  let u_col j dst =
-    for i = 0 to n - 1 do
-      dst.(i) <- La.Mat.get u i j
-    done
-  in
-  let v_col j dst =
-    match v with
-    | Rdense vm ->
-        for i = 0 to n - 1 do
-          dst.(i) <- La.Mat.get vm i j
-        done
-    | Rcols cols ->
-        La.Vec.fill dst 0.0;
-        dst.(cols.(j)) <- 1.0
-  in
-  if not (solve_cols ainv_u false u_col growth) then
-    Error "lowrank: non-finite solve against base factorization"
-  else begin
-    let ainvT_v = La.Mat.create n r in
-    if not (solve_cols ainvT_v true v_col growth) then
-      Error "lowrank: non-finite transposed solve against base factorization"
-    else if !growth > growth_max then Error "lowrank: update growth exceeds bound"
-    else begin
-      let cap = La.Mat.create r r in
-      for i = 0 to r - 1 do
-        for j = 0 to r - 1 do
-          let s =
-            match v with
-            | Rcols cols -> La.Mat.get ainv_u cols.(i) j
-            | Rdense vm ->
-                let acc = ref 0.0 in
-                for k = 0 to n - 1 do
-                  acc := !acc +. (La.Mat.get vm k i *. La.Mat.get ainv_u k j)
-                done;
-                !acc
-          in
-          La.Mat.set cap i j (if i = j then 1.0 +. s else s)
-        done
-      done;
-      match ref_factor cap with
-      | exception Ref_singular _ -> Error "lowrank: singular capacitance matrix"
-      | cap_lu ->
-          let probe = Array.init r (fun i -> if i land 1 = 0 then 1.0 else -1.0) in
-          ref_solve_in_place cap_lu probe;
-          let ninv = La.Vec.norm_inf probe in
-          let scale = Float.max 1.0 (ref_norm_inf cap) in
-          let rcond =
-            if ninv = 0.0 || not (Float.is_finite ninv) then 0.0 else 1.0 /. (scale *. ninv)
-          in
-          if r > 0 && rcond < rcond_min then Error "lowrank: ill-conditioned capacitance matrix"
-          else Ok { base; ainv_u; ainvT_v; v; cap = cap_lu; rank = r }
-    end
-  end
-
-(* The reference takes the update the old way: a dense n x n delta whose
-   columns [cols] are copied into U. *)
-let ref_update_cols base ~cols ~delta =
-  let n = La.Mat.rows base.rlu in
-  let r = Array.length cols in
-  let u = La.Mat.create n r in
-  for j = 0 to r - 1 do
-    for i = 0 to n - 1 do
-      La.Mat.set u i j (La.Mat.get delta i cols.(j))
-    done
-  done;
-  ref_make ~rcond_min:1e-10 ~growth_max:1e12 base ~u ~v:(Rcols cols)
-
-let ref_lr_solve t b =
-  let n = Array.length b in
-  ref_solve_in_place t.base b;
-  let r = t.rank in
-  if r > 0 then begin
-    let w = La.Vec.create r in
-    (match t.v with
-    | Rcols cols ->
-        for j = 0 to r - 1 do
-          w.(j) <- b.(cols.(j))
-        done
-    | Rdense vm ->
-        for j = 0 to r - 1 do
-          let acc = ref 0.0 in
-          for i = 0 to n - 1 do
-            acc := !acc +. (La.Mat.get vm i j *. b.(i))
-          done;
-          w.(j) <- !acc
-        done);
-    ref_solve_in_place t.cap w;
-    for i = 0 to n - 1 do
-      let acc = ref 0.0 in
-      for j = 0 to r - 1 do
-        acc := !acc +. (La.Mat.get t.ainv_u i j *. w.(j))
-      done;
-      b.(i) <- b.(i) -. !acc
-    done
-  end
-
-let ref_lr_solve_transposed t b =
-  let n = Array.length b in
-  let r = t.rank in
-  if r = 0 then ref_solve_transposed_in_place t.base b
-  else begin
-    let w = La.Vec.create r in
-    for j = 0 to r - 1 do
-      let acc = ref 0.0 in
-      for i = 0 to n - 1 do
-        acc := !acc +. (La.Mat.get t.ainv_u i j *. b.(i))
-      done;
-      w.(j) <- !acc
-    done;
-    ref_solve_transposed_in_place t.base b;
-    ref_solve_transposed_in_place t.cap w;
-    for i = 0 to n - 1 do
-      let acc = ref 0.0 in
-      for j = 0 to r - 1 do
-        acc := !acc +. (La.Mat.get t.ainvT_v i j *. w.(j))
-      done;
-      b.(i) <- b.(i) -. !acc
-    done
-  end
-
-(* Both outcomes agree: the same refusal, or solves with the same bits. *)
-let lowrank_agrees rng n lr rlr =
-  match (lr, rlr) with
-  | Error e, Error er -> String.equal e er
-  | Ok lr, Ok rl ->
-      La.Lowrank.rank lr = rl.rank
-      &&
-      let b = rhs rng n in
-      let x = La.Lowrank.solve lr b and xr = Array.copy b in
-      ref_lr_solve rl xr;
-      let y = La.Lowrank.solve_transposed lr b and yr = Array.copy b in
-      ref_lr_solve_transposed rl yr;
-      vec_same x xr && vec_same y yr
-  | _ -> false
-
-(* A stamp-shaped delta touching up to r columns, and those columns. *)
-let stamp_delta rng n r =
-  let d = La.Mat.create n n in
-  let cols = ref [] in
-  for _ = 1 to r do
-    let i = Random.State.int rng n and j = Random.State.int rng n in
-    let c = entry rng in
-    La.Mat.add_to d i i c;
-    cols := i :: !cols;
-    if i <> j then begin
-      La.Mat.add_to d j j c;
-      La.Mat.add_to d i j (-.c);
-      La.Mat.add_to d j i (-.c);
-      cols := j :: !cols
-    end
-  done;
-  (d, Array.of_list (List.sort_uniq compare !cols))
-
-let prop_lowrank_cols =
-  QCheck.Test.make ~name:"kernels: Lowrank.update_cols solves match the reference" ~count:400
-    QCheck.(triple (int_range 1 14) (int_range 0 3) (int_range 0 1_000_000))
-    (fun (n, r, seed) ->
-      let rng = Random.State.make [| seed; n; r |] in
-      let a = matrix rng n in
-      match (factor_outcome a, ref_outcome a) with
-      | Ok base, Ok rbase ->
-          let delta, cols = stamp_delta rng n r in
-          let u =
-            La.Mat.init n (Array.length cols) (fun i j -> La.Mat.get delta i cols.(j))
-          in
-          lowrank_agrees rng n
-            (La.Lowrank.update_cols base ~cols ~u)
-            (ref_update_cols rbase ~cols ~delta)
-      | Error k, Error kr -> k = kr
-      | _ -> false)
-
-let prop_lowrank_dense =
-  QCheck.Test.make ~name:"kernels: Lowrank.update solves match the reference" ~count:300
-    QCheck.(triple (int_range 1 12) (int_range 0 3) (int_range 0 1_000_000))
-    (fun (n, r, seed) ->
-      let rng = Random.State.make [| seed; n; r; 3 |] in
-      let a = matrix rng n in
-      match (factor_outcome a, ref_outcome a) with
-      | Ok base, Ok rbase ->
-          let u = La.Mat.init n r (fun _ _ -> entry rng) in
-          let v = La.Mat.init n r (fun _ _ -> entry rng) in
-          lowrank_agrees rng n
-            (La.Lowrank.update base ~u ~v)
-            (ref_make ~rcond_min:1e-10 ~growth_max:1e12 rbase ~u ~v:(Rdense v))
       | Error k, Error kr -> k = kr
       | _ -> false)
 
@@ -530,59 +293,6 @@ let prop_zmat_solve =
         Array.iteri (fun k z -> La.Zmat.set zm (k / n) (k mod n) z) boxed;
         zsolve_agrees n zm (Array.copy boxed) b
       end)
-
-(* --- Moments.compute_probe with the conductance stamps untouched ---
-
-   A probe whose G is bitwise the retained one solves through the retained
-   factorization, so, whether or not its C moved, its moments must carry
-   the bits of a fresh factorization of the perturbed system: the plain
-   recurrence needs no cached moment vectors to be exact there. *)
-
-let lin_of_mats g c =
-  let n = La.Mat.rows g in
-  let empty = { Netlist.Circuit.node_names = Array.init (n + 1) string_of_int; elements = [||] } in
-  { Mna.Linearize.idx = Mna.Sysmat.of_circuit empty; g; c; b = La.Vec.create n }
-
-let moments_outcome lin ~b ~sel ~count =
-  match Awe.Moments.factor lin with
-  | fac -> Ok (fac, Awe.Moments.compute_with fac ~b ~sel ~count)
-  | exception La.Lu.Singular k -> Error k
-
-let prop_probe_untouched_g =
-  QCheck.Test.make ~name:"kernels: Moments.compute_probe with G untouched matches a fresh factor"
-    ~count:300
-    QCheck.(triple (int_range 1 14) bool (int_range 0 1_000_000))
-    (fun (n, c_moves, seed) ->
-      let rng = Random.State.make [| seed; n; 17 |] in
-      let g = mna_matrix rng n and c = mna_matrix rng n in
-      let c' = La.Mat.copy c in
-      if c_moves then begin
-        (* one more capacitor, between two nodes or to ground *)
-        let i = Random.State.int rng n and j = Random.State.int rng n in
-        let cap = 10.0 ** QCheck.Gen.float_range (-15.0) (-9.0) rng in
-        La.Mat.add_to c' i i cap;
-        if i <> j then begin
-          La.Mat.add_to c' j j cap;
-          La.Mat.add_to c' i j (-.cap);
-          La.Mat.add_to c' j i (-.cap)
-        end
-      end;
-      let b = rhs rng n and sel = rhs rng n in
-      let count = 1 + Random.State.int rng 14 in
-      let lin = lin_of_mats g c and lin' = lin_of_mats (La.Mat.copy g) c' in
-      match (moments_outcome lin ~b ~sel ~count, moments_outcome lin' ~b ~sel ~count) with
-      | Ok (fac, _), Ok (_, fresh) -> begin
-          match
-            Awe.Moments.prepare_update fac ~g_old:g ~g_new:lin'.Mna.Linearize.g ~c_old:c
-              ~c_new:c'
-          with
-          | Ok u ->
-              Awe.Moments.update_rank u = 0
-              && vec_same (Awe.Moments.compute_probe u ~b ~sel ~count) fresh
-          | Error _ -> false
-        end
-      | Error k, Error k' -> k = k'
-      | _ -> false)
 
 (* --- Reduced-model kernels against the boxed Complex.t formulation ---
 
@@ -1114,11 +824,8 @@ let () =
           [
             prop_lu_factor;
             prop_lu_solves;
-            prop_lowrank_cols;
-            prop_lowrank_dense;
             prop_sparse_of_dense;
             prop_zmat_solve;
-            prop_probe_untouched_g;
             prop_poly_eval_cpx;
             prop_roots_find;
             prop_pade_fit;

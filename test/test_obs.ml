@@ -59,7 +59,6 @@ let sample_events =
            resync_mismatches = 0;
            probes = 24;
            probe_rom_builds = 6;
-           probe_fallbacks = 1;
            per_class =
              [
                {

@@ -1204,6 +1204,50 @@ let test_log_rotation_compacts_and_replays () =
   Serve.Pool.shutdown pool2;
   rm_rf dir
 
+(* Compaction keeps a record per job, so once the compacted log alone
+   passes the limit, rotating on the limit alone rewrote the journal after
+   every append: 19 rotations for these ten jobs. Rotation now waits for
+   the log to double since the last compaction. *)
+let test_log_rotation_bounded () =
+  let dir = temp_state_dir "rotate-bounded" in
+  rm_rf dir;
+  let cfg workers =
+    {
+      Serve.Pool.default_config with
+      workers;
+      queue_capacity = 16;
+      state_dir = Some dir;
+      log_rotate_bytes = Some 2_000;
+    }
+  in
+  let pool = Serve.Pool.create (cfg 1) in
+  let ids =
+    List.init 10 (fun i ->
+        let id = ok (Serve.Pool.submit pool (submission ~seed:(i + 1) ~moves:100 ())) in
+        Alcotest.(check string) "finished" "done" (wait_done pool id);
+        id)
+  in
+  let records =
+    List.map (fun id -> (id, Obs.Json.to_string (ok (Serve.Pool.result_json pool id)))) ids
+  in
+  let journal = Option.get (Obs.Json.mem_opt "journal" (Serve.Pool.stats_json pool)) in
+  (match jnum journal "rotations" with
+  | Some n ->
+      Alcotest.(check bool) (Printf.sprintf "rotated, but fewer than 5 times (%g)" n) true
+        (n >= 1.0 && n < 5.0)
+  | None -> Alcotest.fail "no rotations counter");
+  Serve.Pool.shutdown pool;
+  let pool2 = Serve.Pool.create (cfg 0) in
+  List.iter
+    (fun (id, record) ->
+      Alcotest.(check string)
+        (Printf.sprintf "job %d record string-identical" id)
+        record
+        (Obs.Json.to_string (ok (Serve.Pool.result_json pool2 id))))
+    records;
+  Serve.Pool.shutdown pool2;
+  rm_rf dir
+
 let test_log_rotation_keeps_live_jobs () =
   let dir = temp_state_dir "rotate-live" in
   rm_rf dir;
@@ -1773,12 +1817,12 @@ let prop_submit_round_trip =
     (fun s ->
       snd (through_line Serve.Proto.submit_to_json Serve.Proto.submit_of_json s) = s)
 
-let prop_reencodes name to_json of_json gen =
+let prop_reencodes ~name to_json of_json gen =
   QCheck.Test.make ~name ~count:300 (QCheck.make gen) (fun v ->
       let line, v' = through_line to_json of_json v in
       Obs.Json.to_string (to_json v') = line)
 
-let prop_bit_exact name to_json of_json gen =
+let prop_bit_exact ~name to_json of_json gen =
   QCheck.Test.make ~name ~count:300 (QCheck.make gen) (fun v ->
       bits (snd (through_line to_json of_json v)) = bits v)
 
@@ -1786,14 +1830,14 @@ let codec_props =
   let open Serve.Proto in
   [
     prop_submit_round_trip;
-    prop_reencodes "outcome re-encodes to the same line" outcome_to_json outcome_of_json
+    prop_reencodes ~name:"outcome re-encodes to the same line" outcome_to_json outcome_of_json
       (gen_outcome any_float);
-    prop_bit_exact "finite outcome decodes bit for bit" outcome_to_json outcome_of_json
+    prop_bit_exact ~name:"finite outcome decodes bit for bit" outcome_to_json outcome_of_json
       (gen_outcome finite);
-    prop_reencodes "sweep row re-encodes to the same line" sweep_row_to_json sweep_row_of_json
-      (gen_row any_float);
-    prop_bit_exact "finite sweep row decodes bit for bit" sweep_row_to_json sweep_row_of_json
-      (gen_row finite);
+    prop_reencodes ~name:"sweep row re-encodes to the same line" sweep_row_to_json
+      sweep_row_of_json (gen_row any_float);
+    prop_bit_exact ~name:"finite sweep row decodes bit for bit" sweep_row_to_json
+      sweep_row_of_json (gen_row finite);
   ]
 
 let test_outcome_decode_names_field () =
@@ -2138,6 +2182,8 @@ let () =
             test_log_rotation_compacts_and_replays;
           Alcotest.test_case "live jobs survive rotation" `Quick
             test_log_rotation_keeps_live_jobs;
+          Alcotest.test_case "rotation waits for the log to double" `Quick
+            test_log_rotation_bounded;
         ] );
       ( "warm-start",
         [
