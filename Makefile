@@ -1,6 +1,6 @@
 # Convenience targets; dune is the real build system.
 
-.PHONY: all build test qcheck-sweep bench bench-quick bench-perf-check bench-perf-incremental bench-serve bench-serve-concurrent bench-serve-fleet bench-sweep bench-warm-start bench-compare trace-replay serve-smoke fleet-smoke clean
+.PHONY: all build test qcheck-sweep bench bench-quick bench-perf-check bench-perf-incremental bench-serve bench-serve-concurrent bench-sweep bench-warm-start bench-compare trace-replay serve-smoke clean
 
 # One UTC stamp per make invocation; every bench target passes it down so
 # each artifact lands both at <name>-latest.json and as an immutable
@@ -72,13 +72,6 @@ bench-serve:
 bench-serve-concurrent:
 	dune exec bench/main.exe -- serve-concurrent --moves 300 --runstamp $(RUNSTAMP)
 
-# Three in-process daemons over loopback TCP: scatter/steal/merge
-# determinism vs one box, steal-recovery latency, hundreds of concurrent
-# clients, and the replicated compile cache's remote hit rate; writes
-# bench/results/serve-fleet-latest.json.
-bench-serve-fleet:
-	dune exec bench/main.exe -- serve-fleet --moves 300 --runstamp $(RUNSTAMP)
-
 # One netlist swept over a corners x spec-overrides grid through the
 # pool's sweep verb: gates exactly one compile per distinct
 # (canon, corner) key via the cache counters, and byte-identical verdict
@@ -102,16 +95,11 @@ bench-warm-start:
 bench-compare:
 	bash scripts/bench_compare.sh
 
-# Boot the daemon, exercise submit/cache-hit/cancel/shutdown over the
-# socket (scripts/serve_smoke.sh; the CI serve-smoke job).
+# Boot the daemon on its socket and authenticated loopback TCP, exercise
+# submit/cache-hit/cancel/resynthesize/kill -9 replay/shutdown
+# (scripts/serve_smoke.sh; the CI serve-smoke job).
 serve-smoke:
 	bash scripts/serve_smoke.sh
-
-# Three real oblxd daemons on authenticated loopback TCP: coordinator
-# scatter, peer kill -9 mid-job, bit-identity vs a standalone daemon
-# (scripts/fleet_smoke.sh; runs in CI next to serve-smoke).
-fleet-smoke:
-	bash scripts/fleet_smoke.sh
 
 clean:
 	dune clean

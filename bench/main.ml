@@ -1577,294 +1577,6 @@ let serve_concurrent () =
   write_artifact path json
 
 (* ------------------------------------------------------------------ *)
-(* Serve-fleet: coordinator + peers over loopback TCP                  *)
-(* ------------------------------------------------------------------ *)
-
-let serve_fleet () =
-  sep "SERVE-FLEET -- 3 daemons over TCP: scatter/steal/merge + replicated cache";
-  (try Unix.mkdir "bench" 0o755 with Unix.Unix_error _ -> ());
-  (try Unix.mkdir "bench/results" 0o755 with Unix.Unix_error _ -> ());
-  let auth = Some "fleet-bench-secret" in
-  let workers = Int.max 1 (Option.value !jobs ~default:(Core.Oblx.default_jobs ()) / 3) in
-  let s_moves = Option.value !moves ~default:400 in
-  (* Boot one daemon: its own pool (kept for post-hoc stats), a Unix
-     socket, and a TCP listener on an ephemeral loopback port. *)
-  let boot tag fleet =
-    let socket = Printf.sprintf "bench/results/serve-fleet-%s.sock" tag in
-    let pool =
-      Serve.Pool.create
-        {
-          Serve.Pool.default_config with
-          workers;
-          queue_capacity = 512;
-          state_dir = None;
-          fleet = Some fleet;
-        }
-    in
-    let cfg =
-      {
-        Serve.Server.socket_path = socket;
-        tcp = Some ("127.0.0.1", 0);
-        auth_token = auth;
-        max_connections = 256;
-        idle_timeout_s = Serve.Server.default_idle_timeout_s;
-        pool = Serve.Pool.default_config;
-      }
-    in
-    let ready_m = Mutex.create () and ready_c = Condition.create () in
-    let ready = ref false in
-    let port = ref 0 in
-    let dom =
-      Domain.spawn (fun () ->
-          Serve.Server.run
-            ~tcp_port:(fun p -> port := p)
-            ~ready:(fun () ->
-              Mutex.lock ready_m;
-              ready := true;
-              Condition.signal ready_c;
-              Mutex.unlock ready_m)
-            ~pool cfg)
-    in
-    Mutex.lock ready_m;
-    while not !ready do
-      Condition.wait ready_c ready_m
-    done;
-    Mutex.unlock ready_m;
-    (socket, Printf.sprintf "tcp:127.0.0.1:%d" !port, pool, dom)
-  in
-  let mk_fleet ?(rpc_timeout_s = 5.0) () =
-    Serve.Fleet.create { Serve.Fleet.default_config with auth; rpc_timeout_s }
-  in
-  (* A coordinates; B and C replicate verdicts to each other and run
-     shards for A. Peers are wired after boot (ephemeral ports). The
-     short RPC timeout is the steal trigger for the dead-peer phase. *)
-  let fleet_a = mk_fleet ~rpc_timeout_s:0.5 () in
-  let fleet_b = mk_fleet () in
-  let fleet_c = mk_fleet () in
-  let sock_a, _tcp_a, _pool_a, dom_a = boot "a" fleet_a in
-  let sock_b, tcp_b, _pool_b, dom_b = boot "b" fleet_b in
-  let sock_c, tcp_c, _pool_c, dom_c = boot "c" fleet_c in
-  Serve.Fleet.set_peers fleet_a [ tcp_b; tcp_c ];
-  Serve.Fleet.set_peers fleet_b [ tcp_c ];
-  Serve.Fleet.set_peers fleet_c [ tcp_b ];
-  let shutdown_all () =
-    List.iter
-      (fun (sock, dom) ->
-        ignore (Serve.Client.shutdown ~socket:sock ?auth ());
-        Domain.join dom)
-      [ (sock_a, dom_a); (sock_b, dom_b); (sock_c, dom_c) ]
-  in
-  let fail msg =
-    shutdown_all ();
-    failwith ("serve-fleet bench: " ^ msg)
-  in
-  let ok = function Ok v -> v | Error e -> fail e in
-  let source = (Option.get (Suite.Ckts.find "simple-ota")).Suite.Ckts.source in
-  let submit_spec ?(runs = 1) ?(moves = s_moves) ~name ~source ~seed () =
-    {
-      Serve.Proto.sb_name = name;
-      sb_source = source;
-      sb_seed = seed;
-      sb_moves = Some moves;
-      sb_runs = runs;
-      sb_priority = 0;
-      sb_deadline_s = None;
-      sb_trace = false;
-      sb_shard = None;
-      sb_sweep = [];
-      sb_warm = [];
-      sb_spec_overrides = [];
-    }
-  in
-  Printf.printf "daemons=3 workers/daemon=%d moves/job=%d auth=on\n%!" workers s_moves;
-  (* Phase A: fleet determinism. One 6-restart job scattered over the
-     three boxes must reproduce the single-box answer bit for bit. *)
-  let runs = 6 in
-  let p = match Core.Compile.compile_source source with Ok p -> p | Error e -> fail e in
-  let t0 = Unix.gettimeofday () in
-  let local_best, _ = Core.Oblx.best_of ~seed:base_seed ~moves:s_moves ~jobs:1 ~runs p in
-  let local_wall = Unix.gettimeofday () -. t0 in
-  let t0 = Unix.gettimeofday () in
-  let id =
-    ok
-      (Serve.Client.submit ~socket:sock_a ?auth
-         (submit_spec ~runs ~name:"simple-ota" ~source ~seed:base_seed ()))
-  in
-  let j = ok (Serve.Client.wait ~socket:sock_a ?auth id) in
-  let fleet_wall = Unix.gettimeofday () -. t0 in
-  (match jstr j "state" with
-  | Some "done" -> ()
-  | s -> fail (Printf.sprintf "fleet job ended %s" (Option.value s ~default:"?")));
-  let fleet_cost = Option.get (jnum j "best_cost") in
-  Printf.printf "scatter: fleet %.17g vs one box %.17g -> %s (%.2f s vs %.2f s serial)\n"
-    fleet_cost local_best.Core.Oblx.best_cost
-    (if fleet_cost = local_best.Core.Oblx.best_cost then "bit-identical" else "MISMATCH")
-    fleet_wall local_wall;
-  if fleet_cost <> local_best.Core.Oblx.best_cost then
-    fail "fleet result differs from single-box best_of";
-  (* Phase B: kill a peer (replace it with a listener that accepts and
-     never answers — a box that died mid-job) and scatter again. The
-     shard must be stolen, the answer unchanged. *)
-  let dead = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt dead Unix.SO_REUSEADDR true;
-  Unix.bind dead (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-  Unix.listen dead 4;
-  let dead_ep =
-    match Unix.getsockname dead with
-    | Unix.ADDR_INET (_, port) -> Printf.sprintf "tcp:127.0.0.1:%d" port
-    | _ -> fail "no port for the dead peer"
-  in
-  Serve.Fleet.set_peers fleet_a [ tcp_b; dead_ep ];
-  let t0 = Unix.gettimeofday () in
-  let id =
-    ok
-      (Serve.Client.submit ~socket:sock_a ?auth
-         (submit_spec ~runs ~name:"simple-ota" ~source ~seed:base_seed ()))
-  in
-  let j = ok (Serve.Client.wait ~socket:sock_a ?auth id) in
-  let steal_wall = Unix.gettimeofday () -. t0 in
-  Unix.close dead;
-  Serve.Fleet.set_peers fleet_a [ tcp_b; tcp_c ];
-  let steal_cost = Option.get (jnum j "best_cost") in
-  let steals =
-    match Obs.Json.mem_opt "steals" (Serve.Fleet.stats_json fleet_a) with
-    | Some (Obs.Json.Num n) -> n
-    | _ -> 0.0
-  in
-  let steal_recovery = Float.max 0.0 (steal_wall -. fleet_wall) in
-  Printf.printf
-    "steal: dead peer -> %.0f steal(s), still %s, %.2f s (recovery overhead %.2f s)\n"
-    steals
-    (if steal_cost = local_best.Core.Oblx.best_cost then "bit-identical" else "MISMATCH")
-    steal_wall steal_recovery;
-  if steal_cost <> local_best.Core.Oblx.best_cost then
-    fail "stolen-shard result differs from single-box best_of";
-  if steals < 1.0 then fail "expected at least one steal";
-  (* Phase C: replicated compile cache. Warm B with every synthesizable
-     benchmark (each compile pushes its verdict to C), then drive
-     hundreds of concurrent clients at B and C on the same netlists: C's
-     first compile of each is a remote hit. *)
-  let sources =
-    List.filter_map
-      (fun e -> if e.Suite.Ckts.synthesized then Some (e.Suite.Ckts.name, e.Suite.Ckts.source) else None)
-      Suite.Ckts.all
-  in
-  List.iter
-    (fun (name, source) ->
-      let id =
-        ok (Serve.Client.submit ~socket:tcp_b ?auth (submit_spec ~name ~source ~seed:base_seed ()))
-      in
-      ignore (ok (Serve.Client.wait ~socket:tcp_b ?auth id)))
-    sources;
-  let n_clients = 200 and jobs_per_client = 1 in
-  let c_moves = Int.max 50 (s_moves / 4) in
-  let results = Array.make (n_clients * jobs_per_client) (Error "never ran") in
-  let t0 = Unix.gettimeofday () in
-  let client ci =
-    for k = 0 to jobs_per_client - 1 do
-      let slot = (ci * jobs_per_client) + k in
-      let socket = if ci mod 2 = 0 then tcp_b else tcp_c in
-      let name, source = List.nth sources (ci mod List.length sources) in
-      let t = Unix.gettimeofday () in
-      results.(slot) <-
-        (match
-           Serve.Client.submit ~socket ?auth
-             (submit_spec ~moves:c_moves ~name ~source ~seed:(base_seed + slot) ())
-         with
-        | Error e -> Error e
-        | Ok id -> (
-            match Serve.Client.wait ~socket ?auth ~timeout_s:300.0 id with
-            | Error e -> Error e
-            | Ok j -> Ok (j, Unix.gettimeofday () -. t)))
-    done
-  in
-  let threads = List.init n_clients (fun ci -> Thread.create client ci) in
-  List.iter Thread.join threads;
-  let wall = Unix.gettimeofday () -. t0 in
-  let done_jobs =
-    Array.to_list results
-    |> List.map (function
-         | Ok (j, e2e) -> (j, e2e)
-         | Error e -> fail ("client job failed: " ^ e))
-  in
-  List.iter
-    (fun (j, _) ->
-      match jstr j "state" with
-      | Some "done" -> ()
-      | s -> fail (Printf.sprintf "client job ended %s" (Option.value s ~default:"?")))
-    done_jobs;
-  let n_jobs = List.length done_jobs in
-  let throughput = float_of_int n_jobs /. wall in
-  let e2e = Array.of_list (List.map snd done_jobs) in
-  Array.sort compare e2e;
-  let queue_wait =
-    Array.of_list
-      (List.map (fun (j, _) -> Option.value (jnum j "wait_s") ~default:0.0) done_jobs)
-  in
-  Array.sort compare queue_wait;
-  let e2e_p50 = 1000.0 *. percentile e2e 0.50 and e2e_p99 = 1000.0 *. percentile e2e 0.99 in
-  let qw_p50 = 1000.0 *. percentile queue_wait 0.50
-  and qw_p99 = 1000.0 *. percentile queue_wait 0.99 in
-  Printf.printf "%d concurrent clients: %d jobs in %.2f s -> %.1f jobs/s\n" n_clients n_jobs
-    wall throughput;
-  Printf.printf "  e2e p50 %.1f ms, p99 %.1f ms; queue wait p50 %.1f ms, p99 %.1f ms\n"
-    e2e_p50 e2e_p99 qw_p50 qw_p99;
-  (* Remote cache hit rate across the two serving daemons: the fraction
-     of local compile-cache misses the fleet answered. *)
-  let cache_counters sock =
-    let st = ok (Serve.Client.stats ~socket:sock ?auth ()) in
-    let cache = Option.value (Obs.Json.mem_opt "cache" st) ~default:(Obs.Json.Obj []) in
-    let n k = Option.value (jnum cache k) ~default:0.0 in
-    (n "remote_hits", n "misses")
-  in
-  let rh_b, miss_b = cache_counters tcp_b in
-  let rh_c, miss_c = cache_counters tcp_c in
-  let remote_hits = rh_b +. rh_c and misses = miss_b +. miss_c in
-  let remote_hit_rate = if misses > 0.0 then remote_hits /. misses else 0.0 in
-  Printf.printf "replicated cache: %.0f remote hits / %.0f local misses -> %.0f%% \n"
-    remote_hits misses (100.0 *. remote_hit_rate);
-  if remote_hits < 1.0 then fail "expected remote cache hits on the repeated-netlist workload";
-  shutdown_all ();
-  List.iter
-    (fun s -> try Sys.remove s with Sys_error _ -> ())
-    [ sock_a; sock_b; sock_c ];
-  let path = "bench/results/serve-fleet-latest.json" in
-  let num v = Obs.Json.Num v in
-  let int v = num (float_of_int v) in
-  let json =
-    Obs.Json.Obj
-      [
-        ("bench", Obs.Json.Str "serve-fleet");
-        ("baseline", baseline_json ~jobs:workers ~eval_mode:"incremental");
-        ("daemons", int 3);
-        ("workers_per_daemon", int workers);
-        ("moves_per_job", int s_moves);
-        ("scatter_runs", int runs);
-        ("deterministic_vs_single_box", Obs.Json.Bool true);
-        ("scatter_wall_s", num fleet_wall);
-        ("single_box_wall_s", num local_wall);
-        ("steals", num steals);
-        ("steal_recovery_s", num steal_recovery);
-        ("deterministic_after_steal", Obs.Json.Bool true);
-        ("clients", int n_clients);
-        ("client_jobs", int n_jobs);
-        ("client_moves_per_job", int c_moves);
-        ("wall_s", num wall);
-        ("throughput_jobs_per_s", num throughput);
-        ("e2e_ms", Obs.Json.Obj [ ("p50", num e2e_p50); ("p99", num e2e_p99) ]);
-        ("queue_wait_ms", Obs.Json.Obj [ ("p50", num qw_p50); ("p99", num qw_p99) ]);
-        ( "remote_cache",
-          Obs.Json.Obj
-            [
-              ("remote_hits", num remote_hits);
-              ("local_misses", num misses);
-              ("hit_rate", num remote_hit_rate);
-            ] );
-      ]
-  in
-  write_artifact path json
-
-(* ------------------------------------------------------------------ *)
 (* Sweep: batch verdict grid, one compile per (canon, corner)          *)
 (* ------------------------------------------------------------------ *)
 
@@ -2196,7 +1908,7 @@ let warm_start_bench () =
 let usage () =
   print_endline
     "usage: main.exe \
-     [table1|table2|table3|fig2|fig3|models|ablation|perf|perf-parallel|perf-incremental|telemetry|serve|serve-concurrent|serve-fleet|sweep|warm-start|all]\n\
+     [table1|table2|table3|fig2|fig3|models|ablation|perf|perf-parallel|perf-incremental|telemetry|serve|serve-concurrent|sweep|warm-start|all]\n\
     \       [--runs N] [--moves N] [--jobs N] [--floor F] [--runstamp S]"
 
 let () =
@@ -2238,7 +1950,6 @@ let () =
     | "telemetry" -> telemetry ()
     | "serve" -> serve ()
     | "serve-concurrent" -> serve_concurrent ()
-    | "serve-fleet" -> serve_fleet ()
     | "sweep" -> sweep_bench ()
     | "warm-start" -> warm_start_bench ()
     | "all" ->
@@ -2255,7 +1966,6 @@ let () =
         telemetry ();
         serve ();
         serve_concurrent ();
-        serve_fleet ();
         sweep_bench ();
         warm_start_bench ()
     | other ->

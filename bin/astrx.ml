@@ -1004,19 +1004,6 @@ let stats_cmd =
         (match jnum cache "hit_rate" with
         | Some r -> Printf.sprintf ", hit rate %.0f%%" (100.0 *. r)
         | None -> "");
-      (match Json.mem_opt "fleet" j with
-      | Some (Json.Obj _ as f) ->
-          let peers =
-            match Json.mem_opt "peers" f with
-            | Some (Json.Arr ps) -> string_of_int (List.length ps)
-            | _ -> "-"
-          in
-          Printf.printf
-            "fleet: %s peer(s); cache %s remote hit / %s lookup RPCs, %s push (%s failed); \
-             %s scatter(s), %s remote shard(s), %s steal(s)\n"
-            peers (n f "remote_hits") (n f "remote_lookups") (n f "pushes")
-            (n f "push_failures") (n f "scatters") (n f "remote_shards") (n f "steals")
-      | Some _ | None -> ());
       (match (Json.mem_opt "journal" j, Json.mem_opt "corpus" j) with
       | Some (Json.Obj _ as jr), Some (Json.Obj _ as c) ->
           Printf.printf

@@ -4,9 +4,8 @@
      oblxd --socket oblxd.sock --workers 4 --queue 64
      astrx submit simple-ota --seed 7 --wait
 
-   With --tcp it also listens on TCP (fleet peers, remote clients); with
-   --peer it coordinates a fleet — scattering restart budgets across
-   peers and replicating compile verdicts (docs/SERVER.md, "Fleet").
+   With --tcp it also listens on TCP for remote clients, gated by the
+   shared secret of --auth-token-file (docs/SERVER.md).
 
    Runs in the foreground until a shutdown request or SIGINT/SIGTERM. *)
 
@@ -24,7 +23,7 @@ let tcp_arg =
     & opt (some string) None
     & info [ "tcp" ] ~docv:"HOST:PORT"
         ~doc:
-          "Also listen on TCP (same protocol; fleet peers connect here). Port 0 binds an \
+          "Also listen on TCP (same protocol; remote clients connect here). Port 0 binds an \
            ephemeral port and prints it at startup")
 
 let auth_token_file_arg =
@@ -34,25 +33,7 @@ let auth_token_file_arg =
     & info [ "auth-token-file" ] ~docv:"FILE"
         ~doc:
           "Shared secret (first line of FILE) required as the first line of every \
-           connection; also presented when dialing peers")
-
-let peer_arg =
-  Arg.(
-    value
-    & opt_all string []
-    & info [ "peer" ] ~docv:"ENDPOINT"
-        ~doc:
-          "A fleet peer (tcp:HOST:PORT or unix:PATH; repeatable). Multi-restart submits \
-           are scattered across peers and compile verdicts replicated to them")
-
-let steal_timeout_arg =
-  Arg.(
-    value
-    & opt float 60.0
-    & info [ "steal-timeout" ] ~docv:"SECONDS"
-        ~doc:
-          "Per-shard deadline when scattering: a peer that has not finished its shard by \
-           then is treated as dead and the shard is re-run locally")
+           connection, so remote clients must present it")
 
 let log_rotate_bytes_arg =
   Arg.(
@@ -146,7 +127,7 @@ let corpus_capacity_arg =
     & info [ "corpus-capacity" ] ~docv:"N"
         ~doc:
           "Winner-corpus bound (entries, worst-cost-evicted); journaled in \
-           state-dir/corpus.log and replicated to fleet peers")
+           state-dir/corpus.log")
 
 let quiet_arg = Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"No startup banner")
 
@@ -167,7 +148,7 @@ let read_token file =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> match input_line ic with line -> String.trim line | exception End_of_file -> "")
 
-let run socket tcp auth_token_file peers steal_timeout log_rotate_bytes workers queue cache
+let run socket tcp auth_token_file log_rotate_bytes workers queue cache
     state_dir no_state default_moves warm_start warm_fraction corpus_capacity max_connections idle_timeout quiet =
   let workers = match workers with Some w -> Int.max 0 w | None -> Core.Oblx.default_jobs () in
   let state_dir = if no_state then None else state_dir in
@@ -190,17 +171,6 @@ let run socket tcp auth_token_file peers steal_timeout log_rotate_bytes workers 
           prerr_endline e;
           2
       | Ok auth_token ->
-          (* Always fleet-aware: even a leaf daemon with no peers serves
-             cache_lookup/cache_push, so any box can join a fleet later. *)
-          let fleet =
-            Serve.Fleet.create
-              {
-                Serve.Fleet.default_config with
-                peers;
-                auth = auth_token;
-                steal_timeout_s = steal_timeout;
-              }
-          in
           let cfg =
             {
               Serve.Server.socket_path = socket;
@@ -215,7 +185,6 @@ let run socket tcp auth_token_file peers steal_timeout log_rotate_bytes workers 
                   cache_capacity = cache;
                   state_dir;
                   default_moves;
-                  fleet = Some fleet;
                   log_rotate_bytes;
                   warm = warm_start;
                   warm_fraction = Float.max 0.0 (Float.min 1.0 warm_fraction);
@@ -241,9 +210,6 @@ let run socket tcp auth_token_file peers steal_timeout log_rotate_bytes workers 
                     port
                     (if auth_token = None then " (no auth token!)" else "")
               | _ -> ());
-              (match peers with
-              | [] -> ()
-              | ps -> Printf.printf "oblxd: fleet peers: %s\n%!" (String.concat ", " ps));
               (match state_dir with
               | Some d -> Printf.printf "oblxd: job records and jobs.log in %s/\n%!" d
               | None -> ());
@@ -269,8 +235,8 @@ let () =
     (Cmd.eval'
        (Cmd.v info
           Term.(
-            const run $ socket_arg $ tcp_arg $ auth_token_file_arg $ peer_arg
-            $ steal_timeout_arg $ log_rotate_bytes_arg $ workers_arg $ queue_arg $ cache_arg
+            const run $ socket_arg $ tcp_arg $ auth_token_file_arg $ log_rotate_bytes_arg
+            $ workers_arg $ queue_arg $ cache_arg
             $ state_dir_arg $ no_state_arg $ default_moves_arg $ warm_start_arg
             $ warm_fraction_arg $ corpus_capacity_arg $ max_connections_arg
             $ idle_timeout_arg $ quiet_arg)))

@@ -45,7 +45,7 @@ let stats t =
 
 (* A corner-skewed compile is a different artifact: the same canon hash
    with the corner name appended. The nominal corner keeps the bare hash,
-   so keys already replicated around a fleet stay valid. Corner names are
+   so it shares an entry with a corner-free compile. Corner names are
    assumed to identify their skews (the {!Devices.Registry.standard_corners}
    table); a caller inventing two different corners under one name would
    alias them. *)
@@ -95,13 +95,6 @@ let add t ~key value =
         if Hashtbl.length t.table >= t.capacity then evict_lru t;
         Hashtbl.add t.table key { value; last_used = t.tick }
       end)
-
-let peek t ~key =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.table key with
-      | Some { value = Ok _; _ } -> Some (Ok ())
-      | Some { value = Error e; _ } -> Some (Error e)
-      | None -> None)
 
 let compile t ?corner ~source () =
   match key_of_source ?corner source with

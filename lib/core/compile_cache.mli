@@ -34,30 +34,10 @@ val stats : t -> stats
 (** [key_of_source ?corner src] — the cache key:
     {!Netlist.Canon.problem_hash} of the parsed description, qualified by
     the device corner's name ([hash@corner]) when one is given. The
-    nominal corner (and [None]) keep the bare hash, so keys replicated
-    between fleet peers before corners entered the key stay valid.
-    [Error] on a parse failure (formatted exactly like
-    {!Compile.compile_source}'s). *)
+    nominal corner (and [None]) keep the bare hash, so a nominal compile
+    and a corner-free one share an entry. [Error] on a parse failure
+    (formatted exactly like {!Compile.compile_source}'s). *)
 val key_of_source : ?corner:Devices.Registry.corner -> string -> (string, string) result
-
-(** [find t ~key] — the lookup half of {!compile}: the cached verdict for
-    [key], bumping the hit/miss counters and LRU recency exactly as
-    {!compile} would. A fleet-aware caller uses this (plus {!add}) so it
-    can consult peer daemons between the miss and the compile. *)
-val find : t -> key:string -> (Problem.t, string) result option
-
-(** [add t ~key value] — the remember half of {!compile}: cache [value]
-    under [key] (first insert wins, LRU eviction beyond capacity). Used to
-    record a local compile, or a failure verdict learned from a peer so
-    the next submission of that key fails fast without recompiling. *)
-val add : t -> key:string -> (Problem.t, string) result -> unit
-
-(** [peek t ~key] — the verdict for [key] without touching counters or LRU
-    recency: [Some (Ok ())] compiled here, [Some (Error msg)] failed here,
-    [None] unknown. This is what a daemon serves to a peer's
-    [cache_lookup] — compiled problems hold closures and cannot cross the
-    wire, so replication carries verdicts, not artifacts. *)
-val peek : t -> key:string -> (unit, string) result option
 
 (** [compile t ?corner ~source] — parse, hash, and return the cached
     compile for that [(canon, corner)] key, or compile at that corner and

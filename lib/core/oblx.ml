@@ -349,25 +349,17 @@ let arena_minor_heap_words = 1 lsl 22
 let early_stop_slack best = Float.max 1.0 (0.25 *. Float.abs best)
 
 let best_of ?(seed = 1) ?moves ?jobs ?(early_stop = false) ?(incremental = true)
-    ?(probe_batch = default_probe_batch) ?restarts ?cutoff ?(warm_starts = [||])
+    ?(probe_batch = default_probe_batch) ?cutoff ?(warm_starts = [||])
     ?(obs = Obs.Trace.none) ?perf ~runs (p : Problem.t) =
   if runs < 1 then invalid_arg "Oblx.best_of: runs must be >= 1";
   (* Warm seeds attach to restart indices positionally: restart k < |seeds|
      anneals from seed k, the rest stay cold for exploration. The mapping
      is by index — not by scheduling order — so the winner stays
-     bit-identical for every [jobs] value and every shard split, exactly
-     like the RNG streams. *)
+     bit-identical for every [jobs] value, exactly like the RNG streams. *)
   if Array.length warm_starts > runs then
     invalid_arg
       (Printf.sprintf "Oblx.best_of: %d warm seeds for %d runs" (Array.length warm_starts) runs);
-  (* A restart shard executes only indices [lo, hi) of the full restart set,
-     still drawing stream k for restart k — so a fleet of shards covering
-     [0, runs) reproduces exactly the runs one machine would perform. *)
-  let lo, hi = match restarts with None -> (0, runs) | Some (lo, hi) -> (lo, hi) in
-  if lo < 0 || hi > runs || lo >= hi then
-    invalid_arg
-      (Printf.sprintf "Oblx.best_of: restart shard [%d,%d) out of range for %d runs" lo hi runs);
-  let jobs = Int.min (hi - lo) (match jobs with Some j -> Int.max 1 j | None -> default_jobs ()) in
+  let jobs = Int.min runs (match jobs with Some j -> Int.max 1 j | None -> default_jobs ()) in
   (* Restart k always anneals with the k-th split of the root generator, so
      the set of runs — and therefore the winner — is independent of how the
      runs are scheduled across domains. *)
@@ -412,7 +404,7 @@ let best_of ?(seed = 1) ?moves ?jobs ?(early_stop = false) ?(incremental = true)
         }
   in
   let results : result option array = Array.make runs None in
-  let next = Atomic.make lo in
+  let next = Atomic.make 0 in
   (* Under parallel emission, events route through a shard: each restart
      buffers locally (no lock) and merges into the caller's sinks in
      batches at stage boundaries, instead of serializing every event of
@@ -436,7 +428,7 @@ let best_of ?(seed = 1) ?moves ?jobs ?(early_stop = false) ?(incremental = true)
     let session = if incremental then Some (Eval.Incr.create p) else None in
     let rec take () =
       let k = Atomic.fetch_and_add next 1 in
-      if k < hi then begin
+      if k < runs then begin
         incr claimed;
         (* Restart-tagged events let the shared sinks demultiplex the
            interleaved streams of concurrent domains. *)
@@ -507,7 +499,7 @@ let best_of ?(seed = 1) ?moves ?jobs ?(early_stop = false) ?(incremental = true)
 let deadline_reason = "deadline"
 
 let run_job ?(seed = 1) ?moves ?(runs = 1) ?jobs ?(early_stop = false) ?(incremental = true)
-    ?(probe_batch = default_probe_batch) ?restarts ?deadline_s ?poll ?warm_starts
+    ?(probe_batch = default_probe_batch) ?deadline_s ?poll ?warm_starts
     ?(obs = Obs.Trace.none) ?perf (p : Problem.t) =
   (* The deadline clock starts here — queue wait is the caller's budget to
      spend before calling — and is polled through the annealer's abort
@@ -525,7 +517,7 @@ let run_job ?(seed = 1) ?moves ?(runs = 1) ?jobs ?(early_stop = false) ?(increme
       end
   in
   let cutoff = if poll = None && deadline_s = None then None else Some cutoff in
-  best_of ~seed ?moves ?jobs ~early_stop ~incremental ~probe_batch ?restarts ?cutoff ?warm_starts
+  best_of ~seed ?moves ?jobs ~early_stop ~incremental ~probe_batch ?cutoff ?warm_starts
     ~obs ?perf ~runs p
 
 (* ------------------------------------------------------------------ *)

@@ -116,10 +116,9 @@ val default_probe_batch : int
 
 (** [score p r] is the value the multi-start winner rule minimizes: the
     run's [best_cost], pushed last (+1e6) when any spec prediction failed
-    and the problem has specs. Exposed so a fleet coordinator can merge
-    per-shard winners with exactly the rule {!best_of} applies locally —
-    fold with strict [<] in ascending restart order, keeping the earliest
-    on ties. *)
+    and the problem has specs. {!best_of} folds it with strict [<] in
+    ascending restart order, keeping the earliest on ties; the serve pool
+    records the winner's score on each job. *)
 val score : Problem.t -> result -> float
 
 (** Default worker count for {!best_of}:
@@ -198,26 +197,14 @@ val arena_minor_heap_words : int
     receives the per-domain wall/GC/claim accounting and the telemetry
     merge counters after the parallel section finishes.
 
-    [restarts:(lo, hi)] executes only the restart indices in [[lo, hi)]
-    of the full [runs] budget — a {e shard}. All [runs] split streams are
-    still derived from the root generator, so restart [k] of a shard
-    anneals bit-identically to restart [k] of an unsharded call; the
-    returned list holds only the executed range (ascending index) and the
-    winner is that range's minimum under {!score}. Shards covering
-    [[0, runs)] merged by the same left-biased strict-[<] fold (ascending
-    [lo]) therefore reproduce the unsharded winner byte for byte — the
-    fleet coordinator's merge rule. Raises [Invalid_argument] when the
-    range is empty or out of bounds.
-
     [warm_starts] seeds the first [Array.length warm_starts] restarts
     (which must not exceed [runs]) from prior winners: restart [k] anneals
     from [warm_starts.(k)], the remaining restarts stay cold for
     exploration, and each result records its seed's label in
     [result.warm]. The mapping is positional — like the RNG streams it is
-    independent of scheduling and of shard splits, so determinism (same
-    seeds array, same winner for any [jobs]/shard split) is preserved; the
-    caller must hand the {e same} array to every shard. An empty array is
-    bit-identical to the pre-warm-start behavior. *)
+    independent of scheduling, so determinism (same seeds array, same
+    winner for any [jobs]) is preserved. An empty array is bit-identical
+    to the pre-warm-start behavior. *)
 val best_of :
   ?seed:int ->
   ?moves:int ->
@@ -225,7 +212,6 @@ val best_of :
   ?early_stop:bool ->
   ?incremental:bool ->
   ?probe_batch:int ->
-  ?restarts:int * int ->
   ?cutoff:(unit -> string option) ->
   ?warm_starts:warm_start array ->
   ?obs:Obs.Trace.t ->
@@ -255,7 +241,6 @@ val run_job :
   ?early_stop:bool ->
   ?incremental:bool ->
   ?probe_batch:int ->
-  ?restarts:int * int ->
   ?deadline_s:float ->
   ?poll:(unit -> string option) ->
   ?warm_starts:warm_start array ->

@@ -157,24 +157,6 @@ let shutdown ~socket ?timeout_s ?auth () =
 let ping ~socket ?timeout_s ?auth () =
   Result.map (fun _ -> ()) (checked ~socket ?timeout_s ?auth Proto.Ping)
 
-let cache_lookup ~socket ?timeout_s ?auth hash =
-  match checked ~socket ?timeout_s ?auth (Proto.Cache_lookup hash) with
-  | Error e -> Error e
-  | Ok resp -> begin
-      match Json.mem_opt "known" resp with
-      | Some (Json.Bool false) -> Ok None
-      | Some (Json.Bool true) -> begin
-          match Json.mem_opt "compile_error" resp with
-          | Some (Json.Str e) -> Ok (Some (Error e))
-          | Some Json.Null | None -> Ok (Some (Ok ()))
-          | Some _ -> Error "cache_lookup response carries a malformed compile_error"
-        end
-      | Some _ | None -> Error "cache_lookup response carries no known field"
-    end
-
-let cache_push ~socket ?timeout_s ?auth c =
-  Result.map (fun _ -> ()) (checked ~socket ?timeout_s ?auth (Proto.Cache_push c))
-
 let resynthesize ~socket ?timeout_s ?auth r =
   Result.bind (checked ~socket ?timeout_s ?auth (Proto.Resynthesize r)) id_of
 
@@ -195,9 +177,6 @@ let corpus_lookup ~socket ?timeout_s ?auth shape =
           decode [] es
       | Some _ | None -> Error "corpus_lookup response carries no entries"
     end
-
-let corpus_push ~socket ?timeout_s ?auth entry =
-  Result.map (fun _ -> ()) (checked ~socket ?timeout_s ?auth (Proto.Corpus_push entry))
 
 let wait ~socket ?(poll_s = 0.05) ?(timeout_s = 600.0) ?auth id =
   let t0 = Unix.gettimeofday () in

@@ -3,13 +3,13 @@
     request keeps the client trivially correct and leaves no idle
     connection holding a slot), with socket timeouts so a wedged daemon
     surfaces as an [Error], never a hang. Used by the
-    [astrx submit|status|...] subcommands, the fleet coordinator, the
-    serve benches, and the CI smoke tests.
+    [astrx submit|status|...] subcommands, the serve benches, and the CI
+    smoke tests.
 
     Every entry point takes the daemon's address as an endpoint string:
     a Unix socket path ("/run/oblxd.sock", or explicitly "unix:PATH") or
     a TCP address ("host:4242", or explicitly "tcp:HOST:PORT"). [?auth]
-    supplies the fleet's shared secret; it is pipelined as the
+    supplies the daemon's shared secret; it is pipelined as the
     connection's first line, so an authenticated request still costs one
     round trip. *)
 
@@ -61,40 +61,20 @@ val shutdown :
 (** [ping ~socket ()] — liveness probe; [Ok ()] when the daemon answered. *)
 val ping : socket:string -> ?timeout_s:float -> ?auth:string -> unit -> (unit, string) result
 
-(** [cache_lookup ~socket hash] asks a peer for its compile verdict on a
-    canon hash: [Ok None] unknown, [Ok (Some (Ok ()))] compiled fine
-    there, [Ok (Some (Error msg))] failed there with [msg]. *)
-val cache_lookup :
-  socket:string ->
-  ?timeout_s:float ->
-  ?auth:string ->
-  string ->
-  ((unit, string) result option, string) result
-
-(** [cache_push ~socket c] replicates a compile verdict to a peer
-    (best-effort at the call sites: a dead peer is skipped, not fatal). *)
-val cache_push :
-  socket:string -> ?timeout_s:float -> ?auth:string -> Proto.cache_push -> (unit, string) result
-
 (** [resynthesize ~socket r] — the warm fast path: rerun finished job
     [r.rz_id] with tweaked spec targets, seeded from its recorded winner,
     on a reduced schedule. Returns the new job's id. *)
 val resynthesize :
   socket:string -> ?timeout_s:float -> ?auth:string -> Proto.resynth -> (int, string) result
 
-(** [corpus_lookup ~socket shape] — a peer's winner-corpus entries for a
-    shape hash, best cost first (possibly []). *)
+(** [corpus_lookup ~socket shape] — the daemon's winner-corpus entries
+    for a shape hash, best cost first (possibly []). *)
 val corpus_lookup :
   socket:string ->
   ?timeout_s:float ->
   ?auth:string ->
   string ->
   (Corpus.entry list, string) result
-
-(** [corpus_push ~socket entry] replicates a recorded winner to a peer
-    (best-effort at the call sites, like {!cache_push}). *)
-val corpus_push :
-  socket:string -> ?timeout_s:float -> ?auth:string -> Corpus.entry -> (unit, string) result
 
 (** [wait ~socket ?poll_s ?timeout_s id] polls [status] until the job
     leaves [queued]/[running] (default poll 50 ms, timeout 600 s), then

@@ -5,9 +5,8 @@ module Json = Obs.Json
    rendering with spec target values dropped), so "same circuit, tweaked
    specs" finds its predecessors. Bounded in memory, journal-backed on
    disk (state_dir/corpus.log, JSONL, replayed on restart, compacted via
-   tmp+rename like the job journal), replicated peer-to-peer like compile
-   verdicts. Entries are plain data — values, grid indices, Hustin
-   probabilities — and cross the wire as JSON. *)
+   tmp+rename like the job journal). Entries are plain data — values,
+   grid indices, Hustin probabilities — and cross the wire as JSON. *)
 
 type entry = {
   en_shape : string;
@@ -97,10 +96,9 @@ let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-(* Two entries carry the same information when they agree on everything
-   but provenance-only fields could still differ between daemons; equality
-   on (shape, canon, cost, values) is what stops replication echo: a peer
-   pushing back an entry we pushed to it is a no-op add. *)
+(* Two entries carry the same information when they agree on (shape,
+   canon, cost, values); provenance (job id, name) may differ. Recording
+   the same winner twice — a rerun at the same seed — is a no-op add. *)
 let same (a : entry) (b : entry) =
   a.en_shape = b.en_shape && a.en_canon = b.en_canon && a.en_cost = b.en_cost
   && a.en_values = b.en_values
@@ -174,12 +172,6 @@ let append_locked t (e : entry) =
         t.logged_lines <- t.logged_lines + 1
       with Sys_error _ -> () (* best-effort, like the job journal *))
 
-let to_list t =
-  locked t (fun () ->
-      Hashtbl.fold (fun shape es acc -> (shape, es) :: acc) t.table []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-      |> List.concat_map snd)
-
 (* Rewrite the journal as exactly the live entries, atomically. A kill -9
    at any point leaves either the old complete log or the new one. Caller
    holds the lock. *)
@@ -212,15 +204,13 @@ let compact_locked t =
 
 let add t (e : entry) =
   locked t (fun () ->
-      let inserted = insert_locked t e in
-      if inserted then begin
+      if insert_locked t e then begin
         t.adds <- t.adds + 1;
         append_locked t e;
         (* The journal accumulates superseded entries (evicted or
            deduplicated); compact once it clearly outgrows the live set. *)
         if t.logged_lines > (4 * t.total) + 64 then compact_locked t
-      end;
-      inserted)
+      end)
 
 let lookup t shape =
   locked t (fun () ->

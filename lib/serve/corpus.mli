@@ -8,9 +8,8 @@
     Bounded in memory (a few best-cost entries per shape, a total entry
     cap), journal-backed on disk ([state_dir/corpus.log], JSONL, one entry
     per line, replayed on restart and compacted via tmp+rename so a
-    kill -9 never tears it), and replicated peer-to-peer by the fleet in
-    the style of compile verdicts ([corpus_push]). Entries are plain data
-    and cross the wire as the same JSON object the journal stores.
+    kill -9 never tears it). Entries are plain data and cross the wire
+    ([corpus_lookup]) as the same JSON object the journal stores.
 
     Note the corpus is an {e optimization input}, not part of a job's
     identity: the pool snapshots the corpus at submit time into the job's
@@ -54,21 +53,15 @@ type t
     without it the corpus is memory-only. *)
 val create : ?capacity:int -> ?per_shape:int -> ?path:string -> unit -> t
 
-(** [add t e] — record a winner. Returns [true] when the entry carried new
-    information (inserted and journaled) and [false] when it was already
-    present (replication echo) or immediately evicted as worse than the
-    [per_shape] incumbents; only [true] adds should be replicated onward,
-    which is what keeps peer-to-peer pushes from looping. Thread-safe. *)
-val add : t -> entry -> bool
+(** [add t e] — record a winner. Only an entry that carries new
+    information is inserted, journaled and counted in [adds]; one already
+    present (same shape, canon, cost and values) or immediately evicted as
+    worse than the [per_shape] incumbents changes nothing. Thread-safe. *)
+val add : t -> entry -> unit
 
 (** [lookup t shape] — the entries for [shape], best cost first (possibly
     []). Thread-safe. *)
 val lookup : t -> string -> entry list
-
-(** Every live entry, shapes in lexicographic order, best cost first
-    within a shape — the deterministic order tests and replication
-    sweeps iterate in. *)
-val to_list : t -> entry list
 
 (** Close the journal channel (after workers have drained). *)
 val close : t -> unit

@@ -6,7 +6,6 @@ type config = {
   cache_capacity : int;
   state_dir : string option;
   default_moves : int option;
-  fleet : Fleet.t option;  (** peer coordination: scatter + cache replication *)
   log_rotate_bytes : int option;  (** compact jobs.log beyond this size *)
   warm : bool;
       (** seed plain submits from the winner corpus. Recording into the
@@ -24,7 +23,6 @@ let default_config =
     cache_capacity = 64;
     state_dir = None;
     default_moves = None;
-    fleet = None;
     log_rotate_bytes = None;
     warm = false;
     warm_fraction = 0.5;
@@ -32,6 +30,15 @@ let default_config =
   }
 
 type job_state = Queued | Running | Done | Failed | Cancelled
+
+(* A traced job's stage events: the live ring while the job runs, or what
+   its journaled finish line carried, after a restart. *)
+type events =
+  | Live of Obs.Sink.Ring.ring
+  | Replayed of Obs.Event.t list * int  (** the events and [events_dropped] *)
+
+(* The ring holds a job's recent history, not a move torrent. *)
+let ring_capacity = 256
 
 let state_name = function
   | Queued -> "queued"
@@ -53,7 +60,7 @@ type job = {
   mutable outcome : Proto.outcome option;
   cancel : string option Atomic.t;
       (** cancellation verdict, polled by the annealer's abort hook *)
-  ring : Obs.Sink.Ring.ring option;  (** per-job stage events, on request *)
+  mutable events : events option;  (** per-job stage events, on request *)
 }
 
 type t = {
@@ -113,6 +120,20 @@ let opt_num = function Some v -> Json.Num v | None -> Json.Null
 let num_i i = Json.Num (float_of_int i)
 let opt_str = function Some s -> Json.Str s | None -> Json.Null
 
+(* A traced job's [events] and [events_dropped] members, rendered alike on
+   its result record and its journaled finish line, so a replayed record
+   reads as the live one did. *)
+let events_fields (j : job) =
+  let fields evs dropped =
+    [
+      ("events", Json.Arr (List.map Obs.Event.to_json evs)); ("events_dropped", num_i dropped);
+    ]
+  in
+  match j.events with
+  | None -> []
+  | Some (Live ring) -> fields (Obs.Sink.Ring.contents ring) (Obs.Sink.Ring.dropped ring)
+  | Some (Replayed (evs, dropped)) -> fields evs dropped
+
 (* Caller holds the lock. *)
 let job_json ~full t (j : job) =
   let wait_s =
@@ -164,25 +185,7 @@ let job_json ~full t (j : job) =
       ("cut_reason", cut_reason);
     ]
   in
-  let shard =
-    match j.spec.Proto.sb_shard with
-    | Some (lo, hi) -> [ ("shard_lo", num_i lo); ("shard_hi", num_i hi) ]
-    | None -> []
-  in
-  let detail = if full then detail else [] in
-  let events =
-    if not full then []
-    else
-      match j.ring with
-      | None -> []
-      | Some ring ->
-          [
-            ( "events",
-              Json.Arr (List.map Obs.Event.to_json (Obs.Sink.Ring.contents ring)) );
-            ("events_dropped", num_i (Obs.Sink.Ring.dropped ring));
-          ]
-  in
-  Json.Obj (base @ shard @ detail @ events)
+  Json.Obj (if full then base @ detail @ events_fields j else base)
 
 (* Persist outside the lock: the record is already rendered. *)
 let persist t (j : job) rendered =
@@ -207,7 +210,8 @@ let persist t (j : job) rendered =
    when a job enters the queue, one "finish" line when it leaves a worker
    (or is cancelled). A submit line carries the job's inputs through the
    submit codec; a finish line its terminal state, raw timestamps, cache
-   outcome, error and outcome, the last through the outcome codec. Every
+   outcome, error and outcome, the last through the outcome codec, and a
+   traced job's events through the event codec. Every
    line carries the format version [journal_version]. [create] replays
    the log so a restarted daemon still answers status/result for every
    pre-restart job id. *)
@@ -251,6 +255,7 @@ let finish_record ?(inputs = false) (j : job) =
        ("error", opt_str j.error);
        ("outcome", match j.outcome with Some o -> Proto.outcome_to_json o | None -> Json.Null);
      ]
+    @ events_fields j
     @ if inputs then job_inputs j else [])
 
 (* --- Rotation: compact the journal while the daemon runs -------------- *)
@@ -373,7 +378,7 @@ let fresh_job ~id ~spec ~submitted_at =
     error = None;
     outcome = None;
     cancel = Atomic.make None;
-    ring = None;
+    events = None;
   }
 
 let terminal_state = function
@@ -414,7 +419,20 @@ let replay_line table order line =
       let started_at = Proto.nullable "started_at" Json.to_float r
       and finished_at = Proto.nullable "finished_at" Json.to_float r
       and cache = Proto.field "cache" Proto.cache_of_json r
-      and error = Proto.nullable "error" Json.to_str r in
+      and error = Proto.nullable "error" Json.to_str r
+      and events =
+        match Json.mem_opt "events" r with
+        | None -> None
+        | Some _ ->
+            let event e = Proto.get_ok (Obs.Event.of_json e) in
+            let evs = Proto.field "events" (fun v -> List.map event (Json.to_list v)) r in
+            if List.length evs > ring_capacity then
+              raise
+                (Json.Decode_error
+                   (Printf.sprintf "%d events, more than a job's ring holds (%d)"
+                      (List.length evs) ring_capacity));
+            Some (Replayed (evs, Proto.field "events_dropped" Json.to_int r))
+      in
       (* A finish with no submit before it is a compacted log's
          self-contained record. *)
       let j = match Hashtbl.find_opt table id with Some j -> j | None -> add () in
@@ -423,7 +441,8 @@ let replay_line table order line =
       j.finished_at <- finished_at;
       j.cache <- cache;
       j.error <- error;
-      j.outcome <- outcome
+      j.outcome <- outcome;
+      j.events <- events
   | kind -> raise (Json.Decode_error (Printf.sprintf "unknown record %S" kind))
 
 (* Jobs in first-seen order, and the number of lines replay rejected — a
@@ -450,48 +469,6 @@ let replay_log path =
 (* Workers                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* The fleet-aware compile path: local cache first (the common case),
-   then — on a local miss — the fleet's replicated verdict directory and
-   peers before spending a compile. Equivalent to
-   [Core.Compile_cache.compile] when no fleet is configured: [find]/[add]
-   are its two halves. *)
-let compile_for_job t ?corner source =
-  match Core.Compile_cache.key_of_source ?corner source with
-  | Error e -> Error (e, Core.Compile_cache.Miss) (* unparseable: never cached *)
-  | Ok key -> begin
-      match Core.Compile_cache.find t.cache ~key with
-      | Some (Ok p) -> Ok (p, Core.Compile_cache.Hit)
-      | Some (Error e) -> Error (e, Core.Compile_cache.Hit)
-      | None -> begin
-          let remote =
-            match t.cfg.fleet with Some f -> Fleet.lookup_remote f ~hash:key | None -> None
-          in
-          match remote with
-          | Some (Error e) ->
-              (* The fleet already knows this source fails: fail fast and
-                 cache the verdict so the next submission is a local hit. *)
-              Core.Compile_cache.add t.cache ~key (Error e);
-              Error (e, Core.Compile_cache.Miss)
-          | Some (Ok ()) | None -> begin
-              (* Known-good elsewhere still compiles here (compiled
-                 problems hold closures and cannot cross the wire), but
-                 the remote hit is counted by the fleet. *)
-              let value = Core.Compile.compile_source ?corner source in
-              Core.Compile_cache.add t.cache ~key value;
-              (match (remote, t.cfg.fleet) with
-              | None, Some f ->
-                  (* A genuinely new verdict propagates; one the fleet told
-                     us about doesn't need to go back out. *)
-                  Fleet.push f ~hash:key
-                    ~error:(match value with Ok _ -> None | Error e -> Some e)
-              | _ -> ());
-              match value with
-              | Ok p -> Ok (p, Core.Compile_cache.Miss)
-              | Error e -> Error (e, Core.Compile_cache.Miss)
-            end
-        end
-    end
-
 (* The job-level cut reason: the winner's, or the first restart that
    reported one (a deadline can fire during restart k > 0 while the
    winner ran to completion). *)
@@ -515,10 +492,9 @@ let sum_moves all =
 let sum_evals all =
   List.fold_left (fun a (r : Core.Oblx.result) -> a + r.Core.Oblx.evals) 0 all
 
-(* The one builder of a run's outcome: restarts [lo, lo + |all|) over
-   problem [p], the whole budget of a plain job or one shard of a
-   scattered one. *)
-let outcome_of_run p ~lo ~shape (best : Core.Oblx.result) all =
+(* The one builder of a plain job's outcome: every restart [all] over
+   problem [p], and the winner [best] among them. *)
+let outcome_of_run p ~shape (best : Core.Oblx.result) all =
   {
     Proto.jo_best_cost = best.Core.Oblx.best_cost;
     jo_moves = sum_moves all;
@@ -526,7 +502,7 @@ let outcome_of_run p ~lo ~shape (best : Core.Oblx.result) all =
     jo_cut_reason = cut_reason_of best all;
     jo_predicted = best.Core.Oblx.predicted;
     jo_sizes = Core.Report.sizes p best.Core.Oblx.final;
-    jo_winner_restart = Some (lo + winner_index best all);
+    jo_winner_restart = Some (winner_index best all);
     jo_winner_score = Some (Core.Oblx.score p best);
     jo_sweep = [];
     jo_shape = shape;
@@ -584,23 +560,24 @@ let override_specs (p : Core.Problem.t) overrides =
 (* Per-job shard: this worker buffers its own events and merges them into
    the shared summary (and the job's ring) in batches at stage boundaries,
    so concurrent workers don't serialize the daemon's telemetry per event.
-   The ring rides next to the global summary but is capped at Stage level:
-   a job's recent history, not a move torrent. *)
+   The ring rides next to the global summary but is capped at Stage level.
+   A job drains its shard before it finishes, so its finish line and
+   record hold every event. *)
 let job_shard t (j : job) =
   Obs.Shard.create
-    (match j.ring with
-    | Some ring ->
+    (match j.events with
+    | Some (Live ring) ->
         Obs.Sink.filtered ~level:Obs.Event.Stage (Obs.Sink.Ring.sink ring)
         :: Obs.Trace.sinks t.obs_base
-    | None -> Obs.Trace.sinks t.obs_base)
+    | Some (Replayed _) | None -> Obs.Trace.sinks t.obs_base)
 
 let job_moves t (j : job) =
   match j.spec.Proto.sb_moves with Some m -> Some m | None -> t.cfg.default_moves
 
 (* The deadline is a latency bound from submission, so the queue wait
-   already spent part of it. Recomputed at each run's start, because a
-   stolen shard starts later than the scatter did; an exhausted budget
-   still runs, aborting at move 0 via the annealer's pre-loop poll. *)
+   already spent part of it. Recomputed at each run's start (a sweep's
+   later variants start later); an exhausted budget still runs, aborting
+   at move 0 via the annealer's pre-loop poll. *)
 let deadline_left (j : job) =
   Option.map
     (fun budget -> Float.max 0.0 (budget -. (now () -. j.submitted_at)))
@@ -611,8 +588,7 @@ let deadline_left (j : job) =
    (canon, corner) key — the first variant at a given key compiles, the
    rest hit. Sequential jobs = 1 execution makes the verdict table a
    deterministic function of (source, variants, seed), independent of the
-   pool's worker count. Sweep jobs are never scattered across a fleet:
-   the shared compile is the point. *)
+   pool's worker count. *)
 let run_sweep t (j : job) ~worker =
   let shard = job_shard t j in
   let moves = job_moves t j in
@@ -652,7 +628,9 @@ let run_sweep t (j : job) ~worker =
               match corner with
               | Error e -> fail e
               | Ok corner -> begin
-                  match compile_for_job t ?corner j.spec.Proto.sb_source with
+                  match
+                    Core.Compile_cache.compile t.cache ?corner ~source:j.spec.Proto.sb_source ()
+                  with
                   | Error (e, cache) -> fail ~cache e
                   | Ok (p, cache) -> begin
                       match override_specs p v.Proto.vr_specs with
@@ -695,6 +673,9 @@ let run_sweep t (j : job) ~worker =
           end)
         j.spec.Proto.sb_sweep;
       let rows = List.rev !rows in
+      (* Drained before the job finishes, so its finish line and record
+         hold every event; the [finally] covers a raise. *)
+      Obs.Shard.drain shard;
       (* The job-level cache field reports the first variant's outcome
          (informational); the per-row outcomes are authoritative. *)
       (match rows with
@@ -750,110 +731,65 @@ let hashes_of_source src =
   | ast -> Some (Netlist.Canon.problem_hash ast, Netlist.Canon.problem_shape_hash ast)
   | exception Netlist.Parser.Error _ -> None
 
+(* Record a finished job's winner in the corpus before the job reads done,
+   so a client that sees it done finds the entry. Recording is
+   unconditional on [cfg.warm]: the corpus fills passively like the
+   journal; [warm] only gates whether submits read from it. *)
+let record_corpus t (j : job) (o : Proto.outcome) hashes =
+  match (o.Proto.jo_winner, hashes) with
+  | Some (values, grid, probs), Some (canon, shape) ->
+      Corpus.add t.corpus
+        {
+          Corpus.en_shape = shape;
+          en_canon = canon;
+          en_job = j.id;
+          en_name = j.spec.Proto.sb_name;
+          en_cost = o.Proto.jo_best_cost;
+          en_values = values;
+          en_grid = grid;
+          en_probs = probs;
+        }
+  | _ -> ()
+
 let run_job t (j : job) ~worker =
   if j.spec.Proto.sb_sweep <> [] then run_sweep t j ~worker
   else
-  match compile_for_job t j.spec.Proto.sb_source with
-  | Error (e, cache_outcome) ->
-      (* The cache deliberately remembers failures; report the real
-         hit/miss so repeated broken submissions don't read as misses. *)
-      locked t (fun () -> j.cache <- Some cache_outcome);
-      finish t j ~worker:(Some worker) ~state:Failed ~error:e ()
-  | Ok (compiled, cache_outcome) -> begin
-      locked t (fun () -> j.cache <- Some cache_outcome);
-      (* Spec re-targets (the resynthesize fast path) bind after the
-         compile: the cache hit above is the point — the overridden
-         problem shares the parent's compiled closures. *)
-      match override_specs compiled j.spec.Proto.sb_spec_overrides with
-      | Error e -> finish t j ~worker:(Some worker) ~state:Failed ~error:e ()
-      | Ok p ->
-      let shard = job_shard t j in
-      let moves = job_moves t j in
-      (* The journaled warm snapshot, attached positionally: global
-         restart k < |sb_warm| seeds from entry k (the rest stay cold).
-         Indices are global, so a sharded execution passes the full
-         array and [best_of] picks the seeds its range covers — the
-         same attachment for any fleet split. *)
-      let warm_starts =
-        Array.of_list (List.map Corpus.warm_start_of_entry j.spec.Proto.sb_warm)
-      in
-      let hashes = hashes_of_source j.spec.Proto.sb_source in
-      (* One shard's (or the whole budget's) annealing on this daemon.
-         Shard buffer [k] belongs to the run over the restart range
-         starting at [k]: a plain job uses buffer 0 only; a scattered job
-         gives each locally-run shard (shard 0 and any steals, which run
-         on concurrent threads) its own buffer. *)
-      let run_range ?restarts () =
-        let deadline_s = deadline_left j in
-        let lo = match restarts with Some (lo, _) -> lo | None -> 0 in
-        let obs = Obs.Trace.with_sinks t.obs_base [ Obs.Shard.for_restart shard lo ] in
-        let best, all =
-          Core.Oblx.run_job ~seed:j.spec.Proto.sb_seed ?moves ~runs:j.spec.Proto.sb_runs
-            ~jobs:1 ?restarts ?deadline_s ~warm_starts
-            ~poll:(fun () -> Atomic.get j.cancel)
-            ~obs p
-        in
-        outcome_of_run p ~lo ~shape:(Option.map snd hashes) best all
-      in
-      (* Record a finished job's winner in the corpus before the job reads
-         done, so a client that sees it done finds the entry; a genuinely
-         new entry is replicated to peers after. Only whole jobs record —
-         a shard execution's winner is partial; the coordinator records
-         the merged one. Recording is unconditional on [cfg.warm]: the
-         corpus fills passively like the journal, [warm] only gates
-         whether submits read from it. *)
-      let record_corpus (outcome : Proto.outcome) =
-        match (j.spec.Proto.sb_shard, outcome.Proto.jo_winner, hashes) with
-        | None, Some (values, grid, probs), Some (canon, shape) ->
-            let entry =
-              {
-                Corpus.en_shape = shape;
-                en_canon = canon;
-                en_job = j.id;
-                en_name = j.spec.Proto.sb_name;
-                en_cost = outcome.Proto.jo_best_cost;
-                en_values = values;
-                en_grid = grid;
-                en_probs = probs;
-              }
+    match Core.Compile_cache.compile t.cache ~source:j.spec.Proto.sb_source () with
+    | Error (e, cache_outcome) ->
+        (* The cache deliberately remembers failures; report the real
+           hit/miss so repeated broken submissions don't read as misses. *)
+        locked t (fun () -> j.cache <- Some cache_outcome);
+        finish t j ~worker:(Some worker) ~state:Failed ~error:e ()
+    | Ok (compiled, cache_outcome) -> begin
+        locked t (fun () -> j.cache <- Some cache_outcome);
+        (* Spec re-targets (the resynthesize fast path) bind after the
+           compile: the cache hit above is the point — the overridden
+           problem shares the parent's compiled closures. *)
+        match override_specs compiled j.spec.Proto.sb_spec_overrides with
+        | Error e -> finish t j ~worker:(Some worker) ~state:Failed ~error:e ()
+        | Ok p ->
+            let shard = job_shard t j in
+            (* The journaled warm snapshot, attached positionally: restart
+               k < |sb_warm| seeds from entry k (the rest stay cold). *)
+            let warm_starts =
+              Array.of_list (List.map Corpus.warm_start_of_entry j.spec.Proto.sb_warm)
             in
-            if Corpus.add t.corpus entry then Some entry else None
-        | _ -> None
-      in
-      let finish_with outcome =
-        let state = if Atomic.get j.cancel <> None then Cancelled else Done in
-        let fresh = if state = Done then record_corpus outcome else None in
-        finish t j ~worker:(Some worker) ~state ~outcome ();
-        match (fresh, t.cfg.fleet) with
-        | Some entry, Some f -> Fleet.corpus_push f ~entry
-        | _ -> ()
-      in
-      Fun.protect
-        ~finally:(fun () -> Obs.Shard.drain shard)
-        (fun () ->
-          match t.cfg.fleet with
-          | Some f
-            when j.spec.Proto.sb_shard = None && j.spec.Proto.sb_runs > 1 && Fleet.peers f <> []
-            -> begin
-              (* Coordinator path: shard the budget over the fleet, steal
-                 what dies, merge by the winner rule. *)
-              let run_local ~lo ~hi =
-                match run_range ~restarts:(lo, hi) () with
-                | outcome -> Ok outcome
-                | exception exn -> Error (Printexc.to_string exn)
-              in
-              match Fleet.scatter f ~submit:j.spec ~run_local with
-              | Error e ->
-                  finish t j ~worker:(Some worker) ~state:Failed
-                    ~error:(Printf.sprintf "fleet scatter failed: %s" e)
-                    ()
-              | Ok shards -> finish_with (Option.get (Fleet.merge shards))
-            end
-          | Some _ | None ->
-              (* Plain or shard-executing path: anneal the requested range
-                 (the whole budget when unsharded) on this worker. *)
-              finish_with (run_range ?restarts:j.spec.Proto.sb_shard ()))
-    end
+            let best, all =
+              Fun.protect
+                ~finally:(fun () -> Obs.Shard.drain shard)
+                (fun () ->
+                  Core.Oblx.run_job ~seed:j.spec.Proto.sb_seed ?moves:(job_moves t j)
+                    ~runs:j.spec.Proto.sb_runs ~jobs:1 ?deadline_s:(deadline_left j) ~warm_starts
+                    ~poll:(fun () -> Atomic.get j.cancel)
+                    ~obs:(Obs.Trace.with_sinks t.obs_base [ Obs.Shard.for_restart shard 0 ])
+                    p)
+            in
+            let hashes = hashes_of_source j.spec.Proto.sb_source in
+            let outcome = outcome_of_run p ~shape:(Option.map snd hashes) best all in
+            let state = if Atomic.get j.cancel <> None then Cancelled else Done in
+            if state = Done then record_corpus t j outcome hashes;
+            finish t j ~worker:(Some worker) ~state ~outcome ()
+      end
 
 let rec worker_loop t ~worker =
   let job =
@@ -961,8 +897,8 @@ let create cfg =
 let submit t (s : Proto.submit) =
   if s.Proto.sb_runs < 1 then Error "runs must be >= 1"
   else if String.trim s.Proto.sb_source = "" then Error "empty problem source"
-  else if s.Proto.sb_sweep <> [] && s.Proto.sb_shard <> None then
-    Error "sweep jobs cannot be sharded"
+  else if s.Proto.sb_shard <> None then
+    Error "shard_lo/shard_hi are not served: a daemon runs every restart of a job"
   else if
     List.exists (fun (v : Proto.variant) -> String.trim v.Proto.vr_name = "") s.Proto.sb_sweep
   then Error "sweep variant names must be non-empty"
@@ -974,14 +910,6 @@ let submit t (s : Proto.submit) =
     Error
       (Printf.sprintf "%d warm seeds for %d runs" (List.length s.Proto.sb_warm)
          s.Proto.sb_runs)
-  else if
-    match s.Proto.sb_shard with
-    | Some (lo, hi) -> lo < 0 || lo >= hi || hi > s.Proto.sb_runs
-    | None -> false
-  then
-    Error
-      (let lo, hi = Option.get s.Proto.sb_shard in
-       Printf.sprintf "invalid shard [%d,%d) for %d runs" lo hi s.Proto.sb_runs)
   else begin
     (* Warm-start consumption: a plain submit on a warm-enabled daemon
        snapshots the corpus's best entries for the problem's shape into
@@ -989,16 +917,10 @@ let submit t (s : Proto.submit) =
        staying cold so the search never collapses onto its own history.
        The snapshot is journaled with the submit (it is part of the
        job's recorded inputs): a replay re-runs from these exact seeds
-       no matter what the live corpus holds by then. Explicit sb_warm
-       (a resynthesize, or a scattered shard carrying its coordinator's
-       snapshot) is left untouched. *)
+       no matter what the live corpus holds by then. An explicit sb_warm
+       (a resynthesize) is left untouched. *)
     let s =
-      if
-        t.cfg.warm
-        && s.Proto.sb_shard = None
-        && s.Proto.sb_sweep = []
-        && s.Proto.sb_warm = []
-      then begin
+      if t.cfg.warm && s.Proto.sb_sweep = [] && s.Proto.sb_warm = [] then begin
         match Corpus.shape_of_source s.Proto.sb_source with
         | None -> s
         | Some shape ->
@@ -1035,8 +957,9 @@ let submit t (s : Proto.submit) =
             let job =
               {
                 (fresh_job ~id ~spec:s ~submitted_at:(now ())) with
-                ring =
-                  (if s.Proto.sb_trace then Some (Obs.Sink.Ring.create ~capacity:256)
+                events =
+                  (if s.Proto.sb_trace then
+                     Some (Live (Obs.Sink.Ring.create ~capacity:ring_capacity))
                    else None);
               }
             in
@@ -1142,9 +1065,6 @@ let stats_json t =
               [
                 ("hits", num_i cache.Core.Compile_cache.hits);
                 ("misses", num_i cache.Core.Compile_cache.misses);
-                ( "remote_hits",
-                  num_i
-                    (match t.cfg.fleet with Some f -> Fleet.remote_hits f | None -> 0) );
                 ("entries", num_i cache.Core.Compile_cache.entries);
                 ("evictions", num_i cache.Core.Compile_cache.evictions);
                 ("capacity", num_i cache.Core.Compile_cache.capacity);
@@ -1209,8 +1129,6 @@ let stats_json t =
                 ("warm", Json.Bool t.cfg.warm);
                 ("warm_fraction", Json.Num t.cfg.warm_fraction);
               ] );
-          ( "fleet",
-            match t.cfg.fleet with Some f -> Fleet.stats_json f | None -> Json.Null );
           ( "workers_detail",
             Json.Arr
               (List.init t.cfg.workers (fun w ->
@@ -1227,33 +1145,9 @@ let stats_json t =
                      ])) );
         ])
 
-(* --- Fleet-facing accessors (the cache_lookup / cache_push verbs) ----- *)
+(* --- The corpus_lookup verb ------------------------------------------- *)
 
-let fleet t = t.cfg.fleet
-
-let cache_peek t ~hash =
-  (match t.cfg.fleet with Some f -> Fleet.record_served_lookup f | None -> ());
-  Core.Compile_cache.peek t.cache ~key:hash
-
-let cache_note t ~hash ~error =
-  (match t.cfg.fleet with Some f -> Fleet.record_push f ~hash ~error | None -> ());
-  (* A known-bad verdict also lands in the compile cache so the next
-     submission of that source fails fast without compiling. Known-good
-     can't: there is no compiled problem to cache. *)
-  match error with Some e -> Core.Compile_cache.add t.cache ~key:hash (Error e) | None -> ()
-
-(* --- Corpus-facing accessors (corpus_lookup / corpus_push verbs) ------ *)
-
-let corpus_lookup t ~shape =
-  (match t.cfg.fleet with Some f -> Fleet.record_served_corpus_lookup f | None -> ());
-  Corpus.lookup t.corpus shape
-
-(* An inbound replication push. A new entry is absorbed but not pushed
-   onward: every daemon pushes its own winners to every peer directly, so
-   re-propagation would only echo around the full mesh. *)
-let corpus_note t entry =
-  (match t.cfg.fleet with Some f -> Fleet.record_corpus_inbound f | None -> ());
-  ignore (Corpus.add t.corpus entry)
+let corpus_lookup t ~shape = Corpus.lookup t.corpus shape
 
 (* --- The resynthesize fast path --------------------------------------- *)
 

@@ -18,9 +18,11 @@ type submit = {
   sb_deadline_s : float option;
   sb_trace : bool;
   sb_shard : (int * int) option;
+      (* a restart range no daemon runs: decoded so old journal lines
+         replay, refused by [Pool.submit] *)
   sb_sweep : variant list;
       (* non-empty marks a sweep job: one synthesis per variant, sharing
-         one compile per distinct (canon, corner) key; never scattered *)
+         one compile per distinct (canon, corner) key *)
   sb_warm : Corpus.entry list;
       (* the job's warm-start snapshot: restart k < |sb_warm| seeds from
          entry k. Filled by the pool at submit time (from its corpus) and
@@ -30,8 +32,6 @@ type submit = {
       (* good/bad re-targets applied to the compiled problem without
          recompiling — the resynthesize fast path's spec tweak *)
 }
-
-type cache_push = { cp_hash : string; cp_error : string option }
 
 (* The resynthesize fast path: rerun a finished job with tweaked spec
    targets, warm-started from its winner, on a reduced schedule. A spec's
@@ -55,10 +55,7 @@ type request =
   | Cancel of int
   | Stats
   | Shutdown
-  | Cache_lookup of string
-  | Cache_push of cache_push
   | Corpus_lookup of string  (** shape hash *)
-  | Corpus_push of Corpus.entry
   | Ping
 
 (* One row of a sweep job's verdict table: what one variant's synthesis
@@ -361,17 +358,8 @@ let request_to_json = function
   | Cancel id -> Json.Obj [ ("op", Json.Str "cancel"); ("id", num_i id) ]
   | Stats -> Json.Obj [ ("op", Json.Str "stats") ]
   | Shutdown -> Json.Obj [ ("op", Json.Str "shutdown") ]
-  | Cache_lookup hash -> Json.Obj [ ("op", Json.Str "cache_lookup"); ("hash", Json.Str hash) ]
-  | Cache_push c ->
-      Json.Obj
-        [
-          ("op", Json.Str "cache_push");
-          ("hash", Json.Str c.cp_hash);
-          ("error", opt_str c.cp_error);
-        ]
   | Corpus_lookup shape ->
       Json.Obj [ ("op", Json.Str "corpus_lookup"); ("shape", Json.Str shape) ]
-  | Corpus_push e -> Json.Obj (("op", Json.Str "corpus_push") :: [ ("entry", Corpus.entry_to_json e) ])
   | Ping -> Json.Obj [ ("op", Json.Str "ping") ]
 
 let retarget = function
@@ -409,14 +397,7 @@ let request_of_json j =
         | "cancel" -> Some (Cancel (id ()))
         | "stats" -> Some Stats
         | "shutdown" -> Some Shutdown
-        | "cache_lookup" -> Some (Cache_lookup (field "hash" Json.to_str j))
-        | "cache_push" ->
-            Some
-              (Cache_push
-                 { cp_hash = field "hash" Json.to_str j; cp_error = maybe "error" Json.to_str j })
         | "corpus_lookup" -> Some (Corpus_lookup (field "shape" Json.to_str j))
-        | "corpus_push" ->
-            Some (Corpus_push (field "entry" (fun e -> get_ok (Corpus.entry_of_json e)) j))
         | "ping" -> Some Ping
         | _ -> None
       in

@@ -6,9 +6,9 @@
     codec the trace files use, so one parser serves both.
 
     [Proto] owns the submit, outcome and sweep-row codecs. The wire's
-    [submit]/[sweep] requests and [result] responses, the job log
-    ([state_dir/jobs.log]) and a fleet peer's finished shard all encode
-    and decode those records through the one pair of functions here.
+    [submit]/[sweep] requests and [result] responses and the job log
+    ([state_dir/jobs.log]) encode and decode those records through the
+    one pair of functions here.
 
     Requests (fields beyond ["op"] shown with their defaults):
     {v
@@ -24,10 +24,7 @@
     {"op":"shutdown"}
     {"op":"resynthesize","id":I,"specs":{"ugf":[good]|[good,bad]},
      "runs":null,"moves":null,"deadline_s":null,"trace":false}
-    {"op":"cache_lookup","hash":H}
-    {"op":"cache_push","hash":H,"error":E|null}
     {"op":"corpus_lookup","shape":H}
-    {"op":"corpus_push","entry":{...corpus entry...}}
     {"op":"ping"}
     v}
     See docs/SERVER.md for the full schema including responses. *)
@@ -56,15 +53,15 @@ type submit = {
           on expiry the job aborts with [cut_reason = "deadline"] *)
   sb_trace : bool;  (** keep a bounded ring of stage events with the job *)
   sb_shard : (int * int) option;
-      (** restart shard [[lo, hi)] of the [sb_runs] budget this daemon
-          should execute ({!Oblx.best_of}'s [restarts]); [None] = all of
-          it. A sharded submit is what a fleet coordinator scatters to a
-          peer — it is never re-scattered. *)
+      (** a [shard_lo]/[shard_hi] restart range. It decodes (both bounds
+          or neither), so old [jobs.log] lines replay, but [Pool.submit]
+          refuses any submit that carries one: a daemon runs every
+          restart of its jobs. Kept only while a benchmark client still
+          names the field. *)
   sb_sweep : variant list;
       (** non-empty marks a sweep job: one (jobs=1) synthesis per variant
           over a shared per-(canon, corner) compile, producing a verdict
-          table. Sweep jobs are never scattered across a fleet — the
-          shared compile is the point. *)
+          table. *)
   sb_warm : Corpus.entry list;
       (** the job's warm-start snapshot: restart [k < length sb_warm]
           seeds from entry [k]; the rest stay cold. Normally filled by
@@ -76,12 +73,6 @@ type submit = {
           without recompiling — how [resynthesize] tweaks specs while
           keeping the parent's compile-cache hit. *)
 }
-
-(** A compile-cache verdict replicated between fleet peers: [cp_error =
-    None] means the source hashing to [cp_hash] compiled successfully
-    somewhere, [Some msg] that it failed with [msg]. Compiled problems
-    hold closures and never cross the wire — only verdicts do. *)
-type cache_push = { cp_hash : string; cp_error : string option }
 
 (** The resynthesize fast path: rerun finished job [rz_id] with tweaked
     spec targets, warm-started from its recorded winner, on a reduced
@@ -106,11 +97,8 @@ type request =
   | Cancel of int
   | Stats
   | Shutdown
-  | Cache_lookup of string  (** canon hash — do you know this key? *)
-  | Cache_push of cache_push  (** best-effort verdict replication *)
   | Corpus_lookup of string
-      (** shape hash — answered with the peer's corpus entries for it *)
-  | Corpus_push of Corpus.entry  (** best-effort winner replication *)
+      (** shape hash — answered with the daemon's corpus entries for it *)
   | Ping  (** liveness probe; answered [{"ok":true}] *)
 
 (** {2 Job outcomes} *)

@@ -94,36 +94,18 @@ let handle cfg reg pool stop (req : Proto.request) =
           Json.Obj (fields @ [ ("connections", connections_json cfg reg) ])
       | j -> j
     end
-  | Proto.Cache_lookup hash -> begin
-      (* What do *I* know about this canon hash — never a recursive ask
-         around the fleet, so lookups between peers can't loop. *)
-      match Pool.cache_peek pool ~hash with
-      | None -> Proto.ok [ ("known", Json.Bool false) ]
-      | Some (Ok ()) ->
-          Proto.ok [ ("known", Json.Bool true); ("compile_error", Json.Null) ]
-      | Some (Error e) ->
-          Proto.ok [ ("known", Json.Bool true); ("compile_error", Json.Str e) ]
-    end
-  | Proto.Cache_push c ->
-      Pool.cache_note pool ~hash:c.Proto.cp_hash ~error:c.Proto.cp_error;
-      Proto.ok []
   | Proto.Resynthesize r -> begin
       match Pool.resynthesize pool r with
       | Ok id -> Proto.ok [ ("id", num_i id) ]
       | Error e -> Proto.err e
     end
   | Proto.Corpus_lookup shape ->
-      (* Same non-recursive contract as cache_lookup: only what *my*
-         corpus holds for this shape. *)
       Proto.ok
         [
           ( "entries",
             Json.Arr
               (List.map Corpus.entry_to_json (Pool.corpus_lookup pool ~shape)) );
         ]
-  | Proto.Corpus_push entry ->
-      Pool.corpus_note pool entry;
-      Proto.ok []
   | Proto.Ping -> Proto.ok []
   | Proto.Shutdown ->
       Atomic.set stop true;
@@ -245,7 +227,7 @@ let spawn_connection cfg reg pool stop fd =
     try Unix.close fd with Unix.Unix_error _ -> ()
   end
 
-let run ?ready ?tcp_port ?pool:existing_pool config =
+let run ?ready ?tcp_port config =
   let stop = Atomic.make false in
   (* Graceful signals: finish in-flight responses, then drain. SIGPIPE
      must not kill the daemon when a client disconnects mid-write. *)
@@ -259,8 +241,8 @@ let run ?ready ?tcp_port ?pool:existing_pool config =
   Unix.listen unix_listener 64;
   (* The TCP listener rides next to the Unix socket: same protocol, same
      dispatch, plus the auth gate. Binding port 0 picks an ephemeral port,
-     reported through [tcp_port] — how in-process fleets wire a mesh of
-     daemons that didn't know each other's ports in advance. *)
+     reported through [tcp_port] — how tests and the smoke script find a
+     daemon they booted on a port nobody chose in advance. *)
   let tcp_listener =
     match config.tcp with
     | None -> None
@@ -284,7 +266,7 @@ let run ?ready ?tcp_port ?pool:existing_pool config =
         | _ -> ());
         Some fd
   in
-  let pool = match existing_pool with Some p -> p | None -> Pool.create config.pool in
+  let pool = Pool.create config.pool in
   let reg = registry_create () in
   (match ready with Some f -> f () | None -> ());
   let listeners = unix_listener :: Option.to_list tcp_listener in

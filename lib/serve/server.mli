@@ -2,8 +2,7 @@
     {!Proto}, dispatching into a {!Pool}.
 
     Two transports share one dispatch: the Unix-domain socket (always),
-    and an optional TCP listener ([config.tcp]) for fleet peers and
-    remote clients. TCP carries the same line protocol; with
+    and an optional TCP listener ([config.tcp]) for remote clients. TCP carries the same line protocol; with
     [auth_token] set, every connection (both transports) must present
     [{"auth":TOKEN}] as its first line — success is silent, anything
     else gets exactly one [ok:false] line ({!Proto.auth_failed_message})
@@ -40,11 +39,10 @@ val default_max_connections : int
 val default_idle_timeout_s : float
 (** 30 s. *)
 
-(** [run ?ready ?tcp_port ?pool config] binds [config.socket_path]
+(** [run ?ready ?tcp_port config] binds [config.socket_path]
     (unlinking a stale socket file first) and, when configured, the TCP
-    listener; starts the pool (or serves a pre-built one — how the fleet
-    bench inspects a daemon's pool after the fact); and serves until a
-    [shutdown] request or SIGINT/SIGTERM arrives. Then it drains
+    listener; starts the pool; and serves until a [shutdown] request or
+    SIGINT/SIGTERM arrives. Then it drains
     gracefully — closes {e both} listeners first so nothing new (not
     even a half-authenticated connection) slips in, lets every in-flight
     response flush, joins the connection threads, shuts the pool down —
@@ -52,4 +50,4 @@ val default_idle_timeout_s : float
     accepting; [tcp_port] fires earlier with the bound TCP port (the
     ephemeral port when [config.tcp] asked for port 0). *)
 val run :
-  ?ready:(unit -> unit) -> ?tcp_port:(int -> unit) -> ?pool:Pool.t -> config -> unit
+  ?ready:(unit -> unit) -> ?tcp_port:(int -> unit) -> config -> unit

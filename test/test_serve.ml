@@ -339,16 +339,24 @@ let test_pool_restart_replay () =
   in
   let pool_a = Serve.Pool.create (cfg 1) in
   let id = ok (Serve.Pool.submit pool_a (submission ~moves:300 ())) in
+  (* A traced job's stage events ride on its finish line, so they replay
+     too. *)
+  let traced = ok (Serve.Pool.submit pool_a (submission ~seed:3 ~moves:300 ~trace:true ())) in
   Alcotest.(check string) "job finished" "done" (wait_done pool_a id);
+  Alcotest.(check string) "traced job finished" "done" (wait_done pool_a traced);
   let ja = ok (Serve.Pool.result_json pool_a id) in
+  let ta = ok (Serve.Pool.result_json pool_a traced) in
   let cost_a =
     match jnum ja "best_cost" with
     | Some c -> c
     | None -> Alcotest.fail "no best_cost before restart"
   in
+  (match Obs.Json.mem_opt "events" ta with
+  | Some (Obs.Json.Arr (_ :: _)) -> ()
+  | _ -> Alcotest.fail "traced job carries no events before restart");
   Serve.Pool.shutdown pool_a;
   (* Restart over the same state_dir: the journal replays the finished
-     job, so its id still answers — with the same result, bit for bit. *)
+     jobs, so their ids still answer — with the same result, bit for bit. *)
   let pool_b = Serve.Pool.create (cfg 0) in
   let jb = ok (Serve.Pool.result_json pool_b id) in
   Alcotest.(check (option string)) "replayed state" (Some "done") (jstr jb "state");
@@ -361,14 +369,17 @@ let test_pool_restart_replay () =
     (jstr jb "cache");
   Alcotest.(check string) "replayed record string-identical" (Obs.Json.to_string ja)
     (Obs.Json.to_string jb);
+  Alcotest.(check string) "replayed traced record string-identical, events included"
+    (Obs.Json.to_string ta)
+    (Obs.Json.to_string (ok (Serve.Pool.result_json pool_b traced)));
   let stats = Serve.Pool.stats_json pool_b in
-  Alcotest.(check (option (float 0.0))) "restored counter" (Some 1.0)
+  Alcotest.(check (option (float 0.0))) "restored counter" (Some 2.0)
     (jnum stats "restored_jobs");
   Alcotest.(check (option (float 0.0))) "no journal line rejected" (Some 0.0)
     (jnum (Option.get (Obs.Json.mem_opt "journal" stats)) "rejected");
   (* Fresh ids continue past the replayed ones — no ambiguity. *)
   let id2 = ok (Serve.Pool.submit pool_b (submission ())) in
-  Alcotest.(check bool) "ids continue past replayed ones" true (id2 > id);
+  Alcotest.(check bool) "ids continue past replayed ones" true (id2 > traced);
   Serve.Pool.shutdown pool_b;
   rm_rf dir
 
@@ -624,26 +635,21 @@ let test_client_error_attribution () =
   Unix.close listener;
   Unix.unlink path
 
-(* --- TCP transport, auth, fleet, rotation --- *)
+(* --- TCP transport, auth, rotation --- *)
 
 (* Boot a daemon with a TCP listener on an ephemeral loopback port (plus
    its Unix socket). Returns both endpoints and a shutdown closure. *)
 type daemon = {
   d_unix : string;
   d_tcp : string;  (** "tcp:127.0.0.1:PORT" client endpoint *)
-  d_pool : Serve.Pool.t;
   d_stop : unit -> unit;
 }
 
-let boot_daemon ?(workers = 1) ?auth_token ?fleet () =
+let boot_daemon ?(workers = 1) ?auth_token () =
   incr sock_counter;
   let socket =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "oblxd-tcp%d-%d.sock" (Unix.getpid ()) !sock_counter)
-  in
-  let pool =
-    Serve.Pool.create
-      { Serve.Pool.default_config with workers; queue_capacity = 16; state_dir = None; fleet }
   in
   let cfg =
     {
@@ -652,7 +658,7 @@ let boot_daemon ?(workers = 1) ?auth_token ?fleet () =
       auth_token;
       max_connections = Serve.Server.default_max_connections;
       idle_timeout_s = Serve.Server.default_idle_timeout_s;
-      pool = { Serve.Pool.default_config with workers; state_dir = None };
+      pool = { Serve.Pool.default_config with workers; queue_capacity = 16; state_dir = None };
     }
   in
   let ready_m = Mutex.create () and ready_c = Condition.create () in
@@ -667,7 +673,7 @@ let boot_daemon ?(workers = 1) ?auth_token ?fleet () =
             ready := true;
             Condition.signal ready_c;
             Mutex.unlock ready_m)
-          ~pool cfg)
+          cfg)
   in
   Mutex.lock ready_m;
   while not !ready do
@@ -678,7 +684,6 @@ let boot_daemon ?(workers = 1) ?auth_token ?fleet () =
   {
     d_unix = socket;
     d_tcp = Printf.sprintf "tcp:127.0.0.1:%d" !port;
-    d_pool = pool;
     d_stop =
       (fun () ->
         if not !stopped then begin
@@ -688,110 +693,49 @@ let boot_daemon ?(workers = 1) ?auth_token ?fleet () =
         end);
   }
 
-let test_proto_new_verbs_round_trip () =
-  let requests =
-    [
-      Serve.Proto.Submit (submission ~runs:8 ~shard:(2, 5) ());
-      Serve.Proto.Cache_lookup "deadbeef";
-      Serve.Proto.Cache_push { Serve.Proto.cp_hash = "deadbeef"; cp_error = None };
-      Serve.Proto.Cache_push { Serve.Proto.cp_hash = "cafe"; cp_error = Some "no such model" };
-      Serve.Proto.Ping;
-    ]
+let test_removed_inputs_rejected () =
+  let decode s =
+    match Obs.Json.of_string s with
+    | Ok j -> Serve.Proto.request_of_json j
+    | Error e -> Alcotest.failf "json: %s" e
   in
+  (* The retired peer verbs are unknown ops, like any other. *)
   List.iter
-    (fun req ->
-      match Serve.Proto.request_of_json (Serve.Proto.request_to_json req) with
-      | Ok req' -> Alcotest.(check bool) "request survives the wire" true (req = req')
-      | Error e -> Alcotest.failf "decode failed: %s" e)
-    requests;
-  (* A half-specified shard is a decode error, not a silent default. *)
+    (fun (op, line) ->
+      match decode line with
+      | Error e ->
+          Alcotest.(check string) (op ^ " is an unknown op") (Printf.sprintf "unknown op %S" op) e
+      | Ok _ -> Alcotest.failf "%s must not decode" op)
+    [
+      ("cache_lookup", {|{"op":"cache_lookup","hash":"deadbeef"}|});
+      ("cache_push", {|{"op":"cache_push","hash":"deadbeef","error":null}|});
+      ("corpus_push", {|{"op":"corpus_push","entry":{}}|});
+    ];
+  (* A shard still round-trips the codec, so old jobs.log lines replay,
+     and a half-specified one is a decode error, not a silent default. *)
+  let sharded = Serve.Proto.Submit (submission ~runs:8 ~shard:(2, 5) ()) in
+  (match Serve.Proto.request_of_json (Serve.Proto.request_to_json sharded) with
+  | Ok req -> Alcotest.(check bool) "shard survives the codec" true (req = sharded)
+  | Error e -> Alcotest.failf "decode failed: %s" e);
   List.iter
     (fun s ->
-      match Obs.Json.of_string s with
-      | Error e -> Alcotest.failf "json: %s" e
-      | Ok j -> (
-          match Serve.Proto.request_of_json j with
-          | Error _ -> ()
-          | Ok _ -> Alcotest.failf "expected decode error for %s" s))
+      match decode s with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "expected decode error for %s" s)
     [
       {|{"op":"submit","source":"s","shard_lo":1}|};
       {|{"op":"submit","source":"s","shard_hi":3}|};
-      {|{"op":"cache_lookup"}|};
-      {|{"op":"cache_push"}|};
     ]
 
-let test_fleet_split_shards () =
-  List.iter
-    (fun (runs, parts, expect) ->
-      Alcotest.(check (list (pair int int)))
-        (Printf.sprintf "split %d over %d" runs parts)
-        expect
-        (Serve.Fleet.split_shards ~runs ~parts))
-    [
-      (6, 3, [ (0, 2); (2, 4); (4, 6) ]);
-      (7, 3, [ (0, 3); (3, 5); (5, 7) ]);
-      (2, 5, [ (0, 1); (1, 2) ]);
-      (1, 1, [ (0, 1) ]);
-      (5, 1, [ (0, 5) ]);
-    ];
-  (* Property: shards tile [0, runs) in ascending order, for any shape. *)
-  for runs = 1 to 12 do
-    for parts = 1 to 5 do
-      let shards = Serve.Fleet.split_shards ~runs ~parts in
-      let covered =
-        List.fold_left
-          (fun expect (lo, hi) ->
-            Alcotest.(check int) "contiguous" expect lo;
-            Alcotest.(check bool) "non-empty" true (hi > lo);
-            hi)
-          0 shards
-      in
-      Alcotest.(check int) "covers the budget" runs covered
-    done
-  done
-
-let compiled_ota =
-  lazy
-    (match Core.Compile.compile_source ota_source with
-    | Ok p -> p
-    | Error e -> Alcotest.failf "compile: %s" e)
-
-let test_pool_shard_execution () =
-  (* A sharded submit runs exactly its restart range: same bits as asking
-     Oblx for that range directly. *)
-  let p = Lazy.force compiled_ota in
-  let moves = 250 and seed = 11 and runs = 5 in
-  let ref_best, ref_all =
-    Core.Oblx.best_of ~seed ~moves ~jobs:1 ~runs ~restarts:(1, 4) p
-  in
-  let pool = running_pool () in
-  let id = ok (Serve.Pool.submit pool (submission ~seed ~moves ~runs ~shard:(1, 4) ())) in
-  Alcotest.(check string) "shard finished" "done" (wait_done pool id);
-  let j = ok (Serve.Pool.result_json pool id) in
-  (match jnum j "best_cost" with
-  | Some c ->
-      Alcotest.(check bool) "shard cost bit-identical to direct range" true
-        (Int64.bits_of_float c = Int64.bits_of_float ref_best.Core.Oblx.best_cost)
-  | None -> Alcotest.fail "no best_cost");
-  (* The winner index is global (shard-offset), not shard-relative. *)
-  let ref_winner =
-    1
-    + (let rec go i = function
-         | [] -> 0
-         | r :: rest -> if r == ref_best then i else go (i + 1) rest
-       in
-       go 0 ref_all)
-  in
-  Alcotest.(check (option (float 0.0))) "global winner index"
-    (Some (float_of_int ref_winner))
-    (jnum j "winner_restart");
-  (* Shard bounds are validated up front. *)
+(* The pool refuses any shard, whole or not: it runs every restart. *)
+let test_pool_shard_refused () =
+  let pool = frozen_pool ~queue_capacity:4 () in
   List.iter
     (fun shard ->
       match Serve.Pool.submit pool (submission ~runs:4 ~shard ()) with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "bad shard bounds must be rejected")
-    [ (-1, 2); (2, 2); (3, 2); (0, 5) ];
+      | Error e -> Alcotest.(check bool) "refusal names shard_lo" true (contains e "shard_lo")
+      | Ok _ -> Alcotest.fail "a sharded submit must be refused")
+    [ (0, 4); (1, 3) ];
   Serve.Pool.shutdown pool
 
 let test_tcp_round_trip () =
@@ -810,25 +754,6 @@ let test_tcp_round_trip () =
       (match Serve.Client.cancel ~socket id with
       | Error _ -> () (* already finished; the point is the verb's transit *)
       | Ok () -> Alcotest.fail "cancel of a done job must be an error");
-      (* cache_lookup answers from the daemon's compile cache. *)
-      let hash =
-        match Core.Compile_cache.key_of_source ota_source with
-        | Ok k -> k
-        | Error e -> Alcotest.failf "canon: %s" e
-      in
-      (match ok (Serve.Client.cache_lookup ~socket hash) with
-      | Some (Ok ()) -> ()
-      | Some (Error e) -> Alcotest.failf "good source reported bad: %s" e
-      | None -> Alcotest.fail "compiled hash must be known");
-      Alcotest.(check bool) "unknown hash unknown" true
-        (ok (Serve.Client.cache_lookup ~socket "0000") = None);
-      (* cache_push of a failure verdict is visible to the next lookup. *)
-      ok
-        (Serve.Client.cache_push ~socket
-           { Serve.Proto.cp_hash = "feedface"; cp_error = Some "boom" });
-      (match ok (Serve.Client.cache_lookup ~socket "feedface") with
-      | Some (Error "boom") -> ()
-      | _ -> Alcotest.fail "pushed verdict must be served back");
       (* The Unix socket serves the same daemon. *)
       let st2 = ok (Serve.Client.stats ~socket:d.d_unix ()) in
       Alcotest.(check bool) "both transports, one daemon" true
@@ -977,149 +902,6 @@ let test_drain_closes_tcp () =
   | Ok () -> Alcotest.fail "drained daemon must not answer tcp");
   Alcotest.(check bool) "socket file removed" false (Sys.file_exists d.d_unix);
   ignore port
-
-(* --- Fleet: scatter/steal/merge determinism, cache replication --- *)
-
-let fleet_config ?(peers = []) ?(steal_timeout_s = 30.0) ?(rpc_timeout_s = 5.0) () =
-  Serve.Fleet.create
-    { Serve.Fleet.default_config with peers; steal_timeout_s; rpc_timeout_s }
-
-(* A coordinator pool wired to [peers]; runs shard 0 itself. *)
-let coordinator ?fleet () =
-  Serve.Pool.create
-    {
-      Serve.Pool.default_config with
-      workers = 1;
-      queue_capacity = 16;
-      state_dir = None;
-      fleet;
-    }
-
-let test_fleet_determinism () =
-  let moves = 250 and seed = 9 and runs = 6 in
-  (* The single-box reference: one daemon, whole budget. *)
-  let p = Lazy.force compiled_ota in
-  let ref_best, ref_all = Core.Oblx.best_of ~seed ~moves ~jobs:1 ~runs p in
-  let ref_winner =
-    let rec go i = function
-      | [] -> 0
-      | r :: rest -> if r == ref_best then i else go (i + 1) rest
-    in
-    go 0 ref_all
-  in
-  (* Three daemons: a coordinator pool scattering over two TCP peers. *)
-  let b = boot_daemon () and c = boot_daemon () in
-  let fleet = fleet_config ~peers:[ b.d_tcp; c.d_tcp ] () in
-  let pool = coordinator ~fleet () in
-  Fun.protect
-    ~finally:(fun () ->
-      Serve.Pool.shutdown pool;
-      b.d_stop ();
-      c.d_stop ())
-    (fun () ->
-      let id = ok (Serve.Pool.submit pool (submission ~seed ~moves ~runs ())) in
-      Alcotest.(check string) "fleet job done" "done" (wait_done pool id);
-      let j = ok (Serve.Pool.result_json pool id) in
-      (match jnum j "best_cost" with
-      | Some c ->
-          Alcotest.(check bool) "fleet = one box, bit for bit" true
-            (Int64.bits_of_float c = Int64.bits_of_float ref_best.Core.Oblx.best_cost)
-      | None -> Alcotest.fail "no best_cost");
-      Alcotest.(check (option (float 0.0))) "winner restart preserved"
-        (Some (float_of_int ref_winner))
-        (jnum j "winner_restart");
-      (* Every restart ran exactly once, somewhere. *)
-      let total_moves =
-        List.fold_left (fun a (r : Core.Oblx.result) -> a + r.Core.Oblx.moves) 0 ref_all
-      in
-      Alcotest.(check (option (float 0.0))) "move total matches the flat run"
-        (Some (float_of_int total_moves))
-        (jnum j "moves");
-      let fs = Serve.Fleet.stats_json fleet in
-      Alcotest.(check (option (float 0.0))) "one scatter" (Some 1.0) (jnum fs "scatters");
-      Alcotest.(check (option (float 0.0))) "two remote shards" (Some 2.0)
-        (jnum fs "remote_shards"))
-
-let test_fleet_steal_recovers () =
-  let moves = 250 and seed = 9 and runs = 6 in
-  let p = Lazy.force compiled_ota in
-  let ref_best, _ = Core.Oblx.best_of ~seed ~moves ~jobs:1 ~runs p in
-  (* One live peer, one "peer" that accepts and never answers — a daemon
-     that died mid-job. Its shard must be stolen and re-run locally, and
-     the merged answer must not change. *)
-  let b = boot_daemon () in
-  let dead = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt dead Unix.SO_REUSEADDR true;
-  Unix.bind dead (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-  Unix.listen dead 4;
-  let dead_ep =
-    match Unix.getsockname dead with
-    | Unix.ADDR_INET (_, p) -> Printf.sprintf "tcp:127.0.0.1:%d" p
-    | _ -> Alcotest.fail "no port"
-  in
-  let fleet = fleet_config ~peers:[ b.d_tcp; dead_ep ] ~rpc_timeout_s:0.4 () in
-  let pool = coordinator ~fleet () in
-  Fun.protect
-    ~finally:(fun () ->
-      Serve.Pool.shutdown pool;
-      b.d_stop ();
-      Unix.close dead)
-    (fun () ->
-      let id = ok (Serve.Pool.submit pool (submission ~seed ~moves ~runs ())) in
-      Alcotest.(check string) "job survives the dead peer" "done" (wait_done pool id);
-      let j = ok (Serve.Pool.result_json pool id) in
-      (match jnum j "best_cost" with
-      | Some c ->
-          Alcotest.(check bool) "stolen shard changes nothing, bit for bit" true
-            (Int64.bits_of_float c = Int64.bits_of_float ref_best.Core.Oblx.best_cost)
-      | None -> Alcotest.fail "no best_cost");
-      let fs = Serve.Fleet.stats_json fleet in
-      (match jnum fs "steals" with
-      | Some n -> Alcotest.(check bool) "the steal was counted" true (n >= 1.0)
-      | None -> Alcotest.fail "no steals counter"))
-
-let test_fleet_cache_replication () =
-  (* Two fleet-aware daemons pointing at each other. Compiling on one
-     pushes the verdict to the other; the other's first compile of the
-     same source is then a remote hit (it still compiles — closures don't
-     travel — but the fleet knew). *)
-  let fb = fleet_config () and fc = fleet_config () in
-  let b = boot_daemon ~fleet:fb () and c = boot_daemon ~fleet:fc () in
-  Serve.Fleet.set_peers fb [ c.d_tcp ];
-  Serve.Fleet.set_peers fc [ b.d_tcp ];
-  Fun.protect
-    ~finally:(fun () ->
-      b.d_stop ();
-      c.d_stop ())
-    (fun () ->
-      let id = ok (Serve.Client.submit ~socket:b.d_tcp (submission ~moves:200 ())) in
-      let j = ok (Serve.Client.wait ~socket:b.d_tcp id) in
-      Alcotest.(check (option string)) "first daemon compiled" (Some "miss")
-        (jstr j "cache");
-      (* The push landed in C's directory before B's job finished (push
-         happens at compile time, before annealing). *)
-      let id2 = ok (Serve.Client.submit ~socket:c.d_tcp (submission ~moves:200 ())) in
-      let j2 = ok (Serve.Client.wait ~socket:c.d_tcp id2) in
-      Alcotest.(check (option string)) "second daemon still compiles locally"
-        (Some "miss") (jstr j2 "cache");
-      Alcotest.(check (option string)) "and still finishes" (Some "done")
-        (jstr j2 "state");
-      let st = ok (Serve.Client.stats ~socket:c.d_tcp ()) in
-      let cache = Option.get (Obs.Json.mem_opt "cache" st) in
-      (match jnum cache "remote_hits" with
-      | Some n -> Alcotest.(check bool) "remote hit counted in stats" true (n >= 1.0)
-      | None -> Alcotest.fail "no remote_hits in cache stats");
-      (* A compile *failure* verdict replicates too — and fails fast. *)
-      let idb = ok (Serve.Client.submit ~socket:b.d_tcp (submission ~source:broken_source ())) in
-      let jb = ok (Serve.Client.wait ~socket:b.d_tcp idb) in
-      Alcotest.(check (option string)) "broken failed at the source" (Some "failed")
-        (jstr jb "state");
-      let idc = ok (Serve.Client.submit ~socket:c.d_tcp (submission ~source:broken_source ())) in
-      let jc = ok (Serve.Client.wait ~socket:c.d_tcp idc) in
-      Alcotest.(check (option string)) "replicated verdict fails fast" (Some "failed")
-        (jstr jc "state");
-      Alcotest.(check (option string)) "with the same error" (jstr jb "error")
-        (jstr jc "error"))
 
 (* --- Journal rotation --- *)
 
@@ -1312,7 +1094,7 @@ let test_proto_sweep_round_trip () =
 
 let test_pool_sweep_validation () =
   let pool = frozen_pool ~queue_capacity:4 () in
-  (* Sweep jobs are never scattered: a sharded sweep is rejected up front. *)
+  (* A sweep carrying a shard is refused like any sharded submit. *)
   (match
      Serve.Pool.submit pool
        { (submission ~shard:(0, 1) ()) with Serve.Proto.sb_sweep = sweep_variants }
@@ -1420,7 +1202,6 @@ let test_proto_warm_round_trip () =
           rz_trace = true;
         };
       Serve.Proto.Corpus_lookup "shapehash";
-      Serve.Proto.Corpus_push corpus_entry;
     ]
   in
   List.iter
@@ -1938,8 +1719,20 @@ let test_replay_rejects_garbled_finish () =
   let pool = Serve.Pool.create (cfg 1) in
   let id = ok (Serve.Pool.submit pool (submission ~moves:150 ())) in
   Alcotest.(check string) "job finished" "done" (wait_done pool id);
+  let traced = ok (Serve.Pool.submit pool (submission ~moves:150 ~trace:true ())) in
+  Alcotest.(check string) "traced job finished" "done" (wait_done pool traced);
   Serve.Pool.shutdown pool;
-  (* Rewrite the finish line's best_cost to a string. *)
+  (* Rewrite the plain finish line's best_cost to a string, and give one
+     event of the traced finish line a kind no event has. *)
+  let garble_event line =
+    let key = {|"ev":"done"|} in
+    let rec find i =
+      if String.sub line i (String.length key) = key then i else find (i + 1)
+    in
+    let at = find 0 in
+    String.sub line 0 at ^ {|"ev":"gone"|}
+    ^ String.sub line (at + String.length key) (String.length line - at - String.length key)
+  in
   let garble line =
     let key = {|"best_cost":|} in
     let rec find i =
@@ -1953,7 +1746,12 @@ let test_replay_rejects_garbled_finish () =
   in
   let path = Filename.concat dir "jobs.log" in
   write_lines path
-    (List.map (fun l -> if contains l {|"finish"|} then garble l else l) (read_lines path));
+    (List.map
+       (fun l ->
+         if not (contains l {|"finish"|}) then l
+         else if contains l {|"events"|} then garble_event l
+         else garble l)
+       (read_lines path));
   let pool = Serve.Pool.create (cfg 0) in
   let j = ok (Serve.Pool.result_json pool id) in
   Alcotest.(check bool) "never done without a cost" true
@@ -1961,7 +1759,10 @@ let test_replay_rejects_garbled_finish () =
   Alcotest.(check (option string)) "replays as interrupted" (Some "failed") (jstr j "state");
   Alcotest.(check (option string)) "blames the restart" (Some "daemon restarted")
     (jstr j "error");
-  Alcotest.(check (option (float 0.0))) "the bad line is counted" (Some 1.0)
+  let t = ok (Serve.Pool.result_json pool traced) in
+  Alcotest.(check (option string)) "a garbled event fails its job's finish line"
+    (Some "daemon restarted") (jstr t "error");
+  Alcotest.(check (option (float 0.0))) "both bad lines are counted" (Some 2.0)
     (journal_rejected pool);
   Serve.Pool.shutdown pool;
   rm_rf dir
@@ -2103,8 +1904,8 @@ let () =
           Alcotest.test_case "request round-trip" `Quick test_proto_round_trip;
           Alcotest.test_case "lenient defaults + shape errors" `Quick
             test_proto_lenient_defaults;
-          Alcotest.test_case "fleet verbs + shard round-trip" `Quick
-            test_proto_new_verbs_round_trip;
+          Alcotest.test_case "removed verbs and shards rejected" `Quick
+            test_removed_inputs_rejected;
           Alcotest.test_case "sweep round-trip + empty rejection" `Quick
             test_proto_sweep_round_trip;
         ] );
@@ -2127,6 +1928,7 @@ let () =
             test_pool_wait_s_on_cancelled_queued;
           Alcotest.test_case "failed job cache outcome" `Slow
             test_pool_failed_job_cache_outcome;
+          Alcotest.test_case "sharded submit refused" `Quick test_pool_shard_refused;
         ] );
       ( "sweep",
         [
@@ -2165,16 +1967,6 @@ let () =
           Alcotest.test_case "error attribution" `Quick test_tcp_error_attribution;
           Alcotest.test_case "auth gate" `Quick test_auth_required;
           Alcotest.test_case "drain closes the tcp listener" `Quick test_drain_closes_tcp;
-        ] );
-      ( "fleet",
-        [
-          Alcotest.test_case "split_shards tiles the budget" `Quick test_fleet_split_shards;
-          Alcotest.test_case "sharded submit runs its range" `Slow test_pool_shard_execution;
-          Alcotest.test_case "scatter/merge = one box, bit for bit" `Slow
-            test_fleet_determinism;
-          Alcotest.test_case "dead peer stolen, bits unchanged" `Slow
-            test_fleet_steal_recovers;
-          Alcotest.test_case "compile verdicts replicate" `Slow test_fleet_cache_replication;
         ] );
       ( "rotation",
         [
