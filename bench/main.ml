@@ -446,6 +446,20 @@ let perf () =
   let out = Netlist.Circuit.find_node jig "out" in
   let sel = Mna.Linearize.output_vector lin ~pos:out ~neg:None in
   let freqs = Array.init 30 (fun k -> 10.0 ** (3.0 +. (float_of_int k /. 4.0))) in
+  (* The Newton core: a cold DC solve of folded-cascode's bias network and
+     tran-buffer's in-loop transient, both at the start state. *)
+  let start_value p =
+    let env = Core.Eval.value_env p (Core.State.snapshot p.Core.Problem.state0) in
+    Netlist.Expr.eval env
+  in
+  let fc = compile_exn (Option.get (Suite.Ckts.find "folded-cascode")) in
+  let fc_value = start_value fc in
+  let tb = compile_exn (Option.get (Suite.Ckts.find "tran-buffer")) in
+  let tb_value = start_value tb in
+  let tb_jig = List.find (fun j -> j.Core.Problem.jig_tran <> None) tb.Core.Problem.jigs in
+  let tb_tf = fst (List.hd tb_jig.Core.Problem.tfs) in
+  let tb_card = Option.get tb_jig.Core.Problem.jig_tran in
+  let tb_dt = Option.value ~default:tb_card.Netlist.Ast.tr_dt tb_card.Netlist.Ast.tr_dtloop in
   let open Bechamel in
   let tests =
     Test.make_grouped ~name:"astrx-oblx"
@@ -465,6 +479,17 @@ let perf () =
         Test.make ~name:"fig3:full-dc-solve"
           (Staged.stage (fun () ->
                ignore (Mna.Dc.solve ~value ~registry:p.Core.Problem.registry jig)));
+        Test.make ~name:"newton:folded-cascode-bias-dc"
+          (Staged.stage (fun () ->
+               ignore
+                 (Mna.Dc.solve ~value:fc_value ~registry:fc.Core.Problem.registry
+                    fc.Core.Problem.bias)));
+        Test.make ~name:"newton:tran-buffer-transient"
+          (Staged.stage (fun () ->
+               ignore
+                 (Core.Eval.transient_response tb ~value:tb_value ~tf:tb_tf
+                    ~vstep:tb_card.Netlist.Ast.tr_vstep ~tstop:tb_card.Netlist.Ast.tr_tstop
+                    ~dt:tb_dt)));
       ]
   in
   let instance = Toolkit.Instance.monotonic_clock in

@@ -104,18 +104,6 @@ let make_env (p : Problem.t) (st : State.t) =
           in
           (match op with Some op -> Eval.op_field op field | None -> raise Not_found)
     in
-    (* -3 dB point by direct scan of the exact AC response. *)
-    let bw3db_of (js, b, sel) =
-      let a0 = Float.abs (Mna.Ac.dc_gain js.lin ~b ~sel) in
-      let target = a0 /. Float.sqrt 2.0 in
-      let rec scan f =
-        if f > 1e12 then 1e12
-        else if La.Cpx.abs (Mna.Ac.transfer js.lin ~b ~sel ~w:(2.0 *. Float.pi *. f)) < target
-        then f
-        else scan (f *. 1.05)
-      in
-      scan 1.0
-    in
     (* Exact-step transient of [tf] under the owning jig's .tran card,
        through the same shared stimulus helper the in-loop evaluator uses
        (Eval.transient_response) — the verification differs only in step
@@ -188,7 +176,9 @@ let make_env (p : Problem.t) (st : State.t) =
       | "gain_at", [ tf; f ] ->
           let js, b, sel = tf_measure (tfarg tf) in
           La.Cpx.abs (Mna.Ac.transfer js.lin ~b ~sel ~w:(2.0 *. Float.pi *. numarg f))
-      | "bw3db", [ tf ] -> bw3db_of (tf_measure (tfarg tf))
+      | "bw3db", [ tf ] ->
+          let js, b, sel = tf_measure (tfarg tf) in
+          Mna.Ac.bandwidth_3db js.lin ~b ~sel
       | "pole1", [ tf ] ->
           (* The reference flow extracts poles with AWE at the simulator's
              exact operating point (HSPICE's .pz plays this role). *)
@@ -209,8 +199,8 @@ let make_env (p : Problem.t) (st : State.t) =
       | "settle", [ tf; tol ] -> settle_of (tfarg tf) (numarg tol)
       | "noise_out_uv", [ tf ] -> begin
           let tfn = tfarg tf in
-          let ((js, _, sel) as m) = tf_measure tfn in
-          let bw = bw3db_of m in
+          let js, b, sel = tf_measure tfn in
+          let bw = Mna.Ac.bandwidth_3db js.lin ~b ~sel in
           if not (bw > 0.0) then raise (Sim_failed (tfn ^ ": noise bandwidth unavailable"))
           else begin
             let enbw = Float.pi /. 2.0 *. bw in

@@ -81,23 +81,16 @@ let make p : Sig.bjt_eval =
     (sign *. ic, sign *. ib)
   in
   let ic0, ib0 = frame ~vc ~vb ~ve in
+  (* Central differences: each perturbed frame serves both currents. *)
   let h = 1e-6 in
-  let dc_dvb =
-    let icp, _ = frame ~vc ~vb:(vb +. h) ~ve and icm, _ = frame ~vc ~vb:(vb -. h) ~ve in
-    (icp -. icm) /. (2.0 *. h)
-  in
-  let db_dvb =
-    let _, ibp = frame ~vc ~vb:(vb +. h) ~ve and _, ibm = frame ~vc ~vb:(vb -. h) ~ve in
-    (ibp -. ibm) /. (2.0 *. h)
-  in
-  let dc_dvc =
-    let icp, _ = frame ~vc:(vc +. h) ~vb ~ve and icm, _ = frame ~vc:(vc -. h) ~vb ~ve in
-    (icp -. icm) /. (2.0 *. h)
-  in
-  let db_dvc =
-    let _, ibp = frame ~vc:(vc +. h) ~vb ~ve and _, ibm = frame ~vc:(vc -. h) ~vb ~ve in
-    (ibp -. ibm) /. (2.0 *. h)
-  in
+  let icp_b, ibp_b = frame ~vc ~vb:(vb +. h) ~ve in
+  let icm_b, ibm_b = frame ~vc ~vb:(vb -. h) ~ve in
+  let icp_c, ibp_c = frame ~vc:(vc +. h) ~vb ~ve in
+  let icm_c, ibm_c = frame ~vc:(vc -. h) ~vb ~ve in
+  let dc_dvb = (icp_b -. icm_b) /. (2.0 *. h) in
+  let db_dvb = (ibp_b -. ibm_b) /. (2.0 *. h) in
+  let dc_dvc = (icp_c -. icm_c) /. (2.0 *. h) in
+  let db_dvc = (ibp_c -. ibm_c) /. (2.0 *. h) in
   let vbe_f = sign *. (vb -. ve) and vbc_f = sign *. (vb -. vc) in
   let cje_dep = Mos_common.junction_cap (p.cje *. area) p.vje p.mje vbe_f in
   let cjc_dep = Mos_common.junction_cap (p.cjc *. area) p.vjc p.mjc vbc_f in

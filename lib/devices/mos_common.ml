@@ -17,63 +17,114 @@ let phi_minus_vbs p vbs =
   let x = p.Mos_params.phi -. vbs in
   0.5 *. (x +. Float.sqrt ((x *. x) +. 0.04))
 
-let threshold p ~leff ~vbs ~vds =
+(* Everything in the channel current that depends on the parameters and
+   the effective geometry alone, computed once per evaluation. *)
+type geometry = {
+  weff : float;
+  leff : float;
+  nvt : float;  (** subthreshold slope n * kT/q *)
+  sqrt_phi : float;
+  sigma : float;  (** level 3 DIBL coefficient, 8.14e-22 eta / (cox leff^3) *)
+  sce : float;  (** BSIM short-channel rolloff, dvt0 e^(-leff/dvt1) *)
+  dibl : float;  (** BSIM DIBL coefficient, eta e^(-leff/(2 dvt1)) *)
+  tox : float;  (** BSIM oxide thickness from cox *)
+  esat_v : float;  (** level 3 / BSIM velocity-saturation voltage *)
+  lambda : float;  (** channel-length modulation; worse at short channel above level 1 *)
+}
+
+let geometry p ~weff ~leff =
+  let open Mos_params in
+  let esat_v () =
+    let u0 = p.kp /. p.cox in
+    2.0 *. p.vmax /. u0 *. leff
+  in
+  let short_lambda () = p.lambda *. Float.sqrt (1e-6 /. Float.max leff 0.05e-6) *. p.kappa /. 0.4 in
+  let g =
+    {
+      weff;
+      leff;
+      nvt = p.subth_n *. vt_thermal;
+      sqrt_phi = Float.sqrt p.phi;
+      sigma = 0.0;
+      sce = 0.0;
+      dibl = 0.0;
+      tox = 0.0;
+      esat_v = 0.0;
+      lambda = p.lambda;
+    }
+  in
+  match p.level with
+  | Level1 -> g
+  | Level3 ->
+      {
+        g with
+        sigma = 8.14e-22 *. p.eta /. (p.cox *. (leff ** 3.0));
+        esat_v = esat_v ();
+        lambda = short_lambda ();
+      }
+  | Bsim ->
+      {
+        g with
+        sce = p.dvt0 *. Float.exp (-.leff /. p.dvt1);
+        dibl = p.eta *. Float.exp (-.leff /. (2.0 *. p.dvt1));
+        tox = 3.45e-11 /. p.cox;
+        esat_v = esat_v ();
+        lambda = short_lambda ();
+      }
+
+let threshold p g ~vbs ~vds =
   let open Mos_params in
   let ph = phi_minus_vbs p vbs in
-  let sqrt_phi = Float.sqrt p.phi in
   match p.level with
-  | Level1 -> p.vto +. (p.gamma *. (Float.sqrt ph -. sqrt_phi))
+  | Level1 -> p.vto +. (p.gamma *. (Float.sqrt ph -. g.sqrt_phi))
   | Level3 ->
-      (* Body effect + level-3 style DIBL term 8.14e-22 * eta / (cox*leff^3). *)
-      let sigma = 8.14e-22 *. p.eta /. (p.cox *. (leff ** 3.0)) in
-      p.vto +. (p.gamma *. (Float.sqrt ph -. sqrt_phi)) -. (sigma *. vds)
+      (* Body effect + level-3 style DIBL term. *)
+      p.vto +. (p.gamma *. (Float.sqrt ph -. g.sqrt_phi)) -. (g.sigma *. vds)
   | Bsim ->
-      let sce = p.dvt0 *. Float.exp (-.leff /. p.dvt1) in
-      let dibl = p.eta *. Float.exp (-.leff /. (2.0 *. p.dvt1)) *. vds in
       p.vto
-      +. (p.k1 *. (Float.sqrt ph -. sqrt_phi))
+      +. (p.k1 *. (Float.sqrt ph -. g.sqrt_phi))
       -. (p.k2 *. (ph -. p.phi))
-      -. sce -. dibl
+      -. g.sce -. (g.dibl *. vds)
 
-let mobility_factor p vgst =
+let mobility_factor p g vgst =
   let open Mos_params in
   match p.level with
   | Level1 -> 1.0
   | Level3 -> 1.0 /. (1.0 +. (p.theta *. vgst))
   | Bsim ->
-      let tox = 3.45e-11 /. p.cox in
-      let x = vgst /. tox in
+      let x = vgst /. g.tox in
       1.0 /. (1.0 +. (p.ua *. x) +. (p.ub *. x *. x))
 
 (* Saturation voltage. Level 1 is the long-channel pinch-off; the others
    include velocity saturation through the critical field. *)
-let vdsat_of p ~leff vgst =
+let vdsat_of p g vgst =
   let open Mos_params in
   match p.level with
   | Level1 -> vgst
-  | Level3 | Bsim ->
-      let u0 = p.kp /. p.cox in
-      let esat_v = 2.0 *. p.vmax /. u0 *. leff in
-      vgst *. esat_v /. (vgst +. esat_v +. 1e-9)
+  | Level3 | Bsim -> vgst *. g.esat_v /. (vgst +. g.esat_v +. 1e-9)
 
-let lambda_eff p ~leff =
-  let open Mos_params in
-  match p.level with
-  | Level1 -> p.lambda
-  | Level3 | Bsim ->
-      (* Output conductance worsens at short channel. *)
-      p.lambda *. Float.sqrt (1e-6 /. Float.max leff 0.05e-6) *. p.kappa /. 0.4
+(* One channel-current evaluation in the device frame (vds >= 0), with
+   the threshold, smoothed overdrive and saturation voltage it used. *)
+type channel = { mutable ids : float; mutable vth : float; mutable vgst : float; mutable vdsat : float }
+
+let eval_channel p g ch ~vds ~vgs ~vbs =
+  let vth = threshold p g ~vbs ~vds in
+  let vgst = softplus g.nvt (vgs -. vth) in
+  let uf = mobility_factor p g vgst in
+  let beta = p.Mos_params.kp *. uf *. g.weff /. g.leff in
+  let vdsat = vdsat_of p g vgst in
+  let vde = smooth_min vds vdsat in
+  ch.ids <- beta *. ((vgst -. (0.5 *. vde)) *. vde) *. (1.0 +. (g.lambda *. vds));
+  ch.vth <- vth;
+  ch.vgst <- vgst;
+  ch.vdsat <- vdsat
+
+let new_channel () = { ids = 0.0; vth = 0.0; vgst = 0.0; vdsat = 0.0 }
 
 let channel_current p ~weff ~leff ~vds ~vgs ~vbs =
-  let open Mos_params in
-  let vth = threshold p ~leff ~vbs ~vds in
-  let nvt = p.subth_n *. vt_thermal in
-  let vgst = softplus nvt (vgs -. vth) in
-  let uf = mobility_factor p vgst in
-  let beta = p.kp *. uf *. weff /. leff in
-  let vdsat = vdsat_of p ~leff vgst in
-  let vde = smooth_min vds vdsat in
-  beta *. ((vgst -. (0.5 *. vde)) *. vde) *. (1.0 +. (lambda_eff p ~leff *. vds))
+  let ch = new_channel () in
+  eval_channel p (geometry p ~weff ~leff) ch ~vds ~vgs ~vbs;
+  ch.ids
 
 (* Junction diode with exponent clamping: above [vmax_arg] thermal voltages
    the exponential is linearized so NR never sees infinities. *)
@@ -115,15 +166,21 @@ let make p : Sig.mos_eval =
   let open Mos_params in
   let weff = Float.max w 0.1e-6 in
   let leff = Float.max (l -. (2.0 *. p.ld)) 0.05e-6 in
+  let geo = geometry p ~weff ~leff in
   let sign = match p.pol with Sig.N -> 1.0 | Sig.P -> -1.0 in
+  let ch = new_channel () in
   (* External-frame channel current into the drain terminal. *)
-  let id_ext ~vd ~vg ~vs ~vb =
-    let f = to_frame p.pol ~vd ~vg ~vs ~vb in
-    let ids = channel_current p ~weff ~leff ~vds:f.vds ~vgs:f.vgs ~vbs:f.vbs in
+  let id_of f =
+    eval_channel p geo ch ~vds:f.vds ~vgs:f.vgs ~vbs:f.vbs;
     let dir = if f.swapped then -1.0 else 1.0 in
-    sign *. dir *. m *. ids
+    sign *. dir *. m *. ch.ids
   in
-  let id0 = id_ext ~vd ~vg ~vs ~vb in
+  let id_ext ~vd ~vg ~vs ~vb = id_of (to_frame p.pol ~vd ~vg ~vs ~vb) in
+  let f = to_frame p.pol ~vd ~vg ~vs ~vb in
+  let id0 = id_of f in
+  (* The centre point's threshold, overdrive and saturation voltage also
+     decide the region below. *)
+  let vth = ch.vth and vgst = ch.vgst and vdsat = ch.vdsat in
   (* Central finite differences give the channel Jacobian; the formulation
      is smooth so a fixed 10uV step is accurate and robust. *)
   let h = 1e-5 in
@@ -144,12 +201,8 @@ let make p : Sig.mos_eval =
      terminal into the diffusion. *)
   let ibd_ = sign *. ibd and ibs_ = sign *. ibs in
   (* Region bookkeeping in the device frame. *)
-  let f = to_frame p.pol ~vd ~vg ~vs ~vb in
-  let vth = threshold p ~leff ~vbs:f.vbs ~vds:f.vds in
-  let nvt = p.subth_n *. vt_thermal in
+  let nvt = geo.nvt in
   let vgst_raw = f.vgs -. vth in
-  let vgst = softplus nvt vgst_raw in
-  let vdsat = vdsat_of p ~leff vgst in
   let region =
     if vgst_raw < -6.0 *. nvt then Sig.Off
     else if vgst_raw < 2.0 *. nvt then Sig.Subthreshold

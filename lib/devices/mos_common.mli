@@ -16,7 +16,13 @@ val vt_thermal : float
 
 (** [channel_current params ~weff ~leff ~vds ~vgs ~vbs] is the drain-source
     channel current in the device frame (vds >= 0 expected), exposed for
-    unit tests of the model physics. *)
+    unit tests of the model physics. It is the kernel [make] runs seven
+    times per evaluation (the centre point and the six perturbed ones),
+    whose per-geometry terms — the level-3 DIBL and BSIM short-channel
+    coefficients, sqrt phi, the velocity-saturation voltage and the
+    effective lambda — [make] computes once per call; its region and
+    capacitances reuse the centre point's threshold, overdrive and
+    saturation voltage. *)
 val channel_current :
   Mos_params.t -> weff:float -> leff:float -> vds:float -> vgs:float -> vbs:float -> float
 

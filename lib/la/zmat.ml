@@ -9,10 +9,19 @@ let set t i j (v : Cpx.t) =
   t.re.(k) <- v.Cpx.re;
   t.im.(k) <- v.Cpx.im
 
+let set_real_pair t (g : Mat.t) (c : Mat.t) w =
+  if g.Mat.m <> c.Mat.m || g.Mat.n <> c.Mat.n then
+    invalid_arg "Zmat.set_real_pair: shape mismatch";
+  if g.Mat.m <> t.m || g.Mat.n <> t.n then invalid_arg "Zmat.set_real_pair: size mismatch";
+  Array.blit g.Mat.a 0 t.re 0 (Array.length t.re);
+  Array.iteri (fun k x -> Array.unsafe_set t.im k (w *. x)) c.Mat.a
+
 let of_real_pair (g : Mat.t) (c : Mat.t) w =
   if g.Mat.m <> c.Mat.m || g.Mat.n <> c.Mat.n then
     invalid_arg "Zmat.of_real_pair: shape mismatch";
-  { m = g.Mat.m; n = g.Mat.n; re = Array.copy g.Mat.a; im = Array.map (fun x -> w *. x) c.Mat.a }
+  let t = create g.Mat.m g.Mat.n in
+  set_real_pair t g c w;
+  t
 
 exception Singular of int
 
@@ -21,13 +30,11 @@ exception Singular of int
    order ([norm] is [Float.hypot]; [div] picks its branch on the
    divisor's larger part), so the solution has the bits of the
    element-wise [Cpx] formulation (test_kernels pins this). *)
-let solve t b =
+let solve_in_place t xr xi =
   let n = t.m in
   if n <> t.n then invalid_arg "Zmat.solve: not square";
-  if Array.length b <> n then invalid_arg "Zmat.solve: dim mismatch";
+  if Array.length xr <> n || Array.length xi <> n then invalid_arg "Zmat.solve: dim mismatch";
   let ar = t.re and ai = t.im in
-  let xr = Array.map (fun (z : Cpx.t) -> z.Cpx.re) b in
-  let xi = Array.map (fun (z : Cpx.t) -> z.Cpx.im) b in
   let swap (v : float array) k p =
     let tmp = Array.unsafe_get v k in
     Array.unsafe_set v k (Array.unsafe_get v p);
@@ -104,5 +111,10 @@ let solve t b =
       Array.unsafe_set xr i (((r *. xre) +. xim) /. d);
       Array.unsafe_set xi i (((r *. xim) -. xre) /. d)
     end
-  done;
-  Array.init n (fun i -> { Cpx.re = xr.(i); im = xi.(i) })
+  done
+
+let solve t b =
+  let xr = Array.map (fun (z : Cpx.t) -> z.Cpx.re) b in
+  let xi = Array.map (fun (z : Cpx.t) -> z.Cpx.im) b in
+  solve_in_place t xr xi;
+  Array.init (Array.length b) (fun i -> { Cpx.re = xr.(i); im = xi.(i) })

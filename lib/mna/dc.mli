@@ -3,9 +3,16 @@
     this is the "detailed circuit simulator" half of the reproduction's
     reference simulator.
 
+    A solve resolves its circuit once, before the first Newton iteration:
+    each element's unknown rows, its device model and its element values
+    (one [value] call per expression per solve). Every iteration then
+    evaluates each device once and stamps from that plan, in element
+    order, so the iterates have the bits of a per-iteration walk of the
+    circuit. The transient engine ({!Tran}) runs on the same core.
+
     Capacitors are open, inductors are 0 V branches. *)
 
-type op_info = Mos_op of Devices.Sig.mos_op | Bjt_op of Devices.Sig.bjt_op
+type op_info = Newton.op_info = Mos_op of Devices.Sig.mos_op | Bjt_op of Devices.Sig.bjt_op
 
 type solution = {
   index : Sysmat.t;
@@ -27,7 +34,11 @@ val supply_power : solution -> value:(Netlist.Expr.t -> float) -> float
 
 (** [solve ~value ~registry circuit] computes the operating point.
     [value] evaluates element-value expressions (design variables bound by
-    the caller). [x0] warm-starts the Newton iteration: a plain Newton at
+    the caller). A bad circuit returns the error of its first bad element
+    in element order: a non-positive resistance, an unknown model or one
+    of the wrong kind, a current-controlled source naming no
+    voltage-defined element, or an element value that does not
+    evaluate. [x0] warm-starts the Newton iteration: a plain Newton at
     the final gmin (1e-12) from [x0] is tried first, then the gmin
     schedule from [x0], then source stepping from zero. Without [x0] the
     schedule starts from zero.
@@ -55,27 +66,3 @@ val solve_ramped :
     style of a SPICE [.nodeset]: node [k]'s voltage is [hint] of its name
     (0 where [hint] gives [None]), every branch current 0. *)
 val nodeset : Netlist.Circuit.t -> (string -> float option) -> float array
-
-(** Low-level hooks shared with the transient engine. *)
-
-(** [assemble idx ~value ~registry ~gmin ~srcscale ~jac x] stamps the
-    Newton Jacobian into [jac] (cleared first; [Sysmat.size] square) and
-    returns the right-hand side, at the linearization point [x]. *)
-val assemble :
-  Sysmat.t ->
-  value:(Netlist.Expr.t -> float) ->
-  registry:Devices.Registry.t ->
-  gmin:float ->
-  srcscale:float ->
-  jac:La.Mat.t ->
-  float array ->
-  La.Vec.t
-
-(** [collect_ops idx ~value ~registry x] evaluates every nonlinear device at
-    the state [x]. *)
-val collect_ops :
-  Sysmat.t ->
-  value:(Netlist.Expr.t -> float) ->
-  registry:Devices.Registry.t ->
-  float array ->
-  (string * op_info) list

@@ -50,105 +50,128 @@ let settling_time ~times v ~t_from ~tol =
     Float.max 0.0 (times.(!settle) -. t_from)
   end
 
-(* Replace the DC expression of stimulated sources with the value at [t]. *)
-let circuit_at stimulus t (circuit : Netlist.Circuit.t) =
-  let subst (e : Netlist.Circuit.element) =
-    match e with
-    | Netlist.Circuit.Vsource ({ name; _ } as r) -> begin
-        match List.assoc_opt name stimulus with
-        | Some f -> Netlist.Circuit.Vsource { r with dc = Netlist.Expr.const (f t) }
-        | None -> e
-      end
-    | Netlist.Circuit.Isource ({ name; _ } as r) -> begin
-        match List.assoc_opt name stimulus with
-        | Some f -> Netlist.Circuit.Isource { r with dc = Netlist.Expr.const (f t) }
-        | None -> e
-      end
-    | Netlist.Circuit.Resistor _ | Netlist.Circuit.Capacitor _ | Netlist.Circuit.Inductor _
-    | Netlist.Circuit.Vcvs _ | Netlist.Circuit.Vccs _ | Netlist.Circuit.Cccs _
-    | Netlist.Circuit.Ccvs _ | Netlist.Circuit.Mosfet _ | Netlist.Circuit.Bjt _ ->
-        e
-  in
-  { circuit with Netlist.Circuit.elements = Array.map subst circuit.Netlist.Circuit.elements }
-
 (* Backward-Euler capacitor companions: conductance C/h plus history
    current. Device capacitances are frozen at the previous step's operating
    point, which is the standard charge-conserving-enough simplification for
-   a slew-rate measurement. *)
-let stamp_caps idx ~value ~ops ~h (xold : float array) j b =
-  let vold node = if node = 0 then 0.0 else xold.(Sysmat.node_row idx node) in
-  let companion n1 n2 cv =
+   a slew-rate measurement. A step's companions are fixed before its first
+   Newton iteration and stamped into every one. *)
+type capacitance = Linear of { r1 : int; r2 : int; c : float } | Mos of Newton.mos | Bjt of Newton.bjt
+
+type companions = {
+  caps : capacitance array;  (** element order *)
+  r1 : int array;
+  r2 : int array;
+  geq : float array;
+  ihist : float array;
+  mutable count : int;
+}
+
+(* The circuit's capacitances, capacitor values evaluated once. *)
+let companions_of (plan : Newton.t) ~value =
+  let caps =
+    Array.of_list
+      (List.filter_map
+         (fun (e : Newton.elem) ->
+           match e with
+           | Newton.Capacitor { r1; r2; cap } -> Some (Linear { r1; r2; c = value cap })
+           | Newton.Mos m -> Some (Mos m)
+           | Newton.Bjt q -> Some (Bjt q)
+           | Newton.Conductance _ | Newton.Inductor _ | Newton.Vsource _ | Newton.Isource _
+           | Newton.Vcvs _ | Newton.Vccs _ | Newton.Cccs _ | Newton.Ccvs _ ->
+               None)
+         (Array.to_list plan.Newton.elems))
+  in
+  let slots =
+    Array.fold_left
+      (fun acc cap -> acc + match cap with Linear _ -> 1 | Mos _ -> 5 | Bjt _ -> 3)
+      0 caps
+  in
+  {
+    caps;
+    r1 = Array.make slots 0;
+    r2 = Array.make slots 0;
+    geq = Array.make slots 0.0;
+    ihist = Array.make slots 0.0;
+    count = 0;
+  }
+
+(* The companions of a step of length [h] from [xold], each device at the
+   operating point it was last evaluated at, which is [xold]'s. *)
+let set_companions cs ~h (xold : float array) =
+  let vold = Newton.voltage xold in
+  cs.count <- 0;
+  let companion r1 r2 cv =
     if cv > 0.0 then begin
+      let k = cs.count in
       let geq = cv /. h in
-      Sysmat.stamp_conductance idx j n1 n2 geq;
-      let ihist = geq *. (vold n1 -. vold n2) in
-      Sysmat.add_vec (Sysmat.node_row idx n1) ihist b;
-      Sysmat.add_vec (Sysmat.node_row idx n2) (-.ihist) b
+      cs.r1.(k) <- r1;
+      cs.r2.(k) <- r2;
+      cs.geq.(k) <- geq;
+      cs.ihist.(k) <- geq *. (vold r1 -. vold r2);
+      cs.count <- k + 1
     end
   in
   Array.iter
-    (fun (e : Netlist.Circuit.element) ->
-      match e with
-      | Netlist.Circuit.Capacitor { n1; n2; value = ve; _ } -> companion n1 n2 (value ve)
-      | Netlist.Circuit.Mosfet { name; d; g; s; b = nb; _ } -> begin
-          match List.assoc_opt name ops with
-          | Some (Dc.Mos_op op) ->
-              let open Devices.Sig in
-              companion g s op.cgs;
-              companion g d op.cgd;
-              companion g nb op.cgb;
-              companion nb d op.cbd;
-              companion nb s op.cbs
-          | Some (Dc.Bjt_op _) | None -> ()
-        end
-      | Netlist.Circuit.Bjt { name; c; b = nb; e = ne; _ } -> begin
-          match List.assoc_opt name ops with
-          | Some (Dc.Bjt_op op) ->
-              let open Devices.Sig in
-              companion nb ne op.cpi;
-              companion nb c op.cmu;
-              companion c 0 op.ccs
-          | Some (Dc.Mos_op _) | None -> ()
-        end
-      | Netlist.Circuit.Resistor _ | Netlist.Circuit.Inductor _ | Netlist.Circuit.Vsource _
-      | Netlist.Circuit.Isource _ | Netlist.Circuit.Vcvs _ | Netlist.Circuit.Vccs _
-      | Netlist.Circuit.Cccs _ | Netlist.Circuit.Ccvs _ ->
-          ())
-    idx.Sysmat.circuit.Netlist.Circuit.elements
+    (function
+      | Linear { r1; r2; c } -> companion r1 r2 c
+      | Mos { Newton.d; g; s; b; mos_op = op; _ } ->
+          let open Devices.Sig in
+          companion g s op.cgs;
+          companion g d op.cgd;
+          companion g b op.cgb;
+          companion b d op.cbd;
+          companion b s op.cbs
+      | Bjt { Newton.c; base; e; bjt_op = op; _ } ->
+          let open Devices.Sig in
+          companion base e op.cpi;
+          companion base c op.cmu;
+          companion c (-1) op.ccs)
+    cs.caps
 
-(* One backward-Euler timestep. Every Newton iteration stamps into the
-   caller's [jac] and factors it in place. *)
-let step ~value ~registry ~h ~stimulus ~t ~jac circuit (xold : float array) ops_prev =
-  let ckt_t = circuit_at stimulus t circuit in
-  let idx = Sysmat.of_circuit ckt_t in
+let stamp_companions cs plan =
+  for k = 0 to cs.count - 1 do
+    let r1 = cs.r1.(k) and r2 = cs.r2.(k) and ihist = cs.ihist.(k) in
+    Newton.add_conductance plan r1 r2 cs.geq.(k);
+    Newton.add_rhs plan r1 ihist;
+    Newton.add_rhs plan r2 (-.ihist)
+  done
+
+(* One backward-Euler timestep to time [t] from [xold], where the devices
+   were last evaluated. The first Newton iteration starts there, so only
+   later iterates evaluate the devices again, and the converged point's
+   evaluation serves the next step. *)
+let step plan cs ~h ~t (xold : float array) =
+  Newton.set_time plan t;
+  set_companions cs ~h xold;
   let x = Array.copy xold in
   let rec newton it =
     if it > 60 then Error "tran: Newton failed in timestep"
     else begin
-      let b = Dc.assemble idx ~value ~registry ~gmin:1e-12 ~srcscale:1.0 ~jac x in
-      stamp_caps idx ~value ~ops:ops_prev ~h xold jac b;
-      match La.Lu.factor_in_place jac with
+      if it > 0 then Newton.eval_devices plan x;
+      Newton.stamp plan ~gmin:1e-12 ~srcscale:1.0 x;
+      stamp_companions cs plan;
+      match La.Lu.factor_in_place plan.Newton.jac with
       | exception La.Lu.Singular _ -> Error "tran: singular Jacobian"
       | lu ->
-          let xnew = La.Lu.solve lu b in
-          let maxdv = ref 0.0 in
-          for k = 0 to Array.length x - 1 do
-            let dv = xnew.(k) -. x.(k) in
-            let lim = if k < idx.Sysmat.n_nodes - 1 then Float.max (-0.5) (Float.min 0.5 dv) else dv in
-            if k < idx.Sysmat.n_nodes - 1 then maxdv := Float.max !maxdv (Float.abs dv);
-            x.(k) <- x.(k) +. lim
-          done;
-          if !maxdv < 1e-6 then Ok x else newton (it + 1)
+          La.Lu.solve_in_place lu plan.Newton.rhs;
+          if Newton.update plan x < 1e-6 then begin
+            Newton.eval_devices plan x;
+            Ok x
+          end
+          else newton (it + 1)
     end
   in
-  Result.map (fun x -> (x, Dc.collect_ops idx ~value ~registry x)) (newton 0)
+  newton 0
 
 let simulate ~value ~registry ~tstop ~dt ~stimulus circuit =
-  let ckt0 = circuit_at stimulus 0.0 circuit in
-  match Dc.solve ~value ~registry ckt0 with
+  let idx = Sysmat.of_circuit circuit in
+  match
+    Result.bind (Newton.plan idx ~value ~registry ~stimulus) (fun plan ->
+        Result.map (fun (x0, _) -> (plan, x0)) (Newton.dc plan ~max_iter:200))
+  with
   | Error e -> Error ("tran: initial operating point: " ^ e)
-  | Ok sol0 ->
-      let idx = sol0.Dc.index in
+  | Ok (plan, x0) ->
+      let cs = companions_of plan ~value in
       (* The relative epsilon keeps an exactly-dividing tstop/dt from
          rounding just above an integer and growing a degenerate h=0 final
          step (whose C/h companion stamp would be singular). *)
@@ -159,18 +182,16 @@ let simulate ~value ~registry ~tstop ~dt ~stimulus circuit =
          sampled past the requested horizon; the final (shorter) step gets
          its own h below. *)
       let times = Array.init (nsteps + 1) (fun k -> Float.min (float_of_int k *. dt) tstop) in
-      let states = Array.make (nsteps + 1) sol0.Dc.x in
-      (* Every timestep's system has the layout of the initial one. *)
-      let jac = La.Mat.create idx.Sysmat.size idx.Sysmat.size in
-      let rec run k x ops =
+      let states = Array.make (nsteps + 1) x0 in
+      let rec run k x =
         if k > nsteps then Ok { index = idx; times; states }
         else begin
           let h = times.(k) -. times.(k - 1) in
-          match step ~value ~registry ~h ~stimulus ~t:times.(k) ~jac circuit x ops with
+          match step plan cs ~h ~t:times.(k) x with
           | Error e -> Error e
-          | Ok (x', ops') ->
+          | Ok x' ->
               states.(k) <- x';
-              run (k + 1) x' ops'
+              run (k + 1) x'
         end
       in
-      run 1 sol0.Dc.x sol0.Dc.ops
+      run 1 x0

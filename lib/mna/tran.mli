@@ -3,7 +3,14 @@
     large-signal specifications (slew rate) that AWE cannot predict.
 
     Time-varying stimulus is supplied per source name; sources without an
-    override keep their DC value. *)
+    override keep their DC value.
+
+    A simulation resolves its circuit once, for its initial operating
+    point (the {!Dc} core), and every timestep stamps from that plan: the
+    stimulus is written into the stimulated sources, and the devices are
+    evaluated once at each converged point, which both fixes the next
+    step's capacitor companions and linearizes its first Newton
+    iteration. *)
 
 type t = {
   index : Sysmat.t;
@@ -34,6 +41,12 @@ val slew_rate : t -> int -> t_from:float -> t_to:float -> float
     settled at the step edge; bounded by the simulated horizon. *)
 val settling_time : times:float array -> float array -> t_from:float -> tol:float -> float
 
+(** [simulate ~value ~registry ~tstop ~dt ~stimulus circuit] steps from
+    the DC operating point at t = 0 (stimulated sources at their
+    waveform's value there) to [tstop] in steps of [dt], the last one
+    shortened to end at [tstop]. Its errors name the initial operating
+    point's failure, a timestep whose Newton iteration did not converge
+    in 61 iterations (tolerance 1e-6 V), or a singular Jacobian. *)
 val simulate :
   value:(Netlist.Expr.t -> float) ->
   registry:Devices.Registry.t ->

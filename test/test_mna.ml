@@ -237,6 +237,112 @@ let test_linearize_missing_op () =
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "expected failure without operating point"
 
+(* The frequency scans on suite jigs against the per-frequency solve:
+   [solve_at] builds G + jwC and the boxed excitation afresh at every
+   frequency, and the reference scans below sum its solution and walk
+   their grids the way the workspace scans do. Every value must keep its
+   bits. *)
+let ref_transfer lin ~b ~sel ~w =
+  let x = Mna.Ac.solve_at lin ~b ~w in
+  let acc = ref La.Cpx.zero in
+  Array.iteri (fun k s -> if s <> 0.0 then acc := La.Cpx.add !acc (La.Cpx.scale s x.(k))) sel;
+  !acc
+
+let ref_mag lin ~b ~sel f = La.Cpx.abs (ref_transfer lin ~b ~sel ~w:(2.0 *. Float.pi *. f))
+
+let ref_unity_gain_freq lin ~b ~sel =
+  let points = 221 in
+  let fk k = 1.0 *. ((1e11 /. 1.0) ** (float_of_int k /. float_of_int (points - 1))) in
+  let rec scan k prev =
+    if k >= points then None
+    else begin
+      let f = fk k in
+      let m = ref_mag lin ~b ~sel f in
+      match prev with
+      | Some (fp, mp) when (mp -. 1.0) *. (m -. 1.0) <= 0.0 && mp > m ->
+          let rec bisect lo hi n =
+            if n = 0 then Some (Float.sqrt (lo *. hi))
+            else begin
+              let mid = Float.sqrt (lo *. hi) in
+              if ref_mag lin ~b ~sel mid >= 1.0 then bisect mid hi (n - 1) else bisect lo mid (n - 1)
+            end
+          in
+          bisect fp f 60
+      | Some _ | None -> scan (k + 1) (Some (f, m))
+    end
+  in
+  scan 0 None
+
+let ref_phase_margin_at lin ~b ~sel ~fu =
+  let sgn = if (ref_transfer lin ~b ~sel ~w:0.0).La.Cpx.re >= 0.0 then 1.0 else -1.0 in
+  let h f = La.Cpx.scale sgn (ref_transfer lin ~b ~sel ~w:(2.0 *. Float.pi *. f)) in
+  let phase = ref (La.Cpx.arg (h 1.0)) in
+  let prev = ref (h 1.0) in
+  for k = 1 to 120 do
+    let cur = h (fu ** (float_of_int k /. 120.0)) in
+    phase := !phase +. La.Cpx.arg (La.Cpx.div cur !prev);
+    prev := cur
+  done;
+  180.0 +. (!phase *. 180.0 /. Float.pi)
+
+let ref_bandwidth_3db lin ~b ~sel =
+  let target = Float.abs (ref_transfer lin ~b ~sel ~w:0.0).La.Cpx.re /. Float.sqrt 2.0 in
+  let rec ladder f =
+    if f > 1e12 then 1e12
+    else if La.Cpx.abs (ref_transfer lin ~b ~sel ~w:(2.0 *. Float.pi *. f)) < target then f
+    else ladder (f *. 1.05)
+  in
+  ladder 1.0
+
+let bits_equal what a b =
+  if not (Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)) then
+    Alcotest.failf "%s: %h vs per-frequency %h" what a b
+
+let test_ac_scans_match_per_frequency () =
+  let scanned = ref 0 in
+  List.iter
+    (fun (e : Suite.Ckts.entry) ->
+      match Core.Compile.compile_source e.Suite.Ckts.source with
+      | Error _ -> ()
+      | Ok p ->
+          let env = Core.Eval.value_env p (Core.State.snapshot p.Core.Problem.state0) in
+          let value = Netlist.Expr.eval env in
+          List.iter
+            (fun (j : Core.Problem.jig) ->
+              match Mna.Dc.solve ~value ~registry:p.Core.Problem.registry j.jig_circuit with
+              | Error _ -> ()
+              | Ok sol ->
+                  let ops name = List.assoc_opt name sol.Mna.Dc.ops in
+                  let lin = Mna.Linearize.build ~value ~ops j.jig_circuit in
+                  List.iter
+                    (fun (tfn, (tf : Core.Problem.tf)) ->
+                      incr scanned;
+                      let what = e.name ^ "/" ^ tfn in
+                      let b = Mna.Linearize.excitation_of lin ~src:tf.src in
+                      let sel = Mna.Linearize.output_vector lin ~pos:tf.out_pos ~neg:tf.out_neg in
+                      let freqs = Array.init 41 (fun k -> 10.0 ** (float_of_int k /. 4.0)) in
+                      Array.iteri
+                        (fun k (z : La.Cpx.t) ->
+                          let r = ref_transfer lin ~b ~sel ~w:(2.0 *. Float.pi *. freqs.(k)) in
+                          bits_equal (what ^ " sweep re") z.re r.re;
+                          bits_equal (what ^ " sweep im") z.im r.im)
+                        (Mna.Ac.sweep lin ~b ~sel freqs);
+                      let fu = Mna.Ac.unity_gain_freq lin ~b ~sel in
+                      (match (fu, ref_unity_gain_freq lin ~b ~sel) with
+                      | Some f, Some f' -> bits_equal (what ^ " ugf") f f'
+                      | None, None -> ()
+                      | _ -> Alcotest.failf "%s: ugf found by one scan only" what);
+                      let fu = Option.value ~default:1e6 fu in
+                      bits_equal (what ^ " pm")
+                        (Mna.Ac.phase_margin_at lin ~b ~sel ~fu)
+                        (ref_phase_margin_at lin ~b ~sel ~fu);
+                      bits_equal (what ^ " bw3db") (Mna.Ac.bandwidth_3db lin ~b ~sel)
+                        (ref_bandwidth_3db lin ~b ~sel))
+                    j.tfs)
+            p.Core.Problem.jigs)
+    Suite.Ckts.all;
+  Alcotest.(check bool) "scanned suite transfer functions" true (!scanned > 10)
+
 let () =
   Alcotest.run "mna"
     [
@@ -259,6 +365,8 @@ let () =
           Alcotest.test_case "inductor" `Quick test_ac_inductor;
           Alcotest.test_case "per-source excitation" `Quick test_ac_excitation_of;
           Alcotest.test_case "ugf and pm" `Quick test_ugf_and_pm_single_pole;
+          Alcotest.test_case "suite scans match per-frequency solves" `Quick
+            test_ac_scans_match_per_frequency;
         ] );
       ( "tran",
         [

@@ -678,6 +678,7 @@ let stage_goldens =
     ("golden/bicmos_two_stage_stage.jsonl", "bicmos-two-stage", 5, 1200);
     ("golden/two_stage_stage.jsonl", "two-stage", 9, 1200);
     ("golden/tran_buffer_stage.jsonl", "tran-buffer", 7, 400);
+    ("golden/ota_stage.jsonl", "ota", 13, 1200);
   ]
 
 let compile_named circuit =
@@ -691,6 +692,10 @@ let compile_named circuit =
 
 let compile_golden () = compile_named golden_circuit
 
+(* Each golden run's result by circuit, so the verify golden reuses the
+   run its trace test made (a traced run's winner is the plain run's). *)
+let golden_runs : (string, Core.Problem.t * Core.Oblx.result) Hashtbl.t = Hashtbl.create 8
+
 (* Re-run [circuit] at [level] and diff every event against [path]. *)
 let check_golden ~path ~circuit ~seed ~moves ~level =
   let golden =
@@ -701,7 +706,8 @@ let check_golden ~path ~circuit ~seed ~moves ~level =
   let p = compile_named circuit in
   let ring = Obs.Sink.Ring.create ~capacity:100_000 in
   let obs = Obs.Trace.make ~level [ Obs.Sink.Ring.sink ring ] in
-  let _ = Core.Oblx.synthesize ~seed ~moves ~obs p in
+  let r = Core.Oblx.synthesize ~seed ~moves ~obs p in
+  Hashtbl.replace golden_runs circuit (p, r);
   let fresh = Obs.Sink.Ring.contents ring in
   Alcotest.(check int) "same event count" (List.length golden) (List.length fresh);
   (* The tolerance absorbs last-bit libm drift when the golden file was
@@ -725,6 +731,62 @@ let stage_golden_cases =
       Alcotest.test_case (circuit ^ " stage trace matches") `Slow (fun () ->
           check_golden ~path ~circuit ~seed ~moves ~level:Obs.Event.Stage))
     stage_goldens
+
+(* verify.jsonl: every Verify.simulate_specs value of each golden run's
+   winner under [%h], one line per circuit (test/gen_golden.ml writes it).
+   It pins the reference simulator's DC, AC and transient paths bit for
+   bit. *)
+let verify_golden_path = "golden/verify.jsonl"
+
+let golden_run circuit =
+  match Hashtbl.find_opt golden_runs circuit with
+  | Some run -> run
+  | None ->
+      let seed, moves =
+        if circuit = golden_circuit then (golden_seed, golden_moves)
+        else
+          match List.find_opt (fun (_, c, _, _) -> c = circuit) stage_goldens with
+          | Some (_, _, seed, moves) -> (seed, moves)
+          | None -> Alcotest.failf "verify golden names an unknown run %s" circuit
+      in
+      let p = compile_named circuit in
+      let run = (p, Core.Oblx.synthesize ~seed ~moves p) in
+      Hashtbl.replace golden_runs circuit run;
+      run
+
+let test_verify_golden () =
+  let lines = In_channel.with_open_text verify_golden_path In_channel.input_lines in
+  Alcotest.(check int) "one line per golden run" (1 + List.length stage_goldens) (List.length lines);
+  List.iter
+    (fun line ->
+      let j =
+        match Obs.Json.of_string line with
+        | Ok j -> j
+        | Error e -> Alcotest.failf "verify golden unreadable: %s" e
+      in
+      let open Obs.Json in
+      let circuit = field "circuit" to_str j in
+      let p, r = golden_run circuit in
+      let want =
+        match mem_opt "error" j with
+        | Some e -> Error (to_str e)
+        | None ->
+            Ok
+              (List.map
+                 (fun pair ->
+                   match to_list pair with
+                   | [ name; v ] -> (to_str name, to_str v)
+                   | _ -> Alcotest.failf "%s: bad spec entry" circuit)
+                 (field "specs" to_list j))
+      in
+      let value = function Ok v -> Printf.sprintf "%h" v | Error m -> "error: " ^ m in
+      let got =
+        Result.map
+          (List.map (fun (name, v) -> (name, value v)))
+          (Core.Verify.simulate_specs p r.Core.Oblx.final)
+      in
+      Alcotest.(check (result (list (pair string string)) string)) (circuit ^ " verify values") want got)
+    lines
 
 let test_golden_trace_replays () =
   let p = compile_golden () in
@@ -790,5 +852,6 @@ let () =
           Alcotest.test_case "matches regenerated run" `Slow test_golden_trace_matches;
           Alcotest.test_case "replays against cost function" `Slow test_golden_trace_replays;
         ]
-        @ stage_golden_cases );
+        @ stage_golden_cases
+        @ [ Alcotest.test_case "winners' verify values match" `Slow test_verify_golden ] );
     ]
