@@ -73,15 +73,6 @@ let jobs_arg =
           "Worker domains running the independent restarts in parallel (default: cores - 1). \
            The winner is bit-identical for any job count; see docs/PARALLEL.md.")
 
-let early_stop_arg =
-  Arg.(
-    value
-    & flag
-    & info [ "early-stop" ]
-        ~doc:
-          "Let laggard restarts give up once another run has published a much better cost \
-           (faster, but the winner may differ from the deterministic default)")
-
 let no_verify_arg =
   Arg.(value & flag & info [ "no-verify" ] ~doc:"Skip reference-simulator verification")
 
@@ -157,7 +148,7 @@ let compile_cmd =
   Cmd.v (Cmd.info "compile" ~doc:"Compile a problem and print ASTRX's analysis")
     Term.(const run $ file_arg)
 
-let synth_source name src seed moves runs jobs early_stop no_incremental probe_batch no_verify
+let synth_source name src seed moves runs jobs no_incremental probe_batch no_verify
     dump trace_path trace_level =
   match Core.Compile.compile_source src with
   | Error e ->
@@ -169,8 +160,8 @@ let synth_source name src seed moves runs jobs early_stop no_incremental probe_b
   | Ok p ->
       print_analysis name p;
       let obs = make_trace trace_path trace_level in
-      let best, all =
-        Core.Oblx.best_of ~seed ?moves ?jobs ~early_stop ~incremental:(not no_incremental)
+      let best, _ =
+        Core.Oblx.best_of ~seed ?moves ?jobs ~incremental:(not no_incremental)
           ~probe_batch ~obs ~runs p
       in
       Obs.Trace.close obs;
@@ -179,18 +170,9 @@ let synth_source name src seed moves runs jobs early_stop no_incremental probe_b
           Printf.printf "trace written to %s (level %s)\n" path
             (Obs.Event.level_to_string trace_level)
       | None -> ());
-      if runs > 1 then begin
-        let cuts = List.filter (fun r -> r.Core.Oblx.cut_short) all in
-        Printf.printf "multi-start: %d runs on %d domain(s)%s\n" runs
-          (Int.min runs (Int.max 1 (Option.value jobs ~default:(Core.Oblx.default_jobs ()))))
-          (if cuts <> [] then Printf.sprintf ", %d cut short" (List.length cuts) else "");
-        List.iter
-          (fun (r : Core.Oblx.result) ->
-            match r.Core.Oblx.cut_reason with
-            | Some reason -> Printf.printf "  cut: %s\n" reason
-            | None -> ())
-          cuts
-      end;
+      if runs > 1 then
+        Printf.printf "multi-start: %d runs on %d domain(s)\n" runs
+          (Int.min runs (Int.max 1 (Option.value jobs ~default:(Core.Oblx.default_jobs ()))));
       print_result p best ~verify:(not no_verify);
       (match best.Core.Oblx.eval_stats with
       | Some es when es.Core.Eval.Incr.incr_evals > 0 ->
@@ -217,14 +199,14 @@ let synth_source name src seed moves runs jobs early_stop no_incremental probe_b
       0
 
 let synth_cmd =
-  let run file seed moves runs jobs early_stop no_incremental probe_batch no_verify dump trace
+  let run file seed moves runs jobs no_incremental probe_batch no_verify dump trace
       trace_level =
-    synth_source file (read_file file) seed moves runs jobs early_stop no_incremental
+    synth_source file (read_file file) seed moves runs jobs no_incremental
       probe_batch no_verify dump trace trace_level
   in
   Cmd.v (Cmd.info "synth" ~doc:"Synthesize a problem with OBLX")
     Term.(
-      const run $ file_arg $ seed_arg $ moves_arg $ runs_arg $ jobs_arg $ early_stop_arg
+      const run $ file_arg $ seed_arg $ moves_arg $ runs_arg $ jobs_arg
       $ no_incremental_arg $ probe_batch_arg $ no_verify_arg $ netlist_arg $ trace_arg
       $ trace_level_arg)
 
@@ -232,7 +214,7 @@ let bench_cmd =
   let name_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"NAME" ~doc:"Benchmark name")
   in
-  let run name seed moves runs jobs early_stop no_incremental probe_batch no_verify dump trace
+  let run name seed moves runs jobs no_incremental probe_batch no_verify dump trace
       trace_level =
     match Suite.Ckts.find name with
     | None ->
@@ -240,12 +222,12 @@ let bench_cmd =
           (String.concat ", " (List.map (fun (e : Suite.Ckts.entry) -> e.name) Suite.Ckts.all));
         1
     | Some e ->
-        synth_source e.name e.source seed moves runs jobs early_stop no_incremental probe_batch
+        synth_source e.name e.source seed moves runs jobs no_incremental probe_batch
           no_verify dump trace trace_level
   in
   Cmd.v (Cmd.info "bench" ~doc:"Run a built-in benchmark circuit")
     Term.(
-      const run $ name_arg $ seed_arg $ moves_arg $ runs_arg $ jobs_arg $ early_stop_arg
+      const run $ name_arg $ seed_arg $ moves_arg $ runs_arg $ jobs_arg
       $ no_incremental_arg $ probe_batch_arg $ no_verify_arg $ netlist_arg $ trace_arg
       $ trace_level_arg)
 

@@ -2,35 +2,35 @@ exception Error of string
 
 let err fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
 
-let math_call name args =
-  try Builtin.math_call name args
-  with Builtin.Unknown_function f -> err "unknown function %s in expression" f
-
 (* Compile-time environment: user variables at their initial values plus
-   .param definitions (evaluated recursively, cycle-guarded). *)
+   .param definitions (checked acyclic before use). *)
 let initial_env vars params =
-  let rec lookup seen path =
+  let rec lookup path =
     match path with
     | [ name ] -> begin
         match List.assoc_opt name vars with
         | Some v -> v
         | None -> begin
             match List.assoc_opt name params with
-            | Some e ->
-                if List.mem name seen then err "parameter cycle involving %s" name
-                else
-                  Netlist.Expr.eval
-                    { Netlist.Expr.lookup = lookup (name :: seen); call = math_call }
-                    e
+            | Some e -> Netlist.Expr.eval { Netlist.Expr.lookup; call = Spec.math_call } e
             | None -> raise Not_found
           end
       end
     | _ -> raise Not_found
   in
-  { Netlist.Expr.lookup = lookup []; call = math_call }
+  { Netlist.Expr.lookup; call = Spec.math_call }
 
-let known_tf_functions = Depgraph.known_tf_functions
-let spec_only_functions = Depgraph.spec_only_functions
+(* Element values take variables, parameters and math builtins only. *)
+let check_values scope where (c : Netlist.Circuit.t) =
+  Array.iter
+    (fun e ->
+      List.iter
+        (fun v ->
+          match Spec.resolve scope v with
+          | Ok _ -> ()
+          | Error m -> err "%s: %s: %s" where (Netlist.Circuit.element_name e) m)
+        (Netlist.Circuit.values e))
+    c.Netlist.Circuit.elements
 
 let default_init (v : Netlist.Ast.var_decl) =
   match v.Netlist.Ast.init with
@@ -60,9 +60,26 @@ let compile ?corner (ast : Netlist.Ast.problem) =
       | Ok r -> r
       | Error e -> err "%s" e
     in
+    (* Names resolve in one scope: user variables (state slots in
+       declaration order), then .params. Every .param resolves in the
+       element-value context. *)
+    let scope =
+      {
+        Spec.vars = List.map (fun (v : Netlist.Ast.var_decl) -> v.var_name) ast.vars;
+        params = ast.params;
+        measure = None;
+      }
+    in
+    List.iter
+      (fun (name, e) ->
+        match Spec.resolve ~param:name scope e with
+        | Ok _ -> ()
+        | Error m -> err "param %s: %s" name m)
+      ast.params;
     (* 2. Elaborate and template-expand the bias network. *)
     if ast.bias = [] then err "no .bias block: the relaxed-dc formulation needs a bias network";
     let bias_raw = Netlist.Elab.flatten ~subckts:ast.subckts ast.bias in
+    check_values scope "bias network" bias_raw;
     let bias = Template.expand ~registry bias_raw in
     (* Reject elements the bias formulation does not support. *)
     Array.iter
@@ -83,7 +100,9 @@ let compile ?corner (ast : Netlist.Ast.problem) =
     let jigs =
       List.map
         (fun (j : Netlist.Ast.jig) ->
-          let c = Template.expand ~registry (Netlist.Elab.flatten ~subckts:ast.subckts j.jig_body) in
+          let flat = Netlist.Elab.flatten ~subckts:ast.subckts j.jig_body in
+          check_values scope ("jig " ^ j.jig_name) flat;
+          let c = Template.expand ~registry flat in
           let tfs =
             List.map
               (fun (pz : Netlist.Ast.pz) ->
@@ -128,78 +147,47 @@ let compile ?corner (ast : Netlist.Ast.problem) =
                 ())
           j.jig_circuit.Netlist.Circuit.elements)
       jigs;
-    (* 5. Spec sanity: called functions exist; tf names resolve; transient
-       measurements have a .tran budget; dotted references name a MOS or
-       BJT of the bias network and one of its fields; corner names
-       resolve. *)
-    let all_tfs = List.concat_map (fun (j : Problem.jig) -> List.map fst j.tfs) jigs in
-    let jig_of_tf tfname =
-      List.find_opt (fun (j : Problem.jig) -> List.mem_assoc tfname j.tfs) jigs
+    (* 5. Resolve every spec expression (Spec): names, arities,
+       argument kinds, .tran budgets, device references; then corner
+       names and targets. *)
+    let tfs =
+      List.concat
+        (List.mapi
+           (fun j (jig : Problem.jig) ->
+             List.map
+               (fun (tf_name, tf_ports) ->
+                 { Spec.tf_name; tf_jig = j; tf_ports; tf_tran = jig.Problem.jig_tran })
+               jig.Problem.tfs)
+           jigs)
     in
-    List.iter
-      (fun (s : Netlist.Ast.spec) ->
-        List.iter
-          (fun (fname, args) ->
-            let known =
-              List.mem fname known_tf_functions
-              || List.mem fname spec_only_functions
-              || List.mem fname [ "min"; "max"; "abs"; "sqrt"; "log10"; "ln"; "exp"; "db" ]
-            in
-            if not known then err "spec %s: unknown function %s" s.spec_name fname;
-            if List.mem fname known_tf_functions then begin
-              match args with
-              | Netlist.Expr.Ref [ tfname ] :: rest -> begin
-                  if not (List.mem tfname all_tfs) then
-                    err "spec %s: unknown transfer function %s" s.spec_name tfname;
-                  (if List.mem fname Depgraph.transient_functions then
-                     match jig_of_tf tfname with
-                     | Some { Problem.jig_tran = None; jig_name; _ } ->
-                         err "spec %s: %s(%s) needs a .tran card in jig %s" s.spec_name fname
-                           tfname jig_name
-                     | Some _ | None -> ());
-                  if fname = "psrr_db" then begin
-                    match rest with
-                    | [ Netlist.Expr.Ref [ sup ] ] ->
-                        if not (List.mem sup all_tfs) then
-                          err "spec %s: unknown transfer function %s" s.spec_name sup
-                    | _ ->
-                        err "spec %s: psrr_db expects two transfer-function names" s.spec_name
-                  end
-                end
-              | _ -> err "spec %s: %s expects a transfer-function name" s.spec_name fname
-            end)
-          (Netlist.Expr.calls s.expr);
-        List.iter
-          (fun path ->
-            match List.rev path with
-            | [] | [ _ ] -> ()
-            | field :: rev_dev ->
-                let dev = String.concat "." (List.rev rev_dev) in
-                let fields =
-                  match Netlist.Circuit.find_element bias dev with
-                  | Netlist.Circuit.Mosfet _ -> Eval.mos_op_fields
-                  | Netlist.Circuit.Bjt _ -> Eval.bjt_op_fields
-                  | Netlist.Circuit.Resistor _ | Netlist.Circuit.Capacitor _
-                  | Netlist.Circuit.Inductor _ | Netlist.Circuit.Vsource _
-                  | Netlist.Circuit.Isource _ | Netlist.Circuit.Vcvs _ | Netlist.Circuit.Vccs _
-                  | Netlist.Circuit.Cccs _ | Netlist.Circuit.Ccvs _ | (exception Not_found) ->
-                      err "spec %s: %s: %s is not a MOS or BJT of the bias network" s.spec_name
-                        (String.concat "." path) dev
-                in
-                if not (List.mem field fields) then
-                  err "spec %s: %s: %s has no field %s" s.spec_name (String.concat "." path) dev
-                    field)
-          (Netlist.Expr.refs s.expr);
-        (match s.spec_corner with
-        | Some cname when Devices.Registry.find_corner cname = None ->
-            err "spec %s: unknown corner %s (known: %s)" s.spec_name cname
-              (String.concat ", "
-                 (List.map
-                    (fun (c : Devices.Registry.corner) -> c.Devices.Registry.corner_name)
-                    Devices.Registry.standard_corners))
-        | Some _ | None -> ());
-        if s.good = s.bad then err "spec %s: good and bad must differ" s.spec_name)
-      ast.specs;
+    let spec_scope = { scope with Spec.measure = Some (tfs, bias) } in
+    let specs =
+      List.map
+        (fun (s : Netlist.Ast.spec) ->
+          let expr =
+            match Spec.resolve spec_scope s.expr with
+            | Ok e -> e
+            | Error m -> err "spec %s: %s" s.spec_name m
+          in
+          (match s.spec_corner with
+          | Some cname when Devices.Registry.find_corner cname = None ->
+              err "spec %s: unknown corner %s (known: %s)" s.spec_name cname
+                (String.concat ", "
+                   (List.map
+                      (fun (c : Devices.Registry.corner) -> c.Devices.Registry.corner_name)
+                      Devices.Registry.standard_corners))
+          | Some _ | None -> ());
+          if s.good = s.bad then err "spec %s: good and bad must differ" s.spec_name;
+          {
+            Problem.spec_name = s.spec_name;
+            kind = s.kind;
+            expr;
+            good = s.good;
+            bad = s.bad;
+            spec_corner = s.spec_corner;
+          })
+        ast.specs
+    in
     if ast.specs = [] then err "no .obj/.spec cards";
     (* Registries for corner-named spec rows, resolved once here. A corner
        row is absolute — it names a standard corner regardless of any
@@ -315,23 +303,10 @@ let compile ?corner (ast : Netlist.Ast.problem) =
         awe_circuits = jig_sizes;
       }
     in
-    let specs =
-      List.map
-        (fun (s : Netlist.Ast.spec) ->
-          {
-            Problem.spec_name = s.spec_name;
-            kind = s.kind;
-            expr = s.expr;
-            good = s.good;
-            bad = s.bad;
-            spec_corner = s.spec_corner;
-          })
-        ast.specs
-    in
     (* 8. The static dependency graph the incremental evaluator walks
        (variable -> nodes -> elements -> jigs -> specs). *)
     let deps =
-      Depgraph.analyze ~params:ast.params ~state0 ~bias ~tl ~jigs ~specs
+      Depgraph.analyze ~scope ~state0 ~bias ~tl ~jigs ~specs
     in
     Ok
       {

@@ -8,11 +8,15 @@
     (c) derive the KCL constraints, (d) generate the small-signal AWE
     circuits for every test jig, (e) generate cost terms for each
     performance specification, and (f) assemble the cost function: the
-    {!Problem.t} plus its {!Depgraph} dependency graph, which {!Eval}
-    interprets by walking the expression trees on each evaluation (the
-    original emitted C — see DESIGN.md). The analysis record's
-    [lines_of_c] is a weighted estimate of that C's size, computed from
-    the sizes of the compiled parts. *)
+    {!Problem.t} plus its {!Depgraph} dependency graph (the original
+    emitted C — see DESIGN.md). Every spec expression is resolved here
+    by {!Spec.resolve} into the typed tree {!Eval} and {!Verify}
+    interpret; every element value and [.param] is checked in the
+    element-value context, and every device model is looked up, so a
+    name that does not resolve is an [Error] naming its card, never a
+    failure at the first evaluation. The analysis record's [lines_of_c]
+    is a weighted estimate of that C's size, computed from the sizes of
+    the compiled parts. *)
 
 exception Error of string
 

@@ -4,26 +4,14 @@
     {!Problem.depgraph} to re-evaluate only the dirty slice of the cost
     function after a move.
 
-    Every edge set is a conservative over-approximation: references that
-    cannot be resolved statically map onto every variable, so a missing
-    edge can never silently freeze a stale cached value. *)
-
-(** Spec functions whose first argument names a transfer function of a
-    jig ([dc_gain], [ugf], ...). Shared with {!Compile}'s spec checks. *)
-val known_tf_functions : string list
-
-(** Subset of {!known_tf_functions} measured by transient simulation
-    ([slew_rate], [settle]); their owning jig must declare a [.tran]
-    card, which {!Compile} enforces. *)
-val transient_functions : string list
-
-(** Spec functions that read the whole bias solution ([area], [power],
-    [supply_current]) — the specs calling them are re-measured on every
-    evaluation. *)
-val spec_only_functions : string list
+    Every edge set is a conservative over-approximation, so a missing
+    edge can never silently freeze a stale cached value. Element values
+    are read through their {!Spec.resolve} trees in [scope] (the
+    element-value context); spec dependencies are {!Spec.deps} of each
+    resolved spec expression. *)
 
 val analyze :
-  params:(string * Netlist.Expr.t) list ->
+  scope:Spec.scope ->
   state0:State.t ->
   bias:Netlist.Circuit.t ->
   tl:Treelink.t ->

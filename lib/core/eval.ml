@@ -29,14 +29,14 @@ let value_env_get (p : Problem.t) (get_st : unit -> State.t) =
                   raise (Netlist.Expr.Eval_error ("parameter cycle at " ^ name))
                 else
                   Netlist.Expr.eval
-                    { Netlist.Expr.lookup = lookup (name :: seen); call = Builtin.math_call }
+                    { Netlist.Expr.lookup = lookup (name :: seen); call = Spec.math_call }
                     e
             | None -> raise Not_found
           end
       end
     | _ -> raise Not_found
   in
-  { Netlist.Expr.lookup = lookup []; call = Builtin.math_call }
+  { Netlist.Expr.lookup = lookup []; call = Spec.math_call }
 
 let value_env (p : Problem.t) (st : State.t) = value_env_get p (fun () -> st)
 
@@ -228,53 +228,6 @@ type measured = {
   spec_values : (string * float option) list;
 }
 
-(* Fields of a device operating point addressable from spec expressions
-   (LANGUAGE.md 5.3), by device kind; Compile checks every dotted
-   reference against the names. *)
-let mos_fields : (string * (Devices.Sig.mos_op -> float)) list =
-  [
-    ("id", fun o -> Float.abs o.Devices.Sig.id_);
-    ("gm", fun o -> o.Devices.Sig.gm);
-    ("gds", fun o -> o.Devices.Sig.gds);
-    ("gmbs", fun o -> o.Devices.Sig.gmbs);
-    ("vth", fun o -> o.Devices.Sig.vth);
-    ("vdsat", fun o -> o.Devices.Sig.vdsat);
-    ("vgst", fun o -> o.Devices.Sig.vgst);
-    ("vds", fun o -> o.Devices.Sig.vds_mag);
-    ("cgs", fun o -> o.Devices.Sig.cgs);
-    ("cgd", fun o -> o.Devices.Sig.cgd);
-    ("cgb", fun o -> o.Devices.Sig.cgb);
-    ("cbd", fun o -> o.Devices.Sig.cbd);
-    ("cbs", fun o -> o.Devices.Sig.cbs);
-    ("cd", fun o -> o.Devices.Sig.cgd +. o.Devices.Sig.cbd);
-    ("cs", fun o -> o.Devices.Sig.cgs +. o.Devices.Sig.cbs);
-    ("cg", fun o -> o.Devices.Sig.cgs +. o.Devices.Sig.cgd +. o.Devices.Sig.cgb);
-  ]
-
-let bjt_fields : (string * (Devices.Sig.bjt_op -> float)) list =
-  [
-    ("ic", fun o -> Float.abs o.Devices.Sig.ic);
-    ("ib", fun o -> Float.abs o.Devices.Sig.ib);
-    ("gm", fun o -> o.Devices.Sig.bjt_gm);
-    ("gpi", fun o -> o.Devices.Sig.gpi);
-    ("go", fun o -> o.Devices.Sig.go);
-    ("cpi", fun o -> o.Devices.Sig.cpi);
-    ("cmu", fun o -> o.Devices.Sig.cmu);
-    ("ccs", fun o -> o.Devices.Sig.ccs);
-    ("vbe", fun o -> o.Devices.Sig.vbe_f);
-  ]
-
-let mos_op_fields = List.map fst mos_fields
-let bjt_op_fields = List.map fst bjt_fields
-
-let op_field (op : Mna.Dc.op_info) field =
-  let read fields o =
-    match List.assoc_opt field fields with
-    | Some get -> get o
-    | None -> raise (Measurement_failed ("unknown op field " ^ field))
-  in
-  match op with Mna.Dc.Mos_op o -> read mos_fields o | Mna.Dc.Bjt_op o -> read bjt_fields o
-
 (* Active area of the circuit under design, reported in square microns:
    W*L*m per MOS plus a nominal per-unit-area footprint for BJTs. *)
 let bjt_unit_area_um2 = 400.0
@@ -395,12 +348,6 @@ let find_tf_jig (p : Problem.t) tfname =
   | Some jp -> jp
   | None -> raise (Measurement_failed ("unknown transfer function " ^ tfname))
 
-let tran_card_of (p : Problem.t) tfname =
-  let j, _ = find_tf_jig p tfname in
-  match j.Problem.jig_tran with
-  | Some tc -> tc
-  | None -> raise (Measurement_failed (tfname ^ ": owning jig has no .tran card"))
-
 (* Step-stimulus transient over the jig owning [tf]: the source the
    transfer function names steps by [vstep] at tstop/10, from whatever dc
    value the state assigns it. Shared by the in-loop spec functions
@@ -483,14 +430,15 @@ let output_noise_v2_per_hz (lin : Mna.Linearize.t) ~value ~ops ~sel =
           acc)
     0.0 idx.Mna.Sysmat.circuit.Netlist.Circuit.elements
 
-(* Spec-expression environment: element values plus device operating-point
-   references plus the AWE measurement functions.
+(* The in-loop backend of [Spec.eval]: device references read the
+   relaxed-dc operating points, transfer-function measurements the AWE
+   models, and step responses the coarse in-loop transient.
 
-   The environment is built over a mutable context instead of capturing a
+   The backend is built over a mutable context instead of capturing a
    bias point directly: the closures read whichever state / operating
    points / ROM list the context currently holds. The full evaluator fills
    a fresh context per measurement; the incremental session allocates one
-   context and one environment at [Incr.create] and repoints the fields —
+   context and one backend at [Incr.create] and repoints the fields —
    the arithmetic either way is identical. *)
 type spec_ctx = {
   mutable cx_st : State.t;
@@ -498,174 +446,91 @@ type spec_ctx = {
   mutable cx_ops : (string * Mna.Dc.op_info) list;
   mutable cx_node_leaving : float array;
   mutable cx_roms : (string * (Awe.Rom.t, string) result) list;
-  mutable cx_trans : (string * (tran_wave, string) result) list;
+  mutable cx_trans : (string * (Spec.wave, string) result) list;
       (* transients run for this context's state, per tf: [slew_rate] and
          [settle] of one tf read one simulation. Emptied whenever the
          context is repointed. *)
 }
 
-(* One in-loop transient as the spec functions read it: the owning jig's
-   .tran card, the output waveform and the step onset. *)
-and tran_wave = {
-  tw_card : Netlist.Ast.tran_card;
-  tw_times : float array;
-  tw_v : float array;
-  tw_t_step : float;
-}
+(* The step response of [tf] under its jig's .tran card at step [dt]. *)
+let step_wave (p : Problem.t) ~value (tf : Spec.tf) ~dt =
+  match tf.Spec.tf_tran with
+  | None -> raise (Measurement_failed (tf.Spec.tf_name ^ ": owning jig has no .tran card"))
+  | Some tc ->
+      let r, ports, t_step =
+        transient_response p ~value ~tf:tf.Spec.tf_name ~vstep:tc.Netlist.Ast.tr_vstep
+          ~tstop:tc.Netlist.Ast.tr_tstop ~dt:(dt tc)
+      in
+      let v = Mna.Tran.waveform_of r ~pos:ports.Problem.out_pos ~neg:ports.Problem.out_neg in
+      { Spec.times = r.Mna.Tran.times; v; t_step; t_stop = tc.Netlist.Ast.tr_tstop }
 
-let spec_ctx_env (p : Problem.t) (cx : spec_ctx) =
+let spec_backend (p : Problem.t) (cx : spec_ctx) =
   let base = value_env_get p (fun () -> cx.cx_st) in
-  let lookup path =
-    match path with
-    | [ _ ] -> base.Netlist.Expr.lookup path
-    | [] -> raise Not_found
-    | parts -> begin
-        (* device ref: all but the last segment name the element *)
-        let rec split_last acc = function
-          | [ last ] -> (List.rev acc, last)
-          | x :: rest -> split_last (x :: acc) rest
-          | [] -> assert false
-        in
-        let devparts, field = split_last [] parts in
-        let devname = String.concat "." devparts in
-        match List.assoc_opt devname cx.cx_ops with
-        | Some op -> op_field op field
-        | None -> raise Not_found
-      end
-  in
-  let valuef e = Netlist.Expr.eval base e in
-  (* Transient waveform of [tf] under the owning jig's .tran budget; the
-     in-loop step size is the coarse [dtloop] when declared, else the
+  let value e = Netlist.Expr.eval base e in
+  let rom (tf : Spec.tf) = rom_of cx.cx_roms tf.Spec.tf_name in
+  (* The in-loop step size is the coarse [dtloop] when declared, else the
      exact [dt] (Verify always re-measures at the exact [dt]). Simulated
      once per tf and context state, failure included. *)
-  let simulate_tran tfn =
-    let tc = tran_card_of p tfn in
-    let dt =
-      match tc.Netlist.Ast.tr_dtloop with Some d -> d | None -> tc.Netlist.Ast.tr_dt
-    in
-    let r, ports, t_step =
-      transient_response p ~value:valuef ~tf:tfn ~vstep:tc.Netlist.Ast.tr_vstep
-        ~tstop:tc.Netlist.Ast.tr_tstop ~dt
-    in
-    let v = Mna.Tran.waveform_of r ~pos:ports.Problem.out_pos ~neg:ports.Problem.out_neg in
-    { tw_card = tc; tw_times = r.Mna.Tran.times; tw_v = v; tw_t_step = t_step }
-  in
-  let tran_of tfn =
+  let step (tf : Spec.tf) =
     let w =
-      match List.assoc_opt tfn cx.cx_trans with
+      match List.assoc_opt tf.Spec.tf_name cx.cx_trans with
       | Some w -> w
       | None ->
-          let w = try Ok (simulate_tran tfn) with Measurement_failed m -> Error m in
-          cx.cx_trans <- (tfn, w) :: cx.cx_trans;
+          let dt tc = Option.value tc.Netlist.Ast.tr_dtloop ~default:tc.Netlist.Ast.tr_dt in
+          let w = try Ok (step_wave p ~value tf ~dt) with Measurement_failed m -> Error m in
+          cx.cx_trans <- (tf.Spec.tf_name, w) :: cx.cx_trans;
           w
     in
     match w with Ok w -> w | Error m -> raise (Measurement_failed m)
   in
-  let settle_of tfn tol =
-    let w = tran_of tfn in
-    Mna.Tran.settling_time ~times:w.tw_times w.tw_v ~t_from:w.tw_t_step ~tol
-  in
-  let call name args =
-    let tfarg = function
-      | Netlist.Expr.Name n -> n
-      | Netlist.Expr.Num _ ->
-          raise (Measurement_failed (name ^ ": expected a transfer-function name"))
-    in
-    let numarg = function
-      | Netlist.Expr.Num v -> v
-      | Netlist.Expr.Name n -> raise (Measurement_failed (name ^ ": unexpected name " ^ n))
-    in
-    match (name, args) with
-    | "dc_gain", [ tf ] -> Awe.Rom.dc_gain (rom_of cx.cx_roms (tfarg tf))
-    | "ugf", [ tf ] ->
-        Option.value ~default:0.0 (Awe.Rom.unity_gain_freq (rom_of cx.cx_roms (tfarg tf)))
-    | ("phase_margin" | "pm"), [ tf ] ->
-        Option.value ~default:180.0 (Awe.Rom.phase_margin (rom_of cx.cx_roms (tfarg tf)))
-    | "gain_at", [ tf; f ] -> Awe.Rom.magnitude_at (rom_of cx.cx_roms (tfarg tf)) ~f:(numarg f)
-    | "bw3db", [ tf ] ->
-        Option.value ~default:0.0 (Awe.Rom.bandwidth_3db (rom_of cx.cx_roms (tfarg tf)))
-    | "pole1", [ tf ] ->
-        Option.value ~default:0.0 (Awe.Rom.dominant_pole_hz (rom_of cx.cx_roms (tfarg tf)))
-    | "gain_margin_db", [ tf ] ->
-        Option.value ~default:60.0 (Awe.Rom.gain_margin_db (rom_of cx.cx_roms (tfarg tf)))
-    | "slew_rate", [ tf ] ->
-        let w = tran_of (tfarg tf) in
-        Mna.Tran.peak_slew ~times:w.tw_times w.tw_v ~t_from:w.tw_t_step
-          ~t_to:w.tw_card.Netlist.Ast.tr_tstop
-    | "settle", [ tf ] -> settle_of (tfarg tf) 0.01
-    | "settle", [ tf; tol ] -> settle_of (tfarg tf) (numarg tol)
-    | "noise_out_uv", [ tf ] -> begin
-        let tfn = tfarg tf in
-        let enbw =
-          match Awe.Rom.bandwidth_3db (rom_of cx.cx_roms tfn) with
-          | Some bw when bw > 0.0 -> Float.pi /. 2.0 *. bw
-          | Some _ | None ->
-              raise (Measurement_failed (tfn ^ ": noise bandwidth unavailable"))
+  let noise_density (tf : Spec.tf) =
+    let j = List.nth p.Problem.jigs tf.Spec.tf_jig and ports = tf.Spec.tf_ports in
+    let ops n = List.assoc_opt n cx.cx_ops in
+    match Mna.Linearize.build ~value ~ops j.Problem.jig_circuit with
+    | exception Failure m -> raise (Measurement_failed (tf.Spec.tf_name ^ ": " ^ m))
+    | lin ->
+        let sel =
+          Mna.Linearize.output_vector lin ~pos:ports.Problem.out_pos ~neg:ports.Problem.out_neg
         in
-        let j, ports = find_tf_jig p tfn in
-        let ops n = List.assoc_opt n cx.cx_ops in
-        match Mna.Linearize.build ~value:valuef ~ops j.Problem.jig_circuit with
-        | exception Failure m -> raise (Measurement_failed (tfn ^ ": " ^ m))
-        | lin ->
-            let sel =
-              Mna.Linearize.output_vector lin ~pos:ports.Problem.out_pos
-                ~neg:ports.Problem.out_neg
-            in
-            let s0 = output_noise_v2_per_hz lin ~value:valuef ~ops ~sel in
-            Float.sqrt (Float.max 0.0 (s0 *. enbw)) *. 1e6
-      end
-    | "psrr_db", [ stf; suptf ] ->
-        let a_sig = Float.abs (Awe.Rom.dc_gain (rom_of cx.cx_roms (tfarg stf))) in
-        let a_sup = Float.abs (Awe.Rom.dc_gain (rom_of cx.cx_roms (tfarg suptf))) in
-        if a_sup < 1e-30 then 300.0
-        else 20.0 *. Float.log10 (Float.max a_sig 1e-30 /. a_sup)
-    | "area", [] -> active_area_um2 p cx.cx_st
-    | "power", [] -> static_power_parts p cx.cx_st ~nv:cx.cx_nv ~ops:cx.cx_ops
-    | "supply_current", [ src ] -> begin
-        (* Current delivered by a bias-network voltage source: by KCL the
-           source carries minus the sum of the other currents leaving its
-           + node (approximate if several sources share the node). *)
-        let srcname =
-          match src with
-          | Netlist.Expr.Name n -> n
-          | Netlist.Expr.Num _ ->
-              raise (Measurement_failed "supply_current: expected a source name")
-        in
-        match Netlist.Circuit.find_element p.Problem.bias srcname with
-        | Netlist.Circuit.Vsource { np; _ } -> Float.abs cx.cx_node_leaving.(np)
-        | Netlist.Circuit.Resistor _ | Netlist.Circuit.Capacitor _ | Netlist.Circuit.Inductor _
-        | Netlist.Circuit.Isource _ | Netlist.Circuit.Vcvs _ | Netlist.Circuit.Vccs _
-        | Netlist.Circuit.Cccs _ | Netlist.Circuit.Ccvs _ | Netlist.Circuit.Mosfet _
-        | Netlist.Circuit.Bjt _ ->
-            raise (Measurement_failed ("supply_current: " ^ srcname ^ " is not a V source"))
-        | exception Not_found ->
-            raise (Measurement_failed ("supply_current: unknown source " ^ srcname))
-      end
-    | _ -> begin
-        try Builtin.math_call name args
-        with Builtin.Unknown_function f -> raise (Measurement_failed ("unknown function " ^ f))
-      end
+        output_noise_v2_per_hz lin ~value ~ops ~sel
   in
-  { Netlist.Expr.lookup; call }
+  {
+    Spec.op =
+      (fun d ->
+        match List.assoc_opt d.Spec.dev_name cx.cx_ops with
+        | Some op -> op
+        | None -> raise (Measurement_failed ("no operating point for " ^ d.Spec.dev_name)));
+    dc_gain = (fun tf -> Awe.Rom.dc_gain (rom tf));
+    ugf = (fun tf -> Awe.Rom.unity_gain_freq (rom tf));
+    pm = (fun tf -> Awe.Rom.phase_margin (rom tf));
+    gain_at = (fun tf f -> Awe.Rom.magnitude_at (rom tf) ~f);
+    bw3db = (fun tf -> Awe.Rom.bandwidth_3db (rom tf));
+    rom = (fun tf -> Ok (rom tf));
+    step;
+    noise_density;
+    area = (fun () -> active_area_um2 p cx.cx_st);
+    power = (fun () -> static_power_parts p cx.cx_st ~nv:cx.cx_nv ~ops:cx.cx_ops);
+    (* by KCL the source carries minus the other currents leaving its +
+       node (approximate if several sources share the node) *)
+    supply_current = (fun src -> cx.cx_node_leaving.(src.Spec.vs_np));
+  }
 
-let spec_env (p : Problem.t) (st : State.t) (bp : bias_point) roms =
-  spec_ctx_env p
-    {
-      cx_st = st;
-      cx_nv = bp.node_v;
-      cx_ops = bp.ops;
-      cx_node_leaving = bp.node_leaving;
-      cx_roms = roms;
-      cx_trans = [];
-    }
+let spec_ctx (st : State.t) (bp : bias_point) roms =
+  {
+    cx_st = st;
+    cx_nv = bp.node_v;
+    cx_ops = bp.ops;
+    cx_node_leaving = bp.node_leaving;
+    cx_roms = roms;
+    cx_trans = [];
+  }
 
-(* One spec under an environment: failures and non-finite results both
-   report as "unmeasurable". Shared verbatim with the incremental path. *)
-let measure_spec env (s : Problem.spec) =
+(* One spec in a context: failures and non-finite results both report as
+   "unmeasurable". Shared verbatim with the incremental path. *)
+let measure_spec b (cx : spec_ctx) (s : Problem.spec) =
   let v =
-    try Some (Netlist.Expr.eval env s.Problem.expr) with
-    | Measurement_failed _ -> None
-    | Netlist.Expr.Eval_error _ -> None
+    try Some (Spec.eval b cx.cx_st s.Problem.expr) with
+    | Measurement_failed _ | Spec.Failed _ | Netlist.Expr.Eval_error _ -> None
   in
   match v with Some x when not (Float.is_finite x) -> None | other -> other
 
@@ -684,9 +549,9 @@ let corner_spec_values (p : Problem.t) (st : State.t) =
       try
         let pc = { p with Problem.registry = reg } in
         let bp = bias_point pc st in
-        let roms = build_roms pc st bp in
-        let env = spec_env pc st bp roms in
-        List.map (fun (s : Problem.spec) -> (s.Problem.spec_name, measure_spec env s)) rows
+        let cx = spec_ctx st bp (build_roms pc st bp) in
+        let b = spec_backend pc cx in
+        List.map (fun (s : Problem.spec) -> (s.Problem.spec_name, measure_spec b cx s)) rows
       with Failure _ | Not_found | Measurement_failed _ ->
         List.map (fun (s : Problem.spec) -> (s.Problem.spec_name, None)) rows)
     p.Problem.corner_regs
@@ -694,14 +559,15 @@ let corner_spec_values (p : Problem.t) (st : State.t) =
 let measure (p : Problem.t) (st : State.t) =
   let bp = bias_point p st in
   let roms = build_roms p st bp in
-  let env = spec_env p st bp roms in
+  let cx = spec_ctx st bp roms in
+  let b = spec_backend p cx in
   let corner_vals = corner_spec_values p st in
   let spec_values =
     List.map
       (fun (s : Problem.spec) ->
         let v =
           match s.Problem.spec_corner with
-          | None -> measure_spec env s
+          | None -> measure_spec b cx s
           | Some _ -> (
               match List.assoc_opt s.Problem.spec_name corner_vals with
               | Some v -> v
@@ -923,10 +789,10 @@ module Incr = struct
     resync_every : int;
     last_values : float array;
     mutable primed : bool;
-    cur_st : State.t ref;  (* state the persistent environments read *)
+    cur_st : State.t ref;  (* state the value environment reads *)
     venv : Netlist.Expr.env;  (* element-value env, built once *)
-    spec_cx : spec_ctx;  (* mutable context behind [spec_envv] *)
-    spec_envv : Netlist.Expr.env;  (* spec env, built once *)
+    spec_cx : spec_ctx;  (* mutable context behind [spec_b] *)
+    spec_b : Spec.backend;  (* spec backend, built once *)
     nv : float array;  (* cached node voltages *)
     cur : float array;  (* cached per-node current sums *)
     mag : float array;  (* cached per-node |current| sums *)
@@ -1036,8 +902,9 @@ module Incr = struct
         List.iter (fun e -> elem_specs.(e) <- si :: elem_specs.(e)) sd.Problem.sd_elems;
         List.iter (fun j -> jig_specs.(j) <- si :: jig_specs.(j)) sd.Problem.sd_jigs)
       dg.Problem.dg_spec_deps;
-    (* Persistent environments: built once here, they read the current
-       state through [cur_st] — no closure rebuilt per evaluation. *)
+    (* The value environment and the spec backend are built once here and
+       read the current state through [cur_st] and [spec_cx] — no closure
+       rebuilt per evaluation. *)
     let cur_st = ref p.Problem.state0 in
     let venv = value_env_get p (fun () -> !cur_st) in
     let spec_cx =
@@ -1050,25 +917,12 @@ module Incr = struct
         cx_trans = [];
       }
     in
-    let spec_envv = spec_ctx_env p spec_cx in
-    let rec uses_transient (e : Netlist.Expr.t) =
-      match e with
-      | Netlist.Expr.Const _ | Netlist.Expr.Ref _ -> false
-      | Netlist.Expr.Neg a -> uses_transient a
-      | Netlist.Expr.Add (a, b)
-      | Netlist.Expr.Sub (a, b)
-      | Netlist.Expr.Mul (a, b)
-      | Netlist.Expr.Div (a, b)
-      | Netlist.Expr.Pow (a, b) ->
-          uses_transient a || uses_transient b
-      | Netlist.Expr.Call (f, args) ->
-          List.mem f Depgraph.transient_functions || List.exists uses_transient args
-    in
+    let spec_b = spec_backend p spec_cx in
     let spec_screened =
       Array.of_list
         (List.map
            (fun (s : Problem.spec) ->
-             s.Problem.spec_corner <> None || uses_transient s.Problem.expr)
+             s.Problem.spec_corner <> None || Spec.uses_transient s.Problem.expr)
            p.Problem.specs)
     in
     {
@@ -1080,7 +934,7 @@ module Incr = struct
       cur_st;
       venv;
       spec_cx;
-      spec_envv;
+      spec_b;
       nv = Array.make n_nodes 0.0;
       cur = Array.make n_nodes 0.0;
       mag = Array.make n_nodes 0.0;
@@ -1478,8 +1332,8 @@ module Incr = struct
       ss.roms_flat_valid <- true
     end;
     let roms = ss.roms_flat in
-    (* Re-measure stale specs with the session's persistent environment —
-       the same arithmetic as the env the full evaluator builds, pointed
+    (* Re-measure stale specs with the session's persistent backend — the
+       same arithmetic as the backend the full evaluator builds, pointed
        at this evaluation's bias solution. *)
     let cx = ss.spec_cx in
     cx.cx_st <- st;
@@ -1488,7 +1342,6 @@ module Incr = struct
     cx.cx_node_leaving <- bp.node_leaving;
     cx.cx_roms <- roms;
     cx.cx_trans <- [];
-    let env = ss.spec_envv in
     (* Corner rows bypass the session caches entirely: the same full
        recompute the from-scratch evaluator does, so both paths agree bit
        for bit. (sd_always keeps them permanently stale below.) *)
@@ -1502,7 +1355,7 @@ module Incr = struct
         if sd.Problem.sd_always || not ss.spec_valid.(i) then begin
           let v =
             match s.Problem.spec_corner with
-            | None -> measure_spec env s
+            | None -> measure_spec ss.spec_b cx s
             | Some _ -> (
                 match List.assoc_opt s.Problem.spec_name corner_vals with
                 | Some v -> v
@@ -1683,7 +1536,7 @@ module Incr = struct
           if dirty || not ss.jig_valid.(j) then
             List.iter (fun s -> ss.p_spec_stale.(s) <- true) ss.jig_specs.(j))
         ss.p_jig_dirty;
-      (* specs: the persistent environment, repointed at the probe arrays;
+      (* specs: the persistent backend, repointed at the probe arrays;
          [measure_with] repoints every field again before any exact use *)
       let cx = ss.spec_cx in
       cx.cx_st <- st;
@@ -1692,7 +1545,6 @@ module Incr = struct
       cx.cx_node_leaving <- ss.p_cur;
       cx.cx_roms <- roms;
       cx.cx_trans <- [];
-      let senv = ss.spec_envv in
       let spec_values =
         List.mapi
           (fun i (s : Problem.spec) ->
@@ -1704,7 +1556,7 @@ module Incr = struct
                  every accepted state is confirmed through [cost]. *)
               if ss.spec_screened.(i) then ss.spec_cache.(i)
               else if sd.Problem.sd_always || ss.p_spec_stale.(i) || not ss.spec_valid.(i) then
-                measure_spec senv s
+                measure_spec ss.spec_b cx s
               else ss.spec_cache.(i)
             in
             (s.Problem.spec_name, v))

@@ -17,7 +17,7 @@ type bias_point = {
 }
 
 (** [value_env p st] evaluates element-value expressions: user variables,
-    parameters, and built-in math. *)
+    parameters, and the math builtins of {!Spec.math_call}. *)
 val value_env : Problem.t -> State.t -> Netlist.Expr.env
 
 (** [node_voltages p st] maps the tree-link assignment onto the state. *)
@@ -31,30 +31,14 @@ val residuals_quick : Problem.t -> State.t -> float array
 
 exception Measurement_failed of string
 
-(** [op_field op name] reads one named quantity ([gm], [cd], [vdsat], ...)
-    from a device operating point — the resolution of dotted references
-    like [xamp.m1.cd] in specification expressions. *)
-val op_field : Mna.Dc.op_info -> string -> float
-
-(** The field names [op_field] serves for a MOS and for a BJT — what
-    {!Compile} checks each dotted reference against. *)
-val mos_op_fields : string list
-
-val bjt_op_fields : string list
-
 (** [active_area_um2 p st] is the summed device area of the circuit under
     design, square microns. *)
 val active_area_um2 : Problem.t -> State.t -> float
 
-(** [tran_card_of p tf] is the [.tran] budget of the jig owning [tf].
-    @raise Measurement_failed when the tf is unknown or its jig declares
-    no transient card. *)
-val tran_card_of : Problem.t -> string -> Netlist.Ast.tran_card
-
 (** [transient_response p ~value ~tf ~vstep ~tstop ~dt] runs the shared
     step-stimulus transient over the jig owning [tf]: the source the tf
     names steps by [vstep] at [tstop/10]. Returns the simulation, the tf
-    ports and the step onset time. Both the in-loop spec functions (at
+    ports and the step onset time. Both the in-loop step responses (at
     the coarse [dtloop] budget) and {!Verify} (at the exact [dt]) measure
     through this one helper, so they share stimulus and overlap-window
     semantics exactly.
@@ -67,6 +51,16 @@ val transient_response :
   tstop:float ->
   dt:float ->
   Mna.Tran.t * Problem.tf * float
+
+(** [step_wave p ~value tf ~dt] is [tf]'s step response under its jig's
+    [.tran] card, at the step size [dt card] — the [step] primitive of both
+    {!Spec.backend}s. @raise Measurement_failed as {!transient_response}. *)
+val step_wave :
+  Problem.t ->
+  value:(Netlist.Expr.t -> float) ->
+  Spec.tf ->
+  dt:(Netlist.Ast.tran_card -> float) ->
+  Spec.wave
 
 (** [output_noise_v2_per_hz lin ~value ~ops ~sel] is the dc output noise
     density of the linearized jig in V^2/Hz, via one adjoint solve

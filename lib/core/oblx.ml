@@ -32,10 +32,7 @@ type warm_start = {
   ws_probs : float array option;
 }
 
-type control = {
-  publish : float -> unit;
-  cutoff : progress:float -> best:float -> string option;
-}
+type control = progress:float -> best:float -> string option
 
 let kcl_stats (bp : Eval.bias_point) =
   let rel = ref 0.0 and abs_ = ref 0.0 in
@@ -184,10 +181,9 @@ let synthesize ?(seed = 1) ?rng ?moves ?(incremental = true)
   let cut_reason = ref None in
   let abort =
     Option.map
-      (fun c (info : Anneal.Annealer.stage_info) ->
-        c.publish info.best_cost;
+      (fun (cutoff : control) (info : Anneal.Annealer.stage_info) ->
         let progress = float_of_int info.moves_done /. float_of_int total_moves in
-        match c.cutoff ~progress ~best:info.best_cost with
+        match cutoff ~progress ~best:info.best_cost with
         | Some reason ->
             if !cut_reason = None then cut_reason := Some reason;
             true
@@ -343,12 +339,7 @@ type parallel_report = {
    settings, so each worker sets its own. *)
 let arena_minor_heap_words = 1 lsl 22
 
-(* A laggard gives up only when its best is worse than the published global
-   best by a slack that scales with the costs involved: close races are
-   always allowed to finish, so early stopping rarely changes the winner. *)
-let early_stop_slack best = Float.max 1.0 (0.25 *. Float.abs best)
-
-let best_of ?(seed = 1) ?moves ?jobs ?(early_stop = false) ?(incremental = true)
+let best_of ?(seed = 1) ?moves ?jobs ?(incremental = true)
     ?(probe_batch = default_probe_batch) ?cutoff ?(warm_starts = [||])
     ?(obs = Obs.Trace.none) ?perf ~runs (p : Problem.t) =
   if runs < 1 then invalid_arg "Oblx.best_of: runs must be >= 1";
@@ -368,41 +359,10 @@ let best_of ?(seed = 1) ?moves ?jobs ?(early_stop = false) ?(incremental = true)
   for k = 0 to runs - 1 do
     streams.(k) <- Anneal.Rng.split root
   done;
-  let global_best = Atomic.make Float.infinity in
-  let rec publish c =
-    let cur = Atomic.get global_best in
-    if c < cur && not (Atomic.compare_and_set global_best cur c) then publish c
-  in
-  (* The external cutoff (deadline / cancellation from the serve layer) is
-     checked before the early-stop race logic: a deadline verdict must win
-     even when the run is leading. A control that only carries an external
-     cutoff never perturbs the annealing trajectory unless it fires, so the
+  (* The external cutoff (deadline / cancellation from the serve layer)
+     never perturbs the annealing trajectory unless it fires, so the
      bit-for-bit determinism guarantee holds for un-cut runs. *)
-  let external_cut () = match cutoff with Some f -> f () | None -> None in
-  let control =
-    if not early_stop && cutoff = None then None
-    else
-      Some
-        {
-          publish;
-          cutoff =
-            (fun ~progress ~best ->
-              match external_cut () with
-              | Some reason -> Some reason
-              | None ->
-                  if not early_stop then None
-                  else begin
-                    let global = Atomic.get global_best in
-                    if progress > 0.5 && best > global +. early_stop_slack best then
-                      Some
-                        (Printf.sprintf
-                           "early-stop: best %.6g trails global best %.6g beyond slack %.3g at \
-                            progress %.2f"
-                           best global (early_stop_slack best) progress)
-                    else None
-                  end);
-        }
-  in
+  let control = Option.map (fun f ~progress:_ ~best:_ -> f ()) cutoff in
   let results : result option array = Array.make runs None in
   let next = Atomic.make 0 in
   (* Under parallel emission, events route through a shard: each restart
@@ -443,7 +403,6 @@ let best_of ?(seed = 1) ?moves ?jobs ?(early_stop = false) ?(incremental = true)
           synthesize ~rng:streams.(k) ?moves ~incremental ~probe_batch ?session ?control ?warm
             ~obs:obs_k p
         in
-        publish r.best_cost;
         results.(k) <- Some r;
         take ()
       end
@@ -498,7 +457,7 @@ let best_of ?(seed = 1) ?moves ?jobs ?(early_stop = false) ?(incremental = true)
 
 let deadline_reason = "deadline"
 
-let run_job ?(seed = 1) ?moves ?(runs = 1) ?jobs ?(early_stop = false) ?(incremental = true)
+let run_job ?(seed = 1) ?moves ?(runs = 1) ?jobs ?(incremental = true)
     ?(probe_batch = default_probe_batch) ?deadline_s ?poll ?warm_starts
     ?(obs = Obs.Trace.none) ?perf (p : Problem.t) =
   (* The deadline clock starts here — queue wait is the caller's budget to
@@ -517,7 +476,7 @@ let run_job ?(seed = 1) ?moves ?(runs = 1) ?jobs ?(early_stop = false) ?(increme
       end
   in
   let cutoff = if poll = None && deadline_s = None then None else Some cutoff in
-  best_of ~seed ?moves ?jobs ~early_stop ~incremental ~probe_batch ?cutoff ?warm_starts
+  best_of ~seed ?moves ?jobs ~incremental ~probe_batch ?cutoff ?warm_starts
     ~obs ?perf ~runs p
 
 (* ------------------------------------------------------------------ *)

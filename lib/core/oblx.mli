@@ -19,7 +19,7 @@ type result = {
   moves : int;
   accepted : int;
   froze_early : bool;
-  cut_short : bool;  (** abandoned early by multi-start early stopping *)
+  cut_short : bool;  (** stopped by its cutoff (deadline or cancellation) *)
   cut_reason : string option;
       (** why the run was cut short — the cutoff's verdict, preserved
           rather than collapsed into the boolean; [None] unless
@@ -48,21 +48,16 @@ type warm_start = {
   ws_probs : float array option;  (** learned move-class prior, if recorded *)
 }
 
-(** Hooks a multi-start scheduler threads into a run. [publish] is called
-    once per annealing stage with the run's best cost so far; [cutoff]
-    decides, given the run's progress in [0,1] and its best cost, whether
-    the run should cut its losses and stop — [Some reason] aborts and the
-    reason is preserved in [result.cut_reason] and the trace's [Done]
-    event. *)
-type control = {
-  publish : float -> unit;
-  cutoff : progress:float -> best:float -> string option;
-}
+(** A run's cutoff, polled before the first move and then once per
+    annealing stage with the run's progress in [0,1] and its best cost so
+    far: [Some reason] aborts the run, and the reason is preserved in
+    [result.cut_reason] and the trace's [Done] event. *)
+type control = progress:float -> best:float -> string option
 
 (** [synthesize ?seed ?rng ?moves ?control ?obs p] runs one annealing run.
     [moves] defaults to [2000 * n_vars] clamped to a practical budget.
     [rng] (a stream from {!Anneal.Rng.split}) overrides [seed]; [control]
-    connects the run to a parallel multi-start scheduler.
+    is the run's cutoff (deadlines and cancellation).
 
     [session] supplies an existing incremental-evaluation arena (created
     for the same problem) instead of allocating one: it is
@@ -158,7 +153,7 @@ type parallel_report = {
     serve pool's, for instance) should set this itself. *)
 val arena_minor_heap_words : int
 
-(** [best_of ?seed ?moves ?jobs ?early_stop ~runs p] performs [runs]
+(** [best_of ?seed ?moves ?jobs ~runs p] performs [runs]
     independent annealing runs — the paper's "5-10 runs overnight",
     except spread across [jobs] OCaml domains so a modern multicore
     machine finishes them in one coffee — and returns the lowest-cost
@@ -166,13 +161,7 @@ val arena_minor_heap_words : int
 
     Restart [k] draws from the [k]-th {!Anneal.Rng.split} stream of the
     root generator, so for a fixed [seed] the winner is bit-identical for
-    every [jobs] value, including the sequential [jobs:1] path. With
-    [early_stop] (default off), runs publish their best cost through a
-    shared atomic and a laggard past half its move budget gives up once it
-    trails the global best by a wide margin; this trades the determinism
-    guarantee for wall-clock (the winner is still the best completed run,
-    but laggards report [cut_short], with the reason in [cut_reason], and
-    spend fewer evaluations).
+    every [jobs] value, including the sequential [jobs:1] path.
 
     [cutoff] is an external kill switch polled through the annealer's
     abort hook (before the first move, then once per stage): returning
@@ -209,7 +198,6 @@ val best_of :
   ?seed:int ->
   ?moves:int ->
   ?jobs:int ->
-  ?early_stop:bool ->
   ?incremental:bool ->
   ?probe_batch:int ->
   ?cutoff:(unit -> string option) ->
@@ -224,7 +212,7 @@ val best_of :
     ["deadline"]. *)
 val deadline_reason : string
 
-(** [run_job ?seed ?moves ?runs ?jobs ?early_stop ?deadline_s ?poll ?obs p]
+(** [run_job ?seed ?moves ?runs ?jobs ?deadline_s ?poll ?obs p]
     is the job-facing wrapper the synthesis service runs per queued job:
     {!best_of} with a wall-clock budget and a cancellation poll composed
     into an external [cutoff]. The deadline clock starts at the call (queue
@@ -238,7 +226,6 @@ val run_job :
   ?moves:int ->
   ?runs:int ->
   ?jobs:int ->
-  ?early_stop:bool ->
   ?incremental:bool ->
   ?probe_batch:int ->
   ?deadline_s:float ->

@@ -1,7 +1,7 @@
 (* The compiled synthesis problem: everything ASTRX produces from the
    input description, ready for OBLX to solve. *)
 
-type tf = { out_pos : int; out_neg : int option; src : string }
+type tf = Spec.ports = { out_pos : int; out_neg : int option; src : string }
 
 type jig = {
   jig_name : string;
@@ -14,7 +14,7 @@ type jig = {
 type spec = {
   spec_name : string;
   kind : Netlist.Ast.goal_kind;
-  expr : Netlist.Expr.t;
+  expr : Spec.t;  (** resolved at compile time *)
   good : float;
   bad : float;
   spec_corner : string option;
@@ -30,12 +30,11 @@ type spec = {
 
    All edge lists are conservative over-approximations: an edge too many
    costs a redundant recompute, an edge too few would break the
-   bit-identity guarantee — [Depgraph.analyze] therefore maps any
-   unresolvable reference onto every variable. *)
+   bit-identity guarantee. *)
 type spec_deps = {
   sd_always : bool;
-      (** re-measure on every evaluation (area/power/supply_current, or an
-          unresolvable reference) *)
+      (** re-measure on every evaluation (area/power/supply_current, or a
+          corner row) *)
   sd_vars : int list;  (** variable indices the spec expression reads *)
   sd_elems : int list;  (** bias elements whose operating point it reads *)
   sd_jigs : int list;  (** jigs whose transfer functions it measures *)

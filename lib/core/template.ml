@@ -9,6 +9,13 @@ let rd_expr rd_ohm_m w_expr =
   (* rd = rd_ohm_m / W; W comes from the design grid so it is > 0. *)
   Netlist.Expr.Div (Netlist.Expr.const rd_ohm_m, w_expr)
 
+(* Every device's model is looked up here, once: an unknown model, or a
+   MOS/BJT model on the other kind of element, fails naming the element. *)
+let model ~registry name model =
+  match Devices.Registry.find registry model with
+  | Some m -> m
+  | None -> failwith (Printf.sprintf "%s: unknown device model %S" name model)
+
 let expand ~registry (circuit : Netlist.Circuit.t) =
   let extra_nodes = ref [] in
   let n_base = Netlist.Circuit.node_count circuit in
@@ -24,8 +31,8 @@ let expand ~registry (circuit : Netlist.Circuit.t) =
   Array.iter
     (fun (e : Netlist.Circuit.element) ->
       match e with
-      | Netlist.Circuit.Mosfet ({ name; d; g = _; s; b = _; model; w; _ } as mos) -> begin
-          match Devices.Registry.find_exn registry model with
+      | Netlist.Circuit.Mosfet ({ name; d; g = _; s; b = _; model = m; w; _ } as mos) -> begin
+          match model ~registry name m with
           | Devices.Sig.Mos { rd_ohm_m; _ } when rd_ohm_m > 0.0 ->
               let d_int = fresh (name ^ "#d") in
               let s_int = fresh (name ^ "#s") in
@@ -36,12 +43,17 @@ let expand ~registry (circuit : Netlist.Circuit.t) =
                 (Netlist.Circuit.Resistor
                    { name = name ^ "#rs"; n1 = s; n2 = s_int; value = rd_expr rd_ohm_m w });
               emit (Netlist.Circuit.Mosfet { mos with d = d_int; s = s_int })
-          | Devices.Sig.Mos _ | Devices.Sig.Bjt _ -> emit e
+          | Devices.Sig.Mos _ -> emit e
+          | Devices.Sig.Bjt _ -> failwith (Printf.sprintf "%s: MOS element with BJT model %S" name m)
+        end
+      | Netlist.Circuit.Bjt { name; model = m; _ } -> begin
+          match model ~registry name m with
+          | Devices.Sig.Bjt _ -> emit e
+          | Devices.Sig.Mos _ -> failwith (Printf.sprintf "%s: BJT element with MOS model %S" name m)
         end
       | Netlist.Circuit.Resistor _ | Netlist.Circuit.Capacitor _ | Netlist.Circuit.Inductor _
       | Netlist.Circuit.Vsource _ | Netlist.Circuit.Isource _ | Netlist.Circuit.Vcvs _
-      | Netlist.Circuit.Vccs _ | Netlist.Circuit.Cccs _ | Netlist.Circuit.Ccvs _
-      | Netlist.Circuit.Bjt _ ->
+      | Netlist.Circuit.Vccs _ | Netlist.Circuit.Cccs _ | Netlist.Circuit.Ccvs _ ->
           emit e)
     circuit.Netlist.Circuit.elements;
   {

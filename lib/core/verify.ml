@@ -6,12 +6,11 @@ let value_of p st =
   let env = Eval.value_env p st in
   fun e -> Netlist.Expr.eval env e
 
-(* Solve every jig with full Newton-Raphson and wrap direct-AC measurement
-   closures per transfer function. *)
+(* A jig solved with full Newton-Raphson, linearized at that operating
+   point. *)
 type jig_sim = {
   lin : Mna.Linearize.t;
   sol : Mna.Dc.solution;
-  tf_ports : (string * Problem.tf) list;
 }
 
 (* DC operating point of [circuit] by a cold solve. Where that fails, one
@@ -51,18 +50,13 @@ let solve_jigs p st =
       | Ok sol ->
           let ops name = List.assoc_opt name sol.Mna.Dc.ops in
           let lin = Mna.Linearize.build ~value ~ops j.jig_circuit in
-          { lin; sol; tf_ports = j.tfs })
+          { lin; sol })
     p.Problem.jigs
 
-let find_tf jigs name =
-  List.find_map
-    (fun js ->
-      Option.map (fun tf -> (js, tf)) (List.assoc_opt name js.tf_ports))
-    jigs
-
-(* Full-NR measurement environment over [p] — parametrized so corner rows
-   can rebuild it with the registry skewed to their corner. *)
-let make_env (p : Problem.t) (st : State.t) =
+(* The reference-simulator backend of [Spec.eval] over [p] —
+   parametrized so corner rows can rebuild it with the registry skewed to
+   their corner. *)
+let backend (p : Problem.t) (st : State.t) =
   let value = value_of p st in
   let jigs = solve_jigs p st in
   (* Exact bias operating point for device refs and power. *)
@@ -71,200 +65,103 @@ let make_env (p : Problem.t) (st : State.t) =
     | Ok s -> s
     | Error e -> raise (Sim_failed ("bias: " ^ e))
   in
-  let tf_measure name =
-      match find_tf jigs name with
-      | None -> raise (Sim_failed ("unknown transfer function " ^ name))
-      | Some (js, tf) ->
-          let b = Mna.Linearize.excitation_of js.lin ~src:tf.Problem.src in
-          let sel =
-            Mna.Linearize.output_vector js.lin ~pos:tf.Problem.out_pos ~neg:tf.Problem.out_neg
-          in
-          (js, b, sel)
-    in
-    let lookup path =
-      match path with
-      | [ name ] -> (Eval.value_env p st).Netlist.Expr.lookup [ name ]
-      | [] -> raise Not_found
-      | parts ->
-          let rec split_last acc = function
-            | [ last ] -> (List.rev acc, last)
-            | x :: rest -> split_last (x :: acc) rest
-            | [] -> assert false
-          in
-          let devparts, field = split_last [] parts in
-          let devname = String.concat "." devparts in
-          let op =
-            (* Prefer the jig operating point (it is what AC sees), fall
-               back to the bias network. *)
-            match
-              List.find_map (fun js -> List.assoc_opt devname js.sol.Mna.Dc.ops) jigs
-            with
-            | Some op -> Some op
-            | None -> List.assoc_opt devname bias_sol.Mna.Dc.ops
-          in
-          (match op with Some op -> Eval.op_field op field | None -> raise Not_found)
-    in
-    (* Exact-step transient of [tf] under the owning jig's .tran card,
-       through the same shared stimulus helper the in-loop evaluator uses
-       (Eval.transient_response) — the verification differs only in step
-       size (tr_dt, never the coarse tr_dtloop). *)
-    let simulate_tran tfn =
-      match Eval.tran_card_of p tfn with
-      | exception Eval.Measurement_failed m -> Error m
-      | tc -> begin
-          match
-            Eval.transient_response p ~value ~tf:tfn ~vstep:tc.Netlist.Ast.tr_vstep
-              ~tstop:tc.Netlist.Ast.tr_tstop ~dt:tc.Netlist.Ast.tr_dt
-          with
-          | exception Eval.Measurement_failed m -> Error m
-          | r, ports, t_step ->
-              let v =
-                Mna.Tran.waveform_of r ~pos:ports.Problem.out_pos ~neg:ports.Problem.out_neg
-              in
-              Ok (tc, r, v, t_step)
-        end
-    in
-    (* [slew_rate] and [settle] of one tf read one simulation. *)
-    let trans = ref [] in
-    let tran_of tfn =
-      let w =
-        match List.assoc_opt tfn !trans with
-        | Some w -> w
-        | None ->
-            let w = simulate_tran tfn in
-            trans := (tfn, w) :: !trans;
-            w
-      in
-      match w with Ok w -> w | Error m -> raise (Sim_failed m)
-    in
-    let settle_of tfn tol =
-      let _, r, v, t_step = tran_of tfn in
-      Mna.Tran.settling_time ~times:r.Mna.Tran.times v ~t_from:t_step ~tol
-    in
-    (* [ugf] and [phase_margin] of one tf read one unity-gain scan. *)
-    let ugfs = ref [] in
-    let ugf_of tfn =
-      match List.assoc_opt tfn !ugfs with
-      | Some fu -> fu
+  (* [ac f tf]: [f] over [tf]'s jig linearization, excitation and output
+     selector. *)
+  let ac (f : Mna.Linearize.t -> b:La.Vec.t -> sel:La.Vec.t -> _) (tf : Spec.tf) =
+    let js = List.nth jigs tf.Spec.tf_jig and ports = tf.Spec.tf_ports in
+    let b = Mna.Linearize.excitation_of js.lin ~src:ports.Problem.src in
+    let sel = Mna.Linearize.output_vector js.lin ~pos:ports.Problem.out_pos ~neg:ports.Problem.out_neg in
+    f js.lin ~b ~sel
+  in
+  (* [slew_rate] and [settle] of one tf read one exact-step simulation. *)
+  let trans = ref [] in
+  let step (tf : Spec.tf) =
+    let w =
+      match List.assoc_opt tf.Spec.tf_name !trans with
+      | Some w -> w
       | None ->
-          let js, b, sel = tf_measure tfn in
-          let fu = Mna.Ac.unity_gain_freq js.lin ~b ~sel in
-          ugfs := (tfn, fu) :: !ugfs;
-          fu
-    in
-    let call name args =
-      let tfarg = function
-        | Netlist.Expr.Name n -> n
-        | Netlist.Expr.Num _ -> raise (Sim_failed (name ^ ": expected transfer-function name"))
-      in
-      let numarg = function
-        | Netlist.Expr.Num v -> v
-        | Netlist.Expr.Name n -> raise (Sim_failed (name ^ ": unexpected name " ^ n))
-      in
-      match (name, args) with
-      | "dc_gain", [ tf ] ->
-          let js, b, sel = tf_measure (tfarg tf) in
-          Mna.Ac.dc_gain js.lin ~b ~sel
-      | "ugf", [ tf ] -> Option.value ~default:0.0 (ugf_of (tfarg tf))
-      | ("phase_margin" | "pm"), [ tf ] -> (
-          let tfn = tfarg tf in
-          match ugf_of tfn with
-          | None -> 180.0
-          | Some fu ->
-              let js, b, sel = tf_measure tfn in
-              Mna.Ac.phase_margin_at js.lin ~b ~sel ~fu)
-      | "gain_at", [ tf; f ] ->
-          let js, b, sel = tf_measure (tfarg tf) in
-          La.Cpx.abs (Mna.Ac.transfer js.lin ~b ~sel ~w:(2.0 *. Float.pi *. numarg f))
-      | "bw3db", [ tf ] ->
-          let js, b, sel = tf_measure (tfarg tf) in
-          Mna.Ac.bandwidth_3db js.lin ~b ~sel
-      | "pole1", [ tf ] ->
-          (* The reference flow extracts poles with AWE at the simulator's
-             exact operating point (HSPICE's .pz plays this role). *)
-          let js, b, sel = tf_measure (tfarg tf) in
-          (match Awe.Rom.build js.lin ~b ~sel with
-          | Ok rom -> Option.value ~default:0.0 (Awe.Rom.dominant_pole_hz rom)
-          | Error e -> raise (Sim_failed ("pole1: " ^ e)))
-      | "gain_margin_db", [ tf ] ->
-          let js, b, sel = tf_measure (tfarg tf) in
-          (match Awe.Rom.build js.lin ~b ~sel with
-          | Ok rom -> Option.value ~default:60.0 (Awe.Rom.gain_margin_db rom)
-          | Error e -> raise (Sim_failed ("gain_margin_db: " ^ e)))
-      | "slew_rate", [ tf ] ->
-          let tc, r, v, t_step = tran_of (tfarg tf) in
-          Mna.Tran.peak_slew ~times:r.Mna.Tran.times v ~t_from:t_step
-            ~t_to:tc.Netlist.Ast.tr_tstop
-      | "settle", [ tf ] -> settle_of (tfarg tf) 0.01
-      | "settle", [ tf; tol ] -> settle_of (tfarg tf) (numarg tol)
-      | "noise_out_uv", [ tf ] -> begin
-          let tfn = tfarg tf in
-          let js, b, sel = tf_measure tfn in
-          let bw = Mna.Ac.bandwidth_3db js.lin ~b ~sel in
-          if not (bw > 0.0) then raise (Sim_failed (tfn ^ ": noise bandwidth unavailable"))
-          else begin
-            let enbw = Float.pi /. 2.0 *. bw in
-            let ops n = List.assoc_opt n js.sol.Mna.Dc.ops in
-            match Eval.output_noise_v2_per_hz js.lin ~value ~ops ~sel with
-            | exception Eval.Measurement_failed m -> raise (Sim_failed m)
-            | s0 -> Float.sqrt (Float.max 0.0 (s0 *. enbw)) *. 1e6
-          end
-        end
-      | "psrr_db", [ stf; suptf ] ->
-          let js1, b1, sel1 = tf_measure (tfarg stf) in
-          let js2, b2, sel2 = tf_measure (tfarg suptf) in
-          let a_sig = Float.abs (Mna.Ac.dc_gain js1.lin ~b:b1 ~sel:sel1) in
-          let a_sup = Float.abs (Mna.Ac.dc_gain js2.lin ~b:b2 ~sel:sel2) in
-          if a_sup < 1e-30 then 300.0
-          else 20.0 *. Float.log10 (Float.max a_sig 1e-30 /. a_sup)
-      | "area", [] -> Eval.active_area_um2 p st
-      | "power", [] -> Mna.Dc.supply_power bias_sol ~value
-      | "supply_current", [ src ] -> begin
-          let srcname =
-            match src with
-            | Netlist.Expr.Name n -> n
-            | Netlist.Expr.Num _ -> raise (Sim_failed "supply_current: expected a source name")
+          let w =
+            try Ok (Eval.step_wave p ~value tf ~dt:(fun tc -> tc.Netlist.Ast.tr_dt))
+            with Eval.Measurement_failed m -> Error m
           in
-          match Mna.Dc.branch_current bias_sol srcname with
-          | Some i -> Float.abs i
-          | None -> raise (Sim_failed ("supply_current: unknown source " ^ srcname))
-        end
-      | _ -> begin
-          try Builtin.math_call name args
-          with Builtin.Unknown_function f -> raise (Sim_failed ("unknown function " ^ f))
-        end
+          trans := (tf.Spec.tf_name, w) :: !trans;
+          w
     in
-    { Netlist.Expr.lookup; call }
+    match w with Ok w -> w | Error m -> raise (Sim_failed m)
+  in
+  (* [ugf] and [phase_margin] of one tf read one unity-gain scan. *)
+  let ugfs = ref [] in
+  let ugf (tf : Spec.tf) =
+    match List.assoc_opt tf.Spec.tf_name !ugfs with
+    | Some fu -> fu
+    | None ->
+        let fu = ac Mna.Ac.unity_gain_freq tf in
+        ugfs := (tf.Spec.tf_name, fu) :: !ugfs;
+        fu
+  in
+  {
+    Spec.op =
+      (fun d ->
+        (* Prefer the jig operating point (it is what AC sees), fall back
+           to the bias network. *)
+        let name = d.Spec.dev_name in
+        match List.find_map (fun js -> List.assoc_opt name js.sol.Mna.Dc.ops) jigs with
+        | Some op -> op
+        | None -> (
+            match List.assoc_opt name bias_sol.Mna.Dc.ops with
+            | Some op -> op
+            | None -> raise (Sim_failed ("no operating point for " ^ name))));
+    dc_gain = ac Mna.Ac.dc_gain;
+    ugf;
+    pm = (fun tf -> Option.map (fun fu -> ac (Mna.Ac.phase_margin_at ~fu) tf) (ugf tf));
+    gain_at = (fun tf f -> La.Cpx.abs (ac (Mna.Ac.transfer ~w:(2.0 *. Float.pi *. f)) tf));
+    bw3db = (fun tf -> Some (ac Mna.Ac.bandwidth_3db tf));
+    (* The reference flow extracts poles with AWE at the simulator's exact
+       operating point (HSPICE's .pz plays this role). *)
+    rom = ac (fun lin ~b ~sel -> Awe.Rom.build lin ~b ~sel);
+    step;
+    noise_density =
+      (fun tf ->
+        let ops n = List.assoc_opt n (List.nth jigs tf.Spec.tf_jig).sol.Mna.Dc.ops in
+        try ac (fun lin ~b:_ ~sel -> Eval.output_noise_v2_per_hz lin ~value ~ops ~sel) tf
+        with Eval.Measurement_failed m -> raise (Sim_failed m));
+    area = (fun () -> Eval.active_area_um2 p st);
+    power = (fun () -> Mna.Dc.supply_power bias_sol ~value);
+    supply_current =
+      (fun src ->
+        match Mna.Dc.branch_current bias_sol src.Spec.vs_name with
+        | Some i -> i
+        | None -> raise (Sim_failed ("supply_current: unknown source " ^ src.Spec.vs_name)));
+  }
 
 let simulate_specs (p : Problem.t) (st : State.t) =
   try
-    let env = make_env p st in
+    let b = backend p st in
     (* Corner rows re-solve everything under the skewed registry; a corner
        that fails to solve reports per-spec errors instead of failing the
        whole verification. *)
-    let corner_envs =
+    let corner_backends =
       List.map
         (fun (cname, reg) ->
           ( cname,
-            try Ok (make_env { p with Problem.registry = reg } st) with
+            try Ok (backend { p with Problem.registry = reg } st) with
             | Sim_failed m -> Error m
             | Failure m -> Error m ))
         p.Problem.corner_regs
     in
-    let eval_in envx (s : Problem.spec) =
-      try Ok (Netlist.Expr.eval envx s.Problem.expr) with
-      | Sim_failed m -> Error m
-      | Netlist.Expr.Eval_error m -> Error m
+    let eval_in bx (s : Problem.spec) =
+      try Ok (Spec.eval bx st s.Problem.expr) with
+      | Sim_failed m | Spec.Failed m | Netlist.Expr.Eval_error m -> Error m
     in
     let values =
       List.map
         (fun (s : Problem.spec) ->
           let v =
             match s.Problem.spec_corner with
-            | None -> eval_in env s
+            | None -> eval_in b s
             | Some c -> (
-                match List.assoc_opt c corner_envs with
-                | Some (Ok envc) -> eval_in envc s
+                match List.assoc_opt c corner_backends with
+                | Some (Ok bc) -> eval_in bc s
                 | Some (Error m) -> Error (Printf.sprintf "corner %s: %s" c m)
                 | None -> Error ("unknown corner " ^ c))
           in

@@ -5,8 +5,11 @@
     reduced-order models, this module re-derives every specification value
     through the reference simulator: a full Newton-Raphson operating point
     of each test jig, direct frequency-by-frequency AC analysis, and the
-    bias network solved exactly. Any gap between [Oblx.result.predicted]
-    and these numbers is the tool's true prediction error. *)
+    bias network solved exactly. The spec expressions are the same
+    {!Spec} trees OBLX evaluates, interpreted over a reference-simulator
+    {!Spec.backend}, so both sides share every formula and default. Any
+    gap between [Oblx.result.predicted] and these numbers is the tool's
+    true prediction error. *)
 
 (** [simulate_specs p st] evaluates every specification of [p] at the
     design point [st] using the reference simulator. [None] entries are

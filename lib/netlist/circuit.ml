@@ -48,6 +48,16 @@ let element_name = function
   | Bjt { name; _ } ->
       name
 
+(* Every value expression of an element. *)
+let values = function
+  | Resistor { value; _ } | Capacitor { value; _ } | Inductor { value; _ } -> [ value ]
+  | Vsource { dc; _ } | Isource { dc; _ } -> [ dc ]
+  | Vcvs { gain; _ } | Cccs { gain; _ } -> [ gain ]
+  | Vccs { gm; _ } -> [ gm ]
+  | Ccvs { r; _ } -> [ r ]
+  | Mosfet { w; l; mult; _ } -> [ w; l; mult ]
+  | Bjt { area; _ } -> [ area ]
+
 let find_node t name =
   let rec scan k =
     if k >= Array.length t.node_names then raise Not_found

@@ -194,8 +194,7 @@ let parse s =
 
 (* --- Evaluation --- *)
 
-type env = { lookup : string list -> float; call : string -> arg list -> float }
-and arg = Name of string | Num of float
+type env = { lookup : string list -> float; call : string -> float list -> float }
 
 exception Eval_error of string
 
@@ -206,19 +205,7 @@ let rec eval env e =
       try env.lookup path
       with Not_found -> raise (Eval_error ("unknown reference " ^ String.concat "." path))
     end
-  | Call (name, args) ->
-      let to_arg a =
-        match a with
-        | Ref [ single ] -> begin
-            (* A bare identifier argument may be a symbolic name (a transfer
-               function or jig name) or a variable; prefer the variable if it
-               resolves, otherwise pass the name through. *)
-            try Num (env.lookup [ single ]) with Not_found -> Name single
-          end
-        | Const _ | Ref _ | Call _ | Neg _ | Add _ | Sub _ | Mul _ | Div _ | Pow _ ->
-            Num (eval env a)
-      in
-      env.call name (List.map to_arg args)
+  | Call (name, args) -> env.call name (List.map (eval env) args)
   | Neg a -> -.eval env a
   | Add (a, b) -> eval env a +. eval env b
   | Sub (a, b) -> eval env a -. eval env b
@@ -240,21 +227,6 @@ let rec subst map e =
   | Mul (a, b) -> Mul (subst map a, subst map b)
   | Div (a, b) -> Div (subst map a, subst map b)
   | Pow (a, b) -> Pow (subst map a, subst map b)
-
-let rec refs e =
-  match e with
-  | Const _ -> []
-  | Ref p -> [ p ]
-  | Call (_, args) -> List.concat_map refs args
-  | Neg a -> refs a
-  | Add (a, b) | Sub (a, b) | Mul (a, b) | Div (a, b) | Pow (a, b) -> refs a @ refs b
-
-let rec calls e =
-  match e with
-  | Const _ | Ref _ -> []
-  | Call (name, args) -> (name, args) :: List.concat_map calls args
-  | Neg a -> calls a
-  | Add (a, b) | Sub (a, b) | Mul (a, b) | Div (a, b) | Pow (a, b) -> calls a @ calls b
 
 let rec size e =
   match e with
@@ -280,4 +252,3 @@ let rec pp ppf e =
 
 let to_string e = Format.asprintf "%a" pp e
 let const v = Const v
-let var name = Ref [ name ]

@@ -31,19 +31,11 @@ exception Parse_error of string
 (** [parse s] parses an expression. @raise Parse_error *)
 val parse : string -> t
 
-(** Evaluation environment. [lookup path] resolves dotted references;
-    [call name args] applies a function to already-evaluated numeric
-    arguments, except that a sub-expression which is a bare identifier is
-    passed through [name_arg] resolution first: functions like [dc_gain(tf)]
-    take the {e name} [tf], not a number. The environment decides, via
-    [is_name name arg_index fname], whether a given argument position of
-    [fname] is a name. *)
-type env = {
-  lookup : string list -> float;  (** raise [Not_found] for unknown refs *)
-  call : string -> arg list -> float;
-}
-
-and arg = Name of string | Num of float
+(** Evaluation environment of element values: [lookup path] resolves a
+    reference (raise [Not_found] for an unknown one); [call name args]
+    applies a function to its evaluated arguments. Spec expressions are
+    resolved and evaluated by [Core.Spec] instead. *)
+type env = { lookup : string list -> float; call : string -> float list -> float }
 
 exception Eval_error of string
 
@@ -55,20 +47,11 @@ val eval : env -> t -> float
     instantiating subcircuit parameters. *)
 val subst : (string * t) list -> t -> t
 
-(** [refs e] lists every dotted reference occurring in [e] (no dedup). *)
-val refs : t -> string list list
-
-(** [calls e] lists every function name called in [e] with its argument
-    expressions. *)
-val calls : t -> (string * t list) list
-
 (** [size e] counts AST nodes — used for the "Lines of C" size metric. *)
 val size : t -> int
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
-(** [const x] and [var name] are convenience constructors. *)
+(** [const x] is a convenience constructor. *)
 val const : float -> t
-
-val var : string -> t

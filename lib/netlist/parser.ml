@@ -281,6 +281,10 @@ let parse_spec ln kind_default toks =
       { Ast.spec_name = name; kind; expr = parse_expr_tok ln e; good; bad; spec_corner = get "corner" }
   | _ -> fail ln ".obj/.spec: expected name 'expr' good=.. bad=.. [corner=..]"
 
+(* A transient stores every step, and the in-loop one runs on every
+   evaluation: a step budget bounds its time and memory. *)
+let max_tran_steps = 100_000.0
+
 (* .tran tstop=.. dt=.. [dtloop=..] [vstep=..] *)
 let parse_tran ln toks =
   let get key =
@@ -299,6 +303,11 @@ let parse_tran ln toks =
   (match dtloop with
   | Some d when not (d > 0.0 && d <= tstop) -> fail ln ".tran: need 0 < dtloop <= tstop"
   | Some _ | None -> ());
+  List.iter
+    (fun step ->
+      if tstop /. step > max_tran_steps then
+        fail ln (Printf.sprintf ".tran: more than %.0f steps of tstop" max_tran_steps))
+    (dt :: Option.to_list dtloop);
   let vstep = match get "vstep" with Some v -> parse_num_tok ln v | None -> 0.1 in
   if vstep = 0.0 then fail ln ".tran: vstep must be nonzero";
   { Ast.tr_tstop = tstop; tr_dt = dt; tr_dtloop = dtloop; tr_vstep = vstep }

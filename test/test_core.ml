@@ -100,17 +100,19 @@ let test_compile_errors () =
     (".jig j\nvin g 0 2 ac 1\nvd d0 0 5\nm9 d0 g 0 0 nmos w=10u l=2u\n.pz t v(d0) vin\n.endjig\n"
    ^ ".bias\nr1 a 0 1k\n.endbias\n.obj o 'dc_gain(t)' good=1 bad=0\n.process p1u2\n")
 
-(* A dotted reference must name a MOS or BJT of the bias network and one
-   of its fields (LANGUAGE.md 5.3); the error names the spec and the
-   reference. simple-ota's sr spec reads xamp.m2.cd. *)
+(* Every name in a spec expression, an element value or a .param
+   resolves at compile time (LANGUAGE.md §6): a dotted reference must name
+   a MOS or BJT of the bias network and one of its fields, a function must
+   exist with the right arity and argument kinds, and element values take
+   variables, parameters and math builtins only. Each row edits one suite
+   source and expects an error naming the card and the name. *)
 let test_compile_device_refs () =
   let contains hay needle =
     let n = String.length needle in
     let rec go i = i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1)) in
     go 0
   in
-  let src = (Option.get (Suite.Ckts.find "simple-ota")).Suite.Ckts.source in
-  let replace a b =
+  let replace src a b =
     let i =
       let n = String.length a in
       let rec go i = if String.sub src i n = a then i else go (i + 1) in
@@ -119,19 +121,57 @@ let test_compile_device_refs () =
     String.sub src 0 i ^ b ^ String.sub src (i + String.length a) (String.length src - i - String.length a)
   in
   List.iter
-    (fun (ref_, expect) ->
-      match Core.Compile.compile_source (replace "xamp.m2.cd" ref_) with
-      | Ok _ -> Alcotest.failf "%s compiled" ref_
+    (fun (ckt, a, b, expect) ->
+      let src = (Option.get (Suite.Ckts.find ckt)).Suite.Ckts.source in
+      match Core.Compile.compile_source (replace src a b) with
+      | Ok _ -> Alcotest.failf "%s: %s compiled" ckt b
       | Error e ->
           Alcotest.(check bool) (Printf.sprintf "%S names %S" e expect) true (contains e expect))
     [
-      ("xamp.m9.cd", "spec sr: xamp.m9.cd: xamp.m9 is not a MOS or BJT");
-      ("xamp.m2.ic", "spec sr: xamp.m2.ic: xamp.m2 has no field ic");
-      ("vdd.cd", "spec sr: vdd.cd: vdd is not a MOS or BJT");
+      ("simple-ota", "xamp.m2.cd", "xamp.m9.cd", "spec sr: xamp.m9.cd: xamp.m9 is not a MOS or BJT");
+      ("simple-ota", "xamp.m2.cd", "xamp.m2.ic", "spec sr: xamp.m2.ic: xamp.m2 has no field ic");
+      ("simple-ota", "xamp.m2.cd", "vdd.cd", "spec sr: vdd.cd: vdd is not a MOS or BJT");
+      ( "simple-ota",
+        "'db(dc_gain(tf))'",
+        "'db(dc_gain(tf, 3))'",
+        "spec adm: dc_gain takes 1 argument, got 2" );
+      ("simple-ota", "'ugf(tf)'", "'ugf(tf, 3)'", "spec ugf: ugf takes 1 argument, got 2");
+      ("simple-ota", "'phase_margin(tf)'", "'gain_at(tf)'", "spec pm: gain_at takes 2 arguments, got 1");
+      ( "simple-ota",
+        "'power()'",
+        "'supply_current(nosuch)'",
+        "spec pwr: supply_current(nosuch): nosuch is not a V source" );
+      ("simple-ota", "'area()'", "'area(3)'", "spec area: area takes 0 arguments, got 1");
+      ("simple-ota", "'db(dc_gain(tf))'", "'db(1, 2)'", "spec adm: db takes 1 argument, got 2");
+      ("simple-ota", "'power()'", "'nosuchparam - 1'", "spec pwr: unknown name nosuchparam");
+      ( "simple-ota",
+        ".param cl=1p",
+        ".param cl=1p\n.param tf=1",
+        "spec adm: dc_gain(tf): tf is both a transfer function and a parameter" );
+      ("simple-ota", "'ib'", "'ib * foo(2)'", "bias network: xamp.iref: unknown function foo");
+      ( "simple-ota",
+        "w='w1'",
+        "w='xamp.m2.gm'",
+        "bias network: xamp.m1: xamp.m2.gm: device references are only allowed in .obj/.spec" );
+      ("simple-ota", ".param vddval=5\n", "", "bias network: vdd: unknown name vddval");
+      ( "simple-ota",
+        "cl1 out 0 'cl'\n.endbias",
+        "cl1 out 0 'area()'\n.endbias",
+        "bias network: cl1: area() is only allowed in .obj/.spec" );
+      ( "bicmos-two-stage",
+        "q1 out n2 vss npn 'qarea'",
+        "q1 out n2 vss npn'qarea'",
+        "q1: unknown device model \"npnqarea\"" );
+      ( "bicmos-two-stage",
+        "m6 out nbp vdd vdd pmos",
+        "m6 out nbp vdd vdd npn",
+        "m6: MOS element with BJT model \"npn\"" );
     ]
 
 (* The .ast front end over mutated suite sources: whatever the mutation,
-   compiling returns [Ok] or [Error] and never raises. *)
+   compiling returns [Ok] or [Error] and never raises, and a source that
+   compiles has every name resolved — its first evaluation raises no
+   unknown-reference, unknown-function or unknown-model error. *)
 let mutate src (kind, pos, c) =
   let n = String.length src in
   let at = if n = 0 then 0 else pos mod n in
@@ -163,7 +203,20 @@ let prop_mutated_sources_compile_or_error =
       List.for_all
         (fun (e : Suite.Ckts.entry) ->
           match Core.Compile.compile_source (mutate e.Suite.Ckts.source m) with
-          | Ok _ | Error _ -> true
+          | Error _ -> true
+          | Ok p -> (
+              let unresolved msg =
+                QCheck.Test.fail_reportf "%s: compiled, then Eval.cost raised %s" e.Suite.Ckts.name
+                  msg
+              in
+              match Core.Eval.cost p (Core.Weights.create ()) p.Core.Problem.state0 with
+              | _ -> true
+              | exception Netlist.Expr.Eval_error msg when String.starts_with ~prefix:"unknown" msg
+                ->
+                  unresolved msg
+              | exception Failure msg when String.starts_with ~prefix:"unknown device model" msg ->
+                  unresolved msg
+              | exception _ -> true)
           | exception ex ->
               QCheck.Test.fail_reportf "%s: compile_source raised %s" e.Suite.Ckts.name
                 (Printexc.to_string ex))
@@ -199,6 +252,64 @@ let test_compile_digitless_number () =
   | exception ex -> Alcotest.failf "compile_source raised %s" (Printexc.to_string ex)
 
 (* --- State --- *)
+
+(* docs/LANGUAGE.md names the spec language's functions and fields; they
+   must be exactly Spec's tables: §4's builtins, §5.1–5.2's measurement
+   functions (each table's first column) and §5.3's MOS/BJT fields. *)
+let test_language_doc_matches_spec () =
+  let lines =
+    In_channel.with_open_text "../docs/LANGUAGE.md" In_channel.input_all |> String.split_on_char '\n'
+  in
+  (* the lines after the heading starting with [from], up to the next
+     heading starting with [until] *)
+  let section from until =
+    let rec skip = function
+      | [] -> Alcotest.failf "LANGUAGE.md: no heading %S" from
+      | l :: rest -> if String.starts_with ~prefix:from l then rest else skip rest
+    in
+    let rec take acc = function
+      | l :: rest when not (String.starts_with ~prefix:until l) -> take (l :: acc) rest
+      | _ -> List.rev acc
+    in
+    take [] (skip lines)
+  in
+  let ticked s =
+    match String.split_on_char '`' s with
+    | _ :: rest -> List.filteri (fun i _ -> i mod 2 = 0) rest
+    | [] -> []
+  in
+  (* the identifier [s] starts with *)
+  let ident s =
+    let word = function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true | _ -> false in
+    let rec go i = if i < String.length s && word s.[i] then go (i + 1) else i in
+    String.sub s 0 (go 0)
+  in
+  (* the function names in the first column of a section's tables *)
+  let table_functions sec =
+    List.concat_map
+      (fun l ->
+        match String.split_on_char '|' l with
+        | "" :: first :: _ -> List.map ident (ticked first)
+        | _ -> [])
+      sec
+  in
+  (* the plain identifiers quoted in the paragraph starting with [lead] *)
+  let fields lead sec =
+    let rec from = function
+      | [] -> Alcotest.failf "LANGUAGE.md: no %S paragraph" lead
+      | l :: rest -> if String.starts_with ~prefix:lead l then l :: rest else from rest
+    in
+    let rec para = function l :: rest when String.trim l <> "" -> l :: para rest | _ -> [] in
+    List.concat_map ticked (para (from sec)) |> List.filter (fun t -> t <> "" && ident t = t)
+  in
+  let same what doc code =
+    Alcotest.(check (list string)) what (List.sort_uniq compare code) (List.sort_uniq compare doc)
+  in
+  same "§4 builtins" (table_functions (section "## 4." "## 5.")) Core.Spec.math_names;
+  same "§5.1-5.2 functions" (table_functions (section "### 5.1" "### 5.3")) Core.Spec.measurement_names;
+  let s53 = section "### 5.3" "## 6." in
+  same "§5.3 MOS fields" (fields "MOS fields:" s53) (List.map fst Core.Spec.mos_fields);
+  same "§5.3 BJT fields" (fields "BJT fields:" s53) (List.map fst Core.Spec.bjt_fields)
 
 let test_state_grid () =
   let info =
@@ -457,6 +568,8 @@ let () =
           Alcotest.test_case "digitless number is a located error" `Quick
             test_compile_digitless_number;
           QCheck_alcotest.to_alcotest prop_mutated_sources_compile_or_error;
+          Alcotest.test_case "LANGUAGE.md names Spec's tables" `Quick
+            test_language_doc_matches_spec;
         ] );
       ("state", [ Alcotest.test_case "grids and clamps" `Quick test_state_grid ]);
       ( "eval",

@@ -81,7 +81,7 @@ let sample_events =
            stages = 5;
            froze_early = false;
            aborted = true;
-           abort_reason = Some "early-stop: why";
+           abort_reason = Some "deadline";
          });
     mk ~moves:100
       (Obs.Event.Done
@@ -410,7 +410,7 @@ let test_summary_stats () =
       Alcotest.(check int) "b accepted" 1 b.cr_accepted
   | l -> Alcotest.failf "expected 2 class rows, got %d" (List.length l));
   Alcotest.(check (list (pair int string))) "aborts recorded"
-    [ (1, "early-stop: why") ] st.aborts
+    [ (1, "deadline") ] st.aborts
 
 let test_jsonl_file_round_trip () =
   let path = Filename.temp_file "obs-test" ".jsonl" in
@@ -632,18 +632,13 @@ let test_best_of_trace_jobs_invariant () =
   done
 
 let test_abort_reason_recorded () =
-  (* Regression: the early-stop abort poll used to collapse the cutoff's
-     verdict into a boolean; the reason must survive into the result and
-     the Done event. *)
+  (* Regression: the abort poll used to collapse the cutoff's verdict into
+     a boolean; the reason must survive into the result and the Done
+     event. *)
   let p = compile_cs () in
   let ring = Obs.Sink.Ring.create ~capacity:10_000 in
   let obs = Obs.Trace.make ~level:Obs.Event.Summary [ Obs.Sink.Ring.sink ring ] in
-  let control =
-    {
-      Core.Oblx.publish = (fun _ -> ());
-      cutoff = (fun ~progress ~best:_ -> if progress > 0.1 then Some "test cutoff" else None);
-    }
-  in
+  let control ~progress ~best:_ = if progress > 0.1 then Some "test cutoff" else None in
   let r = Core.Oblx.synthesize ~seed:3 ~moves:2000 ~control ~obs p in
   Alcotest.(check bool) "cut short" true r.Core.Oblx.cut_short;
   Alcotest.(check (option string)) "reason preserved" (Some "test cutoff") r.cut_reason;

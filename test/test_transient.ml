@@ -220,6 +220,10 @@ let test_card_validation () =
   expect_compile_error ~what:"vstep=0" ~needle:"vstep"
     (replace_line ~matching:".tran "
        ~with_:".tran tstop=1u dt=1n dtloop=10n vstep=0" tran_source);
+  (* A transient stores every step: the step count is bounded. *)
+  expect_compile_error ~what:"1e8 in-loop steps" ~needle:"steps of tstop"
+    (replace_line ~matching:".tran "
+       ~with_:".tran tstop=1 dt=1m dtloop=10n vstep=10m" tran_source);
   (* Two .tran cards in one jig are ambiguous. *)
   expect_compile_error ~what:"duplicate .tran" ~needle:".tran"
     (replace_line ~matching:".tran "
