@@ -34,29 +34,18 @@ let stamped_path path stamp =
   in
   Filename.concat (Filename.dirname path) (name ^ "-" ^ stamp ^ ".json")
 
-(* For artifacts streamed by hand (perf-parallel): copy the finished file. *)
-let stamp_copy path =
-  match !runstamp with
-  | None -> ()
-  | Some stamp ->
-      let dst = stamped_path path stamp in
-      let ic = open_in_bin path in
-      let body = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      let oc = open_out_bin dst in
-      output_string oc body;
-      close_out oc;
-      Printf.printf "wrote %s\n" dst
-
 let write_artifact path json =
   (try Unix.mkdir "bench" 0o755 with Unix.Unix_error _ -> ());
   (try Unix.mkdir "bench/results" 0o755 with Unix.Unix_error _ -> ());
-  let oc = open_out path in
-  output_string oc (Obs.Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s\n" path;
-  stamp_copy path
+  let body = Obs.Json.to_string json ^ "\n" in
+  let write path =
+    let oc = open_out_bin path in
+    output_string oc body;
+    close_out oc;
+    Printf.printf "wrote %s\n" path
+  in
+  write path;
+  Option.iter (fun stamp -> write (stamped_path path stamp)) !runstamp
 
 let sep title =
   Printf.printf "\n%s\n%s\n%s\n" (String.make 78 '=') title (String.make 78 '=')
@@ -513,18 +502,6 @@ let perf () =
 (* Perf: domain-parallel multi-start speedup (JSON artifact)            *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  String.concat ""
-    (List.map
-       (fun c ->
-         match c with
-         | '"' -> "\\\""
-         | '\\' -> "\\\\"
-         | '\n' -> "\\n"
-         | c when Char.code c < 0x20 -> Printf.sprintf "\\u%04x" (Char.code c)
-         | c -> String.make 1 c)
-       (List.init (String.length s) (String.get s)))
-
 (* Every perf artifact carries the same [baseline] block so results from
    different hosts / configurations are comparable at a glance. *)
 let baseline_json ~jobs ~eval_mode =
@@ -536,8 +513,7 @@ let baseline_json ~jobs ~eval_mode =
     ]
 
 (* One perf-parallel measurement row: a [best_of] at one jobs count, with
-   the per-domain GC/claim accounting and the telemetry-merge counters the
-   run reported back. *)
+   the per-domain GC/claim accounting the run reported back. *)
 type pp_row = {
   pp_jobs : int;
   pp_wall : float;
@@ -581,17 +557,6 @@ let pp_row_json ~base_wall (r : pp_row) =
                        ("minor_words", Num d.d_minor_words);
                      ])
                  pr.Core.Oblx.pr_domains) );
-          ( "merge",
-            match pr.Core.Oblx.pr_merge with
-            | None -> Null
-            | Some (m : Obs.Shard.stats) ->
-                Obj
-                  [
-                    ("buffers", num_i m.Obs.Shard.sh_buffers);
-                    ("events", num_i m.sh_events);
-                    ("batches", num_i m.sh_batches);
-                    ("lock_wait_s", Num m.sh_lock_wait_s);
-                  ] );
         ]
   in
   Obj
@@ -651,15 +616,15 @@ let perf_parallel () =
         let e = Option.get (Suite.Ckts.find name) in
         let p = compile_exn e in
         Printf.printf "\n-- %s\n" name;
-        Printf.printf "   %6s %10s %10s %12s %10s %10s %10s %10s\n" "jobs" "wall s" "speedup"
-          "best cost" "evals" "minor GCs" "major GCs" "lock wait";
+        Printf.printf "   %6s %10s %10s %12s %10s %10s %10s\n" "jobs" "wall s" "speedup"
+          "best cost" "evals" "minor GCs" "major GCs";
         let rows =
           List.map
             (fun j ->
               (* A Stage-level summary sink rides along so the run exercises
-                 the real telemetry path (per-restart shard buffers merging
-                 at stage boundaries when jobs > 1). Emission never touches
-                 the RNG, so results stay bit-identical across job counts. *)
+                 the real telemetry path (every domain emitting into one
+                 shared sink when jobs > 1). Emission never touches the
+                 RNG, so results stay bit-identical across job counts. *)
               let summary = Obs.Sink.Summary.create () in
               let obs =
                 Obs.Trace.make ~level:Obs.Event.Stage [ Obs.Sink.Summary.sink summary ]
@@ -685,22 +650,19 @@ let perf_parallel () =
         let base_wall = match rows with r :: _ -> r.pp_wall | [] -> 1.0 in
         List.iter
           (fun r ->
-            let minor, major, lock_wait =
+            let minor, major =
               match r.pp_report with
-              | None -> (0, 0, 0.0)
+              | None -> (0, 0)
               | Some pr ->
                   ( List.fold_left
                       (fun a (d : Core.Oblx.domain_report) -> a + d.d_minor_collections)
                       0 pr.Core.Oblx.pr_domains,
                     List.fold_left
                       (fun a (d : Core.Oblx.domain_report) -> a + d.d_major_collections)
-                      0 pr.Core.Oblx.pr_domains,
-                    match pr.Core.Oblx.pr_merge with
-                    | Some m -> m.Obs.Shard.sh_lock_wait_s
-                    | None -> 0.0 )
+                      0 pr.Core.Oblx.pr_domains )
             in
-            Printf.printf "   %6d %10.2f %9.2fx %12.4g %10d %10d %10d %9.3fs\n" r.pp_jobs
-              r.pp_wall (base_wall /. r.pp_wall) r.pp_cost r.pp_evals minor major lock_wait)
+            Printf.printf "   %6d %10.2f %9.2fx %12.4g %10d %10d %10d\n" r.pp_jobs r.pp_wall
+              (base_wall /. r.pp_wall) r.pp_cost r.pp_evals minor major)
           rows;
         let deterministic =
           match rows with
@@ -736,42 +698,29 @@ let perf_parallel () =
     |> fst
   in
   Printf.printf "\nrecommended domains (measured): %d\n" recommended_domains;
-  (* JSON artifact, M14-harness style: bench/results/<name>-latest.json. *)
-  (try Unix.mkdir "bench" 0o755 with Unix.Unix_error _ -> ());
-  (try Unix.mkdir "bench/results" 0o755 with Unix.Unix_error _ -> ());
-  let oc = open_out artifact_path in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n";
-  out "  \"bench\": \"perf-parallel\",\n";
-  out "  \"baseline\": %s,\n"
-    (Obs.Json.to_string
-       (baseline_json ~jobs:(Core.Oblx.default_jobs ()) ~eval_mode:"incremental"));
-  out "  \"seed\": %d,\n" base_seed;
-  out "  \"runs\": %d,\n" p_runs;
-  out "  \"moves\": %d,\n" p_moves;
-  out "  \"host_cores\": %d,\n" host_cores;
-  out "  \"recommended_domains\": %d,\n" recommended_domains;
-  out "  \"circuits\": [\n";
-  List.iteri
-    (fun ci (name, rows, base_wall, deterministic) ->
-      out "    {\n";
-      out "      \"name\": \"%s\",\n" (json_escape name);
-      out "      \"deterministic_winner\": %b,\n" deterministic;
-      out "      \"results\": [\n";
-      List.iteri
-        (fun ri r ->
-          out "        %s%s\n"
-            (Obs.Json.to_string (pp_row_json ~base_wall r))
-            (if ri = List.length rows - 1 then "" else ","))
-        rows;
-      out "      ]\n";
-      out "    }%s\n" (if ci = List.length measured - 1 then "" else ","))
-    measured;
-  out "  ]\n";
-  out "}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n" artifact_path;
-  stamp_copy artifact_path;
+  let num_i n = Obs.Json.Num (float_of_int n) in
+  write_artifact artifact_path
+    (Obs.Json.Obj
+       [
+         ("bench", Obs.Json.Str "perf-parallel");
+         ("baseline", baseline_json ~jobs:(Core.Oblx.default_jobs ()) ~eval_mode:"incremental");
+         ("seed", num_i base_seed);
+         ("runs", num_i p_runs);
+         ("moves", num_i p_moves);
+         ("host_cores", num_i host_cores);
+         ("recommended_domains", num_i recommended_domains);
+         ( "circuits",
+           Obs.Json.Arr
+             (List.map
+                (fun (name, rows, base_wall, deterministic) ->
+                  Obs.Json.Obj
+                    [
+                      ("name", Obs.Json.Str name);
+                      ("deterministic_winner", Obs.Json.Bool deterministic);
+                      ("results", Obs.Json.Arr (List.map (pp_row_json ~base_wall) rows));
+                    ])
+                measured) );
+       ]);
   (* Regression gate (--floor F): the requested jobs=4 floor is scaled by
      the cores actually present — on a c-core host, 4 domains can at best
      approach min(4,c)x, so the effective floor is F * min(4,c)/4. *)

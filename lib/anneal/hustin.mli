@@ -9,7 +9,6 @@
 type t
 
 val create : classes:string array -> t
-val n_classes : t -> int
 val class_name : t -> int -> string
 
 (** [pick t rng] draws a class index. *)

@@ -15,10 +15,3 @@ let shrink = 0.956
 let record t i ~accepted =
   let s = t.scale.(i) *. (if accepted then grow else shrink) in
   t.scale.(i) <- Float.max t.min_step.(i) (Float.min t.max_step.(i) s)
-
-let max_relative_step t =
-  let best = ref 0.0 in
-  for i = 0 to Array.length t.scale - 1 do
-    if t.max_step.(i) > 0.0 then best := Float.max !best (t.scale.(i) /. t.max_step.(i))
-  done;
-  !best

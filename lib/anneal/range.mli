@@ -13,7 +13,3 @@ val step : t -> int -> float
 
 (** [record t i ~accepted] multiplicatively adapts variable [i]'s scale. *)
 val record : t -> int -> accepted:bool -> unit
-
-(** [max_relative_step t] is max_i step_i / max_step_i — OBLX's freezing
-    test on continuous variables watches this collapse. *)
-val max_relative_step : t -> float

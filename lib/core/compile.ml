@@ -20,16 +20,25 @@ let initial_env vars params =
   in
   { Netlist.Expr.lookup; call = Spec.math_call }
 
-(* Element values take variables, parameters and math builtins only. *)
+(* Element values take variables, parameters and math builtins only. The
+   template divides by every MOS width (rd = rd_ohm_m / W): a .var grid
+   keeps a width the variables reach off zero, so one they do not reach
+   is fixed here and must be positive. *)
 let check_values scope where (c : Netlist.Circuit.t) =
+  let fixed = initial_env [] scope.Spec.params in
   Array.iter
     (fun e ->
-      List.iter
-        (fun v ->
-          match Spec.resolve scope v with
-          | Ok _ -> ()
-          | Error m -> err "%s: %s: %s" where (Netlist.Circuit.element_name e) m)
-        (Netlist.Circuit.values e))
+      let fail m = err "%s: %s: %s" where (Netlist.Circuit.element_name e) m in
+      let resolve v = match Spec.resolve scope v with Ok r -> r | Error m -> fail m in
+      List.iter (fun v -> ignore (resolve v)) (Netlist.Circuit.values e);
+      match e with
+      | Netlist.Circuit.Mosfet { w; _ } when (Spec.deps (resolve w)).Spec.d_vars = [] -> (
+          let w_text = Netlist.Expr.to_string w in
+          match Netlist.Expr.eval fixed w with
+          | v when v > 0.0 -> ()
+          | v -> fail (Printf.sprintf "width %s = %g is not positive" w_text v)
+          | exception Netlist.Expr.Eval_error m -> fail (Printf.sprintf "width %s: %s" w_text m))
+      | _ -> ())
     c.Netlist.Circuit.elements
 
 let default_init (v : Netlist.Ast.var_decl) =

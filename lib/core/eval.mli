@@ -73,12 +73,6 @@ val output_noise_v2_per_hz :
   sel:La.Vec.t ->
   float
 
-(** [corner_spec_values p st] measures every [spec_corner] row under its
-    compile-resolved corner registry with the full evaluator, in
-    [corner_regs] order — a deterministic function of (p, st) shared by
-    the full and incremental cost paths. *)
-val corner_spec_values : Problem.t -> State.t -> (string * float option) list
-
 type measured = {
   bias : bias_point;
   roms : (string * (Awe.Rom.t, string) result) list;  (** per transfer function *)

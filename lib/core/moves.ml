@@ -178,8 +178,6 @@ let bias_jacobian_with (p : Problem.t) (st : State.t) ~nv ~op_of =
 let bias_jacobian (p : Problem.t) (st : State.t) =
   bias_jacobian_with p st ~nv:(Eval.node_voltages p st) ~op_of:(fun _ -> None)
 
-let debug_jacobian = bias_jacobian
-
 let residual_norm res = Array.fold_left (fun a r -> a +. Float.abs r) 0.0 res
 
 (* With a session, the residual vector and the Jacobian's device operating

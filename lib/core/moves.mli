@@ -52,10 +52,6 @@ val newton_step : Problem.t -> State.t -> damping:float -> float option
 val newton_step_with :
   ?session:Eval.Incr.session -> Problem.t -> State.t -> damping:float -> float option
 
-(** [debug_jacobian p st] is the analytic KCL Jacobian over the free node
-    variables — exposed so tests can check it against finite differences. *)
-val debug_jacobian : Problem.t -> State.t -> La.Mat.t
-
 (** [newton_global p st] solves the bias network with the full reference
     DC engine (gmin/source stepping) and writes the node voltages back
     into the relaxed-dc state; false when the solve fails. *)

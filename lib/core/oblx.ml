@@ -327,7 +327,6 @@ type parallel_report = {
   pr_jobs : int;
   pr_runs : int;
   pr_domains : domain_report list;
-  pr_merge : Obs.Shard.stats option;
 }
 
 (* Minor-heap words per worker domain when [best_of] runs parallel. In
@@ -365,15 +364,6 @@ let best_of ?(seed = 1) ?moves ?jobs ?(incremental = true)
   let control = Option.map (fun f ~progress:_ ~best:_ -> f ()) cutoff in
   let results : result option array = Array.make runs None in
   let next = Atomic.make 0 in
-  (* Under parallel emission, events route through a shard: each restart
-     buffers locally (no lock) and merges into the caller's sinks in
-     batches at stage boundaries, instead of serializing every event of
-     every domain through one mutex. The per-restart streams recovered by
-     demultiplexing the merged output are unchanged. *)
-  let shard =
-    if jobs > 1 && Obs.Trace.sinks obs <> [] then Some (Obs.Shard.create (Obs.Trace.sinks obs))
-    else None
-  in
   let reports : domain_report option array = Array.make jobs None in
   (* Each worker owns the runs it claims: every slot of [results] is written
      by exactly one domain, and Domain.join publishes them to this one. *)
@@ -392,12 +382,7 @@ let best_of ?(seed = 1) ?moves ?jobs ?(incremental = true)
         incr claimed;
         (* Restart-tagged events let the shared sinks demultiplex the
            interleaved streams of concurrent domains. *)
-        let obs_k =
-          let t = Obs.Trace.with_restart obs k in
-          match shard with
-          | Some sh -> Obs.Trace.with_sinks t [ Obs.Shard.for_restart sh k ]
-          | None -> t
-        in
+        let obs_k = Obs.Trace.with_restart obs k in
         let warm = if k < Array.length warm_starts then Some warm_starts.(k) else None in
         let r =
           synthesize ~rng:streams.(k) ?moves ~incremental ~probe_batch ?session ?control ?warm
@@ -431,7 +416,6 @@ let best_of ?(seed = 1) ?moves ?jobs ?(incremental = true)
      List.iter Domain.join domains;
      Gc.set saved
    end);
-  Option.iter Obs.Shard.drain shard;
   (match perf with
   | Some f ->
       f
@@ -439,7 +423,6 @@ let best_of ?(seed = 1) ?moves ?jobs ?(incremental = true)
           pr_jobs = jobs;
           pr_runs = runs;
           pr_domains = Array.to_list reports |> List.filter_map Fun.id;
-          pr_merge = Option.map Obs.Shard.stats shard;
         }
   | None -> ());
   let results = Array.to_list results |> List.filter_map Fun.id in

@@ -140,9 +140,6 @@ type parallel_report = {
   pr_jobs : int;
   pr_runs : int;
   pr_domains : domain_report list;  (** by [d_index], one per worker *)
-  pr_merge : Obs.Shard.stats option;
-      (** telemetry merge counters; [None] when no shard ran (sequential,
-          or no sinks attached) *)
 }
 
 (** Minor-heap size (words) each worker domain adopts during a parallel
@@ -173,18 +170,19 @@ val arena_minor_heap_words : int
     [obs] is shared by every restart: run [k] emits into
     [Obs.Trace.with_restart obs k], so one JSONL file captures all runs
     and can be demultiplexed — or replayed — per restart afterwards.
-    When [jobs > 1] the events flow through an {!Obs.Shard}: each restart
-    buffers lock-free and merges into the caller's sinks in batches at
-    stage boundaries, so concurrent domains stop serializing per event;
-    the merged stream demultiplexes to exactly the same per-restart
-    streams. Emission never touches the RNG either way.
+    When [jobs > 1] the restarts call [obs]'s sinks from several domains
+    at once, so every sink must be domain-safe (every built-in
+    {!Obs.Sink} is: each serializes [emit] through its own mutex). Each
+    restart's events arrive in emission order; how the streams of
+    concurrent restarts interleave is up to the scheduler. Emission never
+    touches the RNG, so tracing never changes a result.
 
     Each worker domain allocates one {!Eval.Incr} arena and reuses it
     (via {!Eval.Incr.reset}) for every restart it claims, and sizes its
     own minor heap so that minor collections — stop-the-world barriers
     across all domains in OCaml 5 — stay rare. [perf], when given,
-    receives the per-domain wall/GC/claim accounting and the telemetry
-    merge counters after the parallel section finishes.
+    receives the per-domain wall/GC/claim accounting after the parallel
+    section finishes.
 
     [warm_starts] seeds the first [Array.length warm_starts] restarts
     (which must not exceed [runs]) from prior winners: restart [k] anneals

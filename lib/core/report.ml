@@ -37,13 +37,6 @@ let sizes (p : Problem.t) (st : State.t) =
 let print_sizes ppf p st =
   List.iter (fun (name, v) -> Format.fprintf ppf "  %-8s = %s@\n" name (eng v)) (sizes p st)
 
-let analysis_row name (a : Problem.analysis) =
-  Printf.sprintf "%-22s %4d %4d %5d %5d %5d %6d %4d %4d  %s" name a.input_netlist_lines
-    a.input_synth_lines a.n_user_vars a.n_node_vars a.n_cost_terms a.lines_of_c a.bias_nodes
-    a.bias_elements
-    (String.concat " "
-       (List.map (fun (j, n_, e) -> Printf.sprintf "%s:(%d,%d)" j n_ e) a.awe_circuits))
-
 let sized_netlist (p : Problem.t) (st : State.t) =
   let env = Eval.value_env p st in
   let value e = Netlist.Expr.eval env e in

@@ -18,9 +18,6 @@ val sizes : Problem.t -> State.t -> (string * float) list
 (** [print_sizes ppf p st] pretty-prints the sized design. *)
 val print_sizes : Format.formatter -> Problem.t -> State.t -> unit
 
-(** [analysis_row name a] is one Table-1-style line. *)
-val analysis_row : string -> Problem.analysis -> string
-
 (** [sized_netlist p st] renders the bias network of the finished design
     as a SPICE deck with every value expression evaluated — the artifact a
     designer hands to layout or to a production simulator. Device-template

@@ -6,7 +6,8 @@
    typically outnumber the user's own variables. *)
 
 let rd_expr rd_ohm_m w_expr =
-  (* rd = rd_ohm_m / W; W comes from the design grid so it is > 0. *)
+  (* rd = rd_ohm_m / W; compile checks a fixed W is > 0, and a variable
+     one comes from the design grid. *)
   Netlist.Expr.Div (Netlist.Expr.const rd_ohm_m, w_expr)
 
 (* Every device's model is looked up here, once: an unknown model, or a

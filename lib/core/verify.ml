@@ -204,11 +204,3 @@ let transient_slew (p : Problem.t) (st : State.t) ~tf ~vstep ~tstop ~dt =
   | r, ports, t_step ->
       let v = Mna.Tran.waveform_of r ~pos:ports.Problem.out_pos ~neg:ports.Problem.out_neg in
       Ok (Mna.Tran.peak_slew ~times:r.Mna.Tran.times v ~t_from:t_step ~t_to:tstop)
-
-let transient_settle (p : Problem.t) (st : State.t) ~tf ~tol ~vstep ~tstop ~dt =
-  let value = value_of p st in
-  match Eval.transient_response p ~value ~tf ~vstep ~tstop ~dt with
-  | exception Eval.Measurement_failed m -> Error m
-  | r, ports, t_step ->
-      let v = Mna.Tran.waveform_of r ~pos:ports.Problem.out_pos ~neg:ports.Problem.out_neg in
-      Ok (Mna.Tran.settling_time ~times:r.Mna.Tran.times v ~t_from:t_step ~tol)

@@ -38,16 +38,3 @@ val transient_slew :
   tstop:float ->
   dt:float ->
   (float, string) result
-
-(** [transient_settle p st ~tf ~tol ~vstep ~tstop ~dt] measures settling
-    time to the [tol] band the same way: shared step stimulus, exact
-    fixed-step backward-Euler transient. *)
-val transient_settle :
-  Problem.t ->
-  State.t ->
-  tf:string ->
-  tol:float ->
-  vstep:float ->
-  tstop:float ->
-  dt:float ->
-  (float, string) result

@@ -27,8 +27,6 @@ type corner = {
   beta_scale : float;  (** BJT current-gain multiplier *)
 }
 
-val nominal_corner : corner
-
 (** The classic five: nominal, slow, fast, and the two skewed corners.
     [Core.Corners.standard] is this list; it lives here so the compiler
     can resolve corner-named spec rows without a layer cycle. *)
@@ -39,7 +37,8 @@ val find_corner : string -> corner option
 
 (** [build ?process ?corner decls] resolves every declaration eagerly so
     unknown parameters or kinds are reported up front. The optional corner
-    skews every model (defaults to {!nominal_corner}). *)
+    skews every model (defaults to the nominal corner, which skews
+    nothing). *)
 val build : ?process:string -> ?corner:corner -> decl list -> (t, string) result
 
 val find : t -> string -> Sig.resolved option

@@ -13,11 +13,6 @@
     rendering, with node indices resolved back to names). *)
 val circuit_hash : Circuit.t -> string
 
-(** [circuit_fingerprint c] — the canonical rendering [circuit_hash]
-    digests: one sorted line per element. Exposed for tests and debugging
-    of unexpected cache misses. *)
-val circuit_fingerprint : Circuit.t -> string
-
 (** [problem_hash ast] — hex digest of the whole problem: the elaborated
     bias and jig circuits plus every synthesis card (models, process,
     params, vars, pz, specs, regions), each section canonically ordered.

@@ -71,9 +71,6 @@ let parse s =
     end
   end
 
-let parse_exn s =
-  match parse s with Ok v -> v | Error e -> failwith ("Units.parse: " ^ e)
-
 let format x =
   if x = 0.0 then "0"
   else begin

@@ -7,9 +7,6 @@
 (** [parse s] parses a literal. *)
 val parse : string -> (float, string) result
 
-(** [parse_exn s] is [parse], raising [Failure] on malformed input. *)
-val parse_exn : string -> float
-
 (** [is_number s] is true when [s] starts like a numeric literal (digit,
     sign, or dot followed by digit). *)
 val is_number : string -> bool

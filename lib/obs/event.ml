@@ -383,5 +383,3 @@ let diff ~tol a b =
         else None
     | (Restart _ | Move _ | Stage _ | Weight_update _ | Evals _ | Done _), _ ->
         err "event kind %s vs %s" (kind a) (kind b)
-
-let approx_equal ~tol a b = diff ~tol a b = None

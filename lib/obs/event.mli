@@ -113,11 +113,9 @@ val kind : t -> string  (** short tag: "restart" | "move" | ... *)
 val to_json : t -> Json.t
 val of_json : Json.t -> (t, string) result
 
-(** [approx_equal ~tol a b] — structural equality with relative tolerance
-    [tol] on every float field (used by the golden-trace diff, where a
-    rebuilt binary may differ in the last bits of libm results). *)
-val approx_equal : tol:float -> t -> t -> bool
-
-(** [diff ~tol a b] is [None] when {!approx_equal}, otherwise a short
-    human-readable description of the first difference found. *)
+(** [diff ~tol a b] is [None] when [a] and [b] are structurally equal
+    with relative tolerance [tol] on every float field (the golden-trace
+    diff, where a rebuilt binary may differ in the last bits of libm
+    results), otherwise a short human-readable description of the first
+    difference found. *)
 val diff : tol:float -> t -> t -> string option

@@ -1,24 +1,5 @@
 type t = { emit : Event.t -> unit; close : unit -> unit }
 
-let null = { emit = (fun _ -> ()); close = (fun () -> ()) }
-
-let tee sinks =
-  {
-    emit = (fun ev -> List.iter (fun s -> s.emit ev) sinks);
-    close = (fun () -> List.iter (fun s -> s.close ()) sinks);
-  }
-
-(* A per-sink verbosity cap: the serve layer tees one Moves-level trace
-   into a global summary plus a per-job ring, with the ring capped at
-   Stage so it holds a job's recent history instead of a move torrent. *)
-let filtered ~level inner =
-  {
-    emit =
-      (fun (ev : Event.t) ->
-        if Event.level_leq (Event.level_of_body ev.Event.body) level then inner.emit ev);
-    close = inner.close;
-  }
-
 (* Domains of a parallel multi-start all emit into the same sink; a mutex
    per sink keeps each JSON line (and each ring slot) atomic. *)
 let serialized emit close =
@@ -36,8 +17,6 @@ let output_line oc ev =
   output_string oc (Json.to_string (Event.to_json ev));
   output_char oc '\n';
   flush oc
-
-let jsonl_channel oc = serialized (output_line oc) (fun () -> flush oc)
 
 let jsonl_file path =
   let oc = open_out path in

@@ -1,29 +1,17 @@
-(** Pluggable telemetry sinks. A sink consumes {!Event.t} values; all
-    built-in sinks are safe to share between domains (a mutex serializes
-    [emit]), which is what lets a single trace file collect the
-    restart-tagged events of a domain-parallel {!Core.Oblx.best_of}. *)
+(** Pluggable telemetry sinks. A sink consumes {!Event.t} values. Every
+    built-in sink serializes [emit] through its own mutex, so one sink can
+    be shared by the concurrent restarts of a domain-parallel
+    {!Core.Oblx.best_of}: each event arrives whole, each restart's events
+    arrive in their emission order, and the interleaving between restarts
+    is up to the scheduler (events carry their restart tag). *)
 
 type t = {
   emit : Event.t -> unit;
   close : unit -> unit;  (** flush and release resources; idempotent *)
 }
 
-val null : t
-
-(** [tee sinks] fans every event out to each of [sinks]. *)
-val tee : t list -> t
-
-(** [filtered ~level inner] passes through only events whose body level is
-    at or below [level] — a per-sink verbosity cap under a shared trace
-    handle (e.g. a Stage-level ring teed next to a Moves-level summary). *)
-val filtered : level:Event.level -> t -> t
-
-(** [jsonl_channel oc] writes one JSON object per line. [close] flushes but
-    leaves the channel open (the caller owns it). *)
-val jsonl_channel : out_channel -> t
-
-(** [jsonl_file path] — like {!jsonl_channel} over a fresh file; [close]
-    closes it. *)
+(** [jsonl_file path] writes one JSON object per line to a fresh file,
+    flushed per event; [close] closes it. *)
 val jsonl_file : string -> t
 
 (** Bounded in-memory ring buffer: keeps the most recent [capacity]
@@ -39,7 +27,11 @@ module Ring : sig
   val contents : ring -> Event.t list  (** oldest first *)
 end
 
-(** Streaming summary statistics, computed without retaining events. *)
+(** Streaming summary statistics. Counters and the move-class mix are
+    folded as events arrive; every [Stage] event is kept as a
+    {!stage_row} (and the latest [Evals] snapshot per restart), so memory
+    grows with the stages observed — meant for one bench or one run, not
+    for a long-lived process. *)
 module Summary : sig
   type summary
 

@@ -3,11 +3,7 @@ type t = { level : Event.level; restart : int; sinks : Sink.t list }
 let none = { level = Event.Off; restart = 0; sinks = [] }
 let make ?(restart = 0) ~level sinks = { level; restart; sinks }
 let with_restart t restart = { t with restart }
-let add_sink t sink = { t with sinks = sink :: t.sinks }
 let restart t = t.restart
-let level t = t.level
-let sinks t = t.sinks
-let with_sinks t sinks = { t with sinks }
 let enabled t l = t.sinks <> [] && l <> Event.Off && Event.level_leq l t.level
 
 let emit t ~moves ~temperature ~acceptance body =

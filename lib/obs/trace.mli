@@ -12,26 +12,12 @@ val make : ?restart:int -> level:Event.level -> Sink.t list -> t
 
 (** [with_restart t k] is [t] stamping events with restart index [k] —
     how {!Core.Oblx.best_of} gives each of its runs an identity inside a
-    shared trace. *)
+    shared trace. The copy delivers to the same sinks, so concurrent
+    restarts emit into them directly (every built-in {!Sink} is
+    domain-safe). *)
 val with_restart : t -> int -> t
 
-(** [add_sink t sink] is [t] also delivering to [sink] — how the serve
-    layer attaches a per-job ring buffer next to the daemon's global
-    summary sink without rebuilding the handle's level/restart state.
-    Adding a sink to {!none} still records nothing (its level is [Off]). *)
-val add_sink : t -> Sink.t -> t
-
 val restart : t -> int
-val level : t -> Event.level
-
-(** The handle's sinks, in delivery order — what {!Core.Oblx.best_of}
-    wraps in a {!Shard} so concurrent restarts stop serializing per
-    event. *)
-val sinks : t -> Sink.t list
-
-(** [with_sinks t sinks] is [t] delivering to [sinks] instead — the other
-    half of the shard plumbing. *)
-val with_sinks : t -> Sink.t list -> t
 
 (** [enabled t l] — events of level [l] will actually be recorded. Guard
     expensive payload construction (state snapshots) with this. *)

@@ -20,8 +20,6 @@ type endpoint = Unix_sock of string | Tcp of string * int
     port), a Unix socket path otherwise. *)
 val parse_endpoint : string -> (endpoint, string) result
 
-val endpoint_to_string : endpoint -> string
-
 (** [request ~socket ?timeout_s ?auth j] sends one JSON line and reads one
     JSON line back. [Error] distinguishes the failure classes an operator
     debugs differently: ["cannot reach oblxd …"] (connect failed — daemon

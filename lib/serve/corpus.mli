@@ -28,12 +28,10 @@ type entry = {
       (** end-of-run Hustin distribution; [[||]] when not recorded *)
 }
 
-(** [warm_label e] — the provenance string recorded in
-    {!Core.Oblx.result.warm} when a restart seeded from [e] wins. *)
-val warm_label : entry -> string
-
 (** [warm_start_of_entry e] — the {!Core.Oblx.warm_start} seed this entry
-    provides (empty [en_probs] maps to no prior). *)
+    provides (empty [en_probs] maps to no prior), labelled
+    ["corpus:job<id>:<name>"], the provenance {!Core.Oblx.result.warm}
+    records when a restart seeded from [e] wins. *)
 val warm_start_of_entry : entry -> Core.Oblx.warm_start
 
 val entry_to_json : entry -> Obs.Json.t

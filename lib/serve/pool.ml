@@ -80,8 +80,9 @@ type t = {
   mutable compacted_bytes : int;  (** jobs.log's size right after the last rotation *)
   mutable rotations : int;
   cache : Core.Compile_cache.t;
-  summary : Obs.Sink.Summary.summary;
-  obs_base : Obs.Trace.t;  (** Moves-level handle over the summary sink *)
+  mutable finished_moves : int;  (** [telemetry.moves]: see [count_runs] *)
+  mutable finished_accepted : int;
+  finished_evals : int array;  (** the [evals] block, indexed like [eval_counters] *)
   worker_moves : int array;
   worker_busy_s : float array;
   worker_jobs : int array;
@@ -342,9 +343,49 @@ let maybe_rotate t =
   in
   if due then rotate t
 
-let finish t (j : job) ~worker ~state ?error ?outcome () =
+(* The [evals] block of [stats]: each member sums one incremental-evaluator
+   counter over the restarts [count_runs] has seen. *)
+let eval_counters : (string * (Core.Eval.Incr.stats -> int)) list =
+  Core.Eval.Incr.
+    [
+      ("full", fun s -> s.full_evals);
+      ("incremental", fun s -> s.incr_evals);
+      ("op_hits", fun s -> s.op_hits);
+      ("op_misses", fun s -> s.op_misses);
+      ("rom_builds", fun s -> s.rom_builds);
+      ("rom_reuses", fun s -> s.rom_reuses);
+      ("spec_evals", fun s -> s.spec_evals);
+      ("spec_reuses", fun s -> s.spec_reuses);
+      ("resyncs", fun s -> s.resyncs);
+      ("resync_mismatches", fun s -> s.resync_mismatches);
+      ("probes", fun s -> s.probes);
+      ("probe_rom_builds", fun s -> s.probe_rom_builds);
+    ]
+
+(* Caller holds the lock. Adds a finishing job's restarts to the
+   [telemetry] and [evals] sums of [stats]; each restart's evaluator
+   counters start from zero, so the sums cover every restart of every job
+   finished since boot. *)
+let count_runs t runs =
+  List.iter
+    (fun (r : Core.Oblx.result) ->
+      t.finished_moves <- t.finished_moves + r.Core.Oblx.moves;
+      t.finished_accepted <- t.finished_accepted + r.Core.Oblx.accepted;
+      Option.iter
+        (fun es ->
+          List.iteri
+            (fun i (_, counter) -> t.finished_evals.(i) <- t.finished_evals.(i) + counter es)
+            eval_counters)
+        r.Core.Oblx.eval_stats)
+    runs
+
+(* [runs] are the job's annealing results, counted under the same lock
+   that marks the job finished: a client that sees it done sees it
+   counted. *)
+let finish t (j : job) ~worker ~state ?error ?outcome ?(runs = []) () =
   let rendered, line =
     locked t (fun () ->
+        count_runs t runs;
         j.state <- state;
         j.finished_at <- Some (now ());
         (match error with Some _ -> j.error <- error | None -> ());
@@ -557,19 +598,13 @@ let override_specs (p : Core.Problem.t) overrides =
               p.Core.Problem.specs;
         }
 
-(* Per-job shard: this worker buffers its own events and merges them into
-   the shared summary (and the job's ring) in batches at stage boundaries,
-   so concurrent workers don't serialize the daemon's telemetry per event.
-   The ring rides next to the global summary but is capped at Stage level.
-   A job drains its shard before it finishes, so its finish line and
-   record hold every event. *)
-let job_shard t (j : job) =
-  Obs.Shard.create
-    (match j.events with
-    | Some (Live ring) ->
-        Obs.Sink.filtered ~level:Obs.Event.Stage (Obs.Sink.Ring.sink ring)
-        :: Obs.Trace.sinks t.obs_base
-    | Some (Replayed _) | None -> Obs.Trace.sinks t.obs_base)
+(* A traced job's stage events go straight into its ring, all of them
+   before the job finishes, so its finish line and record hold every
+   event. An untraced job emits nothing. *)
+let job_obs (j : job) =
+  match j.events with
+  | Some (Live ring) -> Obs.Trace.make ~level:Obs.Event.Stage [ Obs.Sink.Ring.sink ring ]
+  | Some (Replayed _) | None -> Obs.Trace.none
 
 let job_moves t (j : job) =
   match j.spec.Proto.sb_moves with Some m -> Some m | None -> t.cfg.default_moves
@@ -590,139 +625,131 @@ let deadline_left (j : job) =
    deterministic function of (source, variants, seed), independent of the
    pool's worker count. *)
 let run_sweep t (j : job) ~worker =
-  let shard = job_shard t j in
+  let obs = job_obs j in
   let moves = job_moves t j in
   let rows = ref [] in
+  (* Every variant's restarts, counted into [stats] when the job finishes. *)
+  let runs = ref [] in
   (* The cross-variant winner, for the job-level summary fields. *)
   let best : (float * Core.Problem.t * Core.Oblx.result) option ref = ref None in
-  Fun.protect
-    ~finally:(fun () -> Obs.Shard.drain shard)
-    (fun () ->
-      List.iteri
-        (fun k (v : Proto.variant) ->
-          if Atomic.get j.cancel = None then begin
-            let fail ?cache e =
-              {
-                Proto.sv_name = v.Proto.vr_name;
-                sv_corner = v.Proto.vr_corner;
-                sv_cache = cache;
-                sv_best_cost = None;
-                sv_ok = None;
-                sv_error = Some e;
-                sv_predicted = [];
-                sv_moves = 0;
-                sv_evals = 0;
-                sv_cut_reason = None;
-              }
-            in
-            let corner =
-              match v.Proto.vr_corner with
-              | None -> Ok None
-              | Some c -> begin
-                  match Devices.Registry.find_corner c with
-                  | Some corner -> Ok (Some corner)
-                  | None -> Error (Printf.sprintf "unknown corner %S" c)
-                end
-            in
-            let row =
-              match corner with
-              | Error e -> fail e
-              | Ok corner -> begin
-                  match
-                    Core.Compile_cache.compile t.cache ?corner ~source:j.spec.Proto.sb_source ()
-                  with
-                  | Error (e, cache) -> fail ~cache e
-                  | Ok (p, cache) -> begin
-                      match override_specs p v.Proto.vr_specs with
-                      | Error e -> fail ~cache e
-                      | Ok p' -> begin
-                          let deadline_s = deadline_left j in
-                          let obs =
-                            Obs.Trace.with_sinks t.obs_base
-                              [ Obs.Shard.for_restart shard k ]
-                          in
-                          match
-                            Core.Oblx.run_job ~seed:j.spec.Proto.sb_seed ?moves
-                              ~runs:j.spec.Proto.sb_runs ~jobs:1 ?deadline_s
-                              ~poll:(fun () -> Atomic.get j.cancel)
-                              ~obs p'
-                          with
-                          | b, all ->
-                              (match !best with
-                              | Some (c, _, _) when c <= b.Core.Oblx.best_cost -> ()
-                              | Some _ | None ->
-                                  best := Some (b.Core.Oblx.best_cost, p', b));
-                              {
-                                Proto.sv_name = v.Proto.vr_name;
-                                sv_corner = v.Proto.vr_corner;
-                                sv_cache = Some cache;
-                                sv_best_cost = Some b.Core.Oblx.best_cost;
-                                sv_ok = Some (specs_met p' b.Core.Oblx.predicted);
-                                sv_error = None;
-                                sv_predicted = b.Core.Oblx.predicted;
-                                sv_moves = sum_moves all;
-                                sv_evals = sum_evals all;
-                                sv_cut_reason = cut_reason_of b all;
-                              }
-                          | exception exn -> fail ~cache (Printexc.to_string exn)
-                        end
+  List.iter
+    (fun (v : Proto.variant) ->
+      if Atomic.get j.cancel = None then begin
+        let fail ?cache e =
+          {
+            Proto.sv_name = v.Proto.vr_name;
+            sv_corner = v.Proto.vr_corner;
+            sv_cache = cache;
+            sv_best_cost = None;
+            sv_ok = None;
+            sv_error = Some e;
+            sv_predicted = [];
+            sv_moves = 0;
+            sv_evals = 0;
+            sv_cut_reason = None;
+          }
+        in
+        let corner =
+          match v.Proto.vr_corner with
+          | None -> Ok None
+          | Some c -> begin
+              match Devices.Registry.find_corner c with
+              | Some corner -> Ok (Some corner)
+              | None -> Error (Printf.sprintf "unknown corner %S" c)
+            end
+        in
+        let row =
+          match corner with
+          | Error e -> fail e
+          | Ok corner -> begin
+              match
+                Core.Compile_cache.compile t.cache ?corner ~source:j.spec.Proto.sb_source ()
+              with
+              | Error (e, cache) -> fail ~cache e
+              | Ok (p, cache) -> begin
+                  match override_specs p v.Proto.vr_specs with
+                  | Error e -> fail ~cache e
+                  | Ok p' -> begin
+                      let deadline_s = deadline_left j in
+                      match
+                        Core.Oblx.run_job ~seed:j.spec.Proto.sb_seed ?moves
+                          ~runs:j.spec.Proto.sb_runs ~jobs:1 ?deadline_s
+                          ~poll:(fun () -> Atomic.get j.cancel)
+                          ~obs p'
+                      with
+                      | b, all ->
+                          runs := List.rev_append all !runs;
+                          (match !best with
+                          | Some (c, _, _) when c <= b.Core.Oblx.best_cost -> ()
+                          | Some _ | None -> best := Some (b.Core.Oblx.best_cost, p', b));
+                          {
+                            Proto.sv_name = v.Proto.vr_name;
+                            sv_corner = v.Proto.vr_corner;
+                            sv_cache = Some cache;
+                            sv_best_cost = Some b.Core.Oblx.best_cost;
+                            sv_ok = Some (specs_met p' b.Core.Oblx.predicted);
+                            sv_error = None;
+                            sv_predicted = b.Core.Oblx.predicted;
+                            sv_moves = sum_moves all;
+                            sv_evals = sum_evals all;
+                            sv_cut_reason = cut_reason_of b all;
+                          }
+                      | exception exn -> fail ~cache (Printexc.to_string exn)
                     end
                 end
-            in
-            rows := row :: !rows
-          end)
-        j.spec.Proto.sb_sweep;
-      let rows = List.rev !rows in
-      (* Drained before the job finishes, so its finish line and record
-         hold every event; the [finally] covers a raise. *)
-      Obs.Shard.drain shard;
-      (* The job-level cache field reports the first variant's outcome
-         (informational); the per-row outcomes are authoritative. *)
-      (match rows with
-      | { Proto.sv_cache = Some c; _ } :: _ -> locked t (fun () -> j.cache <- Some c)
-      | _ -> ());
-      (* A sweep's record carries no winner or shape: its rows are the
-         answer, summed into the job-level counters. *)
-      let summary =
-        {
-          Proto.jo_best_cost = 0.0;
-          jo_moves = List.fold_left (fun a r -> a + r.Proto.sv_moves) 0 rows;
-          jo_evals = List.fold_left (fun a r -> a + r.Proto.sv_evals) 0 rows;
-          jo_cut_reason = List.find_map (fun r -> r.Proto.sv_cut_reason) rows;
-          jo_predicted = [];
-          jo_sizes = [];
-          jo_winner_restart = None;
-          jo_winner_score = None;
-          jo_sweep = rows;
-          jo_shape = None;
-          jo_warm = None;
-          jo_winner = None;
-        }
+            end
+        in
+        rows := row :: !rows
+      end)
+    j.spec.Proto.sb_sweep;
+  let rows = List.rev !rows and runs = !runs in
+  (* The job-level cache field reports the first variant's outcome
+     (informational); the per-row outcomes are authoritative. *)
+  (match rows with
+  | { Proto.sv_cache = Some c; _ } :: _ -> locked t (fun () -> j.cache <- Some c)
+  | _ -> ());
+  (* A sweep's record carries no winner or shape: its rows are the
+     answer, summed into the job-level counters. *)
+  let summary =
+    {
+      Proto.jo_best_cost = 0.0;
+      jo_moves = List.fold_left (fun a r -> a + r.Proto.sv_moves) 0 rows;
+      jo_evals = List.fold_left (fun a r -> a + r.Proto.sv_evals) 0 rows;
+      jo_cut_reason = List.find_map (fun r -> r.Proto.sv_cut_reason) rows;
+      jo_predicted = [];
+      jo_sizes = [];
+      jo_winner_restart = None;
+      jo_winner_score = None;
+      jo_sweep = rows;
+      jo_shape = None;
+      jo_warm = None;
+      jo_winner = None;
+    }
+  in
+  match !best with
+  | None ->
+      (* Every variant failed (or the job was cancelled before any
+         completed): the rows still ride on the outcome so the caller
+         sees per-variant reasons. *)
+      let state = if Atomic.get j.cancel <> None then Cancelled else Failed in
+      let error =
+        match List.find_opt (fun r -> r.Proto.sv_error <> None) rows with
+        | Some { Proto.sv_name; sv_error = Some e; _ } -> Printf.sprintf "%s: %s" sv_name e
+        | _ -> "sweep: no variant completed"
       in
-      match !best with
-      | None ->
-          (* Every variant failed (or the job was cancelled before any
-             completed): the rows still ride on the outcome so the caller
-             sees per-variant reasons. *)
-          let state = if Atomic.get j.cancel <> None then Cancelled else Failed in
-          let error =
-            match List.find_opt (fun r -> r.Proto.sv_error <> None) rows with
-            | Some { Proto.sv_name; sv_error = Some e; _ } -> Printf.sprintf "%s: %s" sv_name e
-            | _ -> "sweep: no variant completed"
-          in
-          finish t j ~worker:(Some worker) ~state ~error ~outcome:summary ()
-      | Some (cost, pw, bw) ->
-          let state = if Atomic.get j.cancel <> None then Cancelled else Done in
-          finish t j ~worker:(Some worker) ~state
-            ~outcome:
-              {
-                summary with
-                jo_best_cost = cost;
-                jo_predicted = bw.Core.Oblx.predicted;
-                jo_sizes = Core.Report.sizes pw bw.Core.Oblx.final;
-                jo_winner_score = Some (Core.Oblx.score pw bw);
-              }
-            ())
+      finish t j ~worker:(Some worker) ~state ~error ~outcome:summary ()
+  | Some (cost, pw, bw) ->
+      let state = if Atomic.get j.cancel <> None then Cancelled else Done in
+      finish t j ~worker:(Some worker) ~state ~runs
+        ~outcome:
+          {
+            summary with
+            jo_best_cost = cost;
+            jo_predicted = bw.Core.Oblx.predicted;
+            jo_sizes = Core.Report.sizes pw bw.Core.Oblx.final;
+            jo_winner_score = Some (Core.Oblx.score pw bw);
+          }
+        ()
 
 (* Both hashes of a problem source in one parse: the full canon key and
    the spec-value-free shape key the corpus buckets by. *)
@@ -768,27 +795,22 @@ let run_job t (j : job) ~worker =
         match override_specs compiled j.spec.Proto.sb_spec_overrides with
         | Error e -> finish t j ~worker:(Some worker) ~state:Failed ~error:e ()
         | Ok p ->
-            let shard = job_shard t j in
             (* The journaled warm snapshot, attached positionally: restart
                k < |sb_warm| seeds from entry k (the rest stay cold). *)
             let warm_starts =
               Array.of_list (List.map Corpus.warm_start_of_entry j.spec.Proto.sb_warm)
             in
             let best, all =
-              Fun.protect
-                ~finally:(fun () -> Obs.Shard.drain shard)
-                (fun () ->
-                  Core.Oblx.run_job ~seed:j.spec.Proto.sb_seed ?moves:(job_moves t j)
-                    ~runs:j.spec.Proto.sb_runs ~jobs:1 ?deadline_s:(deadline_left j) ~warm_starts
-                    ~poll:(fun () -> Atomic.get j.cancel)
-                    ~obs:(Obs.Trace.with_sinks t.obs_base [ Obs.Shard.for_restart shard 0 ])
-                    p)
+              Core.Oblx.run_job ~seed:j.spec.Proto.sb_seed ?moves:(job_moves t j)
+                ~runs:j.spec.Proto.sb_runs ~jobs:1 ?deadline_s:(deadline_left j) ~warm_starts
+                ~poll:(fun () -> Atomic.get j.cancel)
+                ~obs:(job_obs j) p
             in
             let hashes = hashes_of_source j.spec.Proto.sb_source in
             let outcome = outcome_of_run p ~shape:(Option.map snd hashes) best all in
             let state = if Atomic.get j.cancel <> None then Cancelled else Done in
             if state = Done then record_corpus t j outcome hashes;
-            finish t j ~worker:(Some worker) ~state ~outcome ()
+            finish t j ~worker:(Some worker) ~state ~outcome ~runs:all ()
       end
 
 let rec worker_loop t ~worker =
@@ -840,7 +862,6 @@ let create cfg =
         let bytes = try (Unix.stat path).Unix.st_size with Unix.Unix_error _ -> 0 in
         (restored, oc, bytes)
   in
-  let summary = Obs.Sink.Summary.create () in
   let t =
     {
       cfg;
@@ -859,8 +880,9 @@ let create cfg =
       compacted_bytes = 0;
       rotations = 0;
       cache = Core.Compile_cache.create ~capacity:cfg.cache_capacity ();
-      summary;
-      obs_base = Obs.Trace.make ~level:Obs.Event.Moves [ Obs.Sink.Summary.sink summary ];
+      finished_moves = 0;
+      finished_accepted = 0;
+      finished_evals = Array.make (List.length eval_counters) 0;
       worker_moves = Array.make (Int.max 1 cfg.workers) 0;
       worker_busy_s = Array.make (Int.max 1 cfg.workers) 0.0;
       worker_jobs = Array.make (Int.max 1 cfg.workers) 0;
@@ -1032,7 +1054,6 @@ let result_json t id = with_job t id (fun j -> job_json ~full:true t j)
 
 let stats_json t =
   let cache = Core.Compile_cache.stats t.cache in
-  let telemetry = Obs.Sink.Summary.stats t.summary in
   locked t (fun () ->
       let by_state = Hashtbl.create 8 in
       Hashtbl.iter
@@ -1082,37 +1103,13 @@ let stats_json t =
                 ( "rotate_bytes",
                   match t.cfg.log_rotate_bytes with Some b -> num_i b | None -> Json.Null );
               ] );
+          (* Sums over every restart of every job finished since boot. *)
           ( "telemetry",
             Json.Obj
-              [
-                ("moves", num_i telemetry.Obs.Sink.Summary.moves);
-                ("accepted", num_i telemetry.Obs.Sink.Summary.accepted);
-                ("events", num_i telemetry.Obs.Sink.Summary.events);
-              ] );
+              [ ("moves", num_i t.finished_moves); ("accepted", num_i t.finished_accepted) ] );
           ( "evals",
-            (* Aggregated incremental-evaluator counters over the latest
-               snapshot per restart — cache effectiveness at a glance. *)
-            let rows = telemetry.Obs.Sink.Summary.eval_rows in
-            let sum f = List.fold_left (fun a (_, e) -> a + f e) 0 rows in
-            if rows = [] then Json.Null
-            else
-              Json.Obj
-                [
-                  ("full", num_i (sum (fun e -> e.Obs.Event.full)));
-                  ("incremental", num_i (sum (fun e -> e.Obs.Event.incr)));
-                  ("op_hits", num_i (sum (fun e -> e.Obs.Event.op_hits)));
-                  ("op_misses", num_i (sum (fun e -> e.Obs.Event.op_misses)));
-                  ("rom_builds", num_i (sum (fun e -> e.Obs.Event.rom_builds)));
-                  ("rom_reuses", num_i (sum (fun e -> e.Obs.Event.rom_reuses)));
-                  ("spec_evals", num_i (sum (fun e -> e.Obs.Event.spec_evals)));
-                  ("spec_reuses", num_i (sum (fun e -> e.Obs.Event.spec_reuses)));
-                  ("resyncs", num_i (sum (fun e -> e.Obs.Event.resyncs)));
-                  ( "resync_mismatches",
-                    num_i (sum (fun e -> e.Obs.Event.resync_mismatches)) );
-                  ("probes", num_i (sum (fun e -> e.Obs.Event.probes)));
-                  ( "probe_rom_builds",
-                    num_i (sum (fun e -> e.Obs.Event.probe_rom_builds)) );
-                ] );
+            Json.Obj
+              (List.mapi (fun i (name, _) -> (name, num_i t.finished_evals.(i))) eval_counters) );
           ( "corpus",
             let c = Corpus.stats t.corpus in
             Json.Obj

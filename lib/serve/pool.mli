@@ -97,14 +97,17 @@ val status_json : t -> int -> (Obs.Json.t, string) result
     plus, for finished jobs, best cost, move/eval counts, [cut_reason],
     predicted specs, the sized design, and (when the submission asked for
     a trace) the job's ring of stage events, at most 256 of them, with
-    [events_dropped] counting the older ones it let go. *)
+    [events_dropped] counting the older ones it let go. A job submitted
+    without a trace runs with {!Obs.Trace.none} and emits nothing. *)
 val result_json : t -> int -> (Obs.Json.t, string) result
 
 (** [stats_json t] — jobs by state, queue depth, [restored_jobs] (jobs
     replayed from the log at startup), compile-cache hit rate, journal
     size/rotations and the lines its replay rejected, the winner corpus
-    (with its own rejected count), and per-worker moves/s from the shared
-    streaming-summary sink. *)
+    (with its own rejected count), per-worker moves/s, and the
+    [telemetry] ([moves], [accepted]) and [evals] (incremental-evaluator
+    counters) blocks: sums over every restart of every job finished since
+    boot, counted under the lock that marks the job finished. *)
 val stats_json : t -> Obs.Json.t
 
 (** {2 Warm starts — the winner corpus and the resynthesize fast path}

@@ -2,7 +2,8 @@
 # End-to-end smoke test of the oblxd daemon (docs/SERVER.md): boot it on
 # its Unix socket and on authenticated loopback TCP, prove the token gate
 # (the right token answered, a wrong one refused), prove the compile cache
-# hits on a repeated topology, prove cancellation propagates cut_reason,
+# hits on a repeated topology, check stats sum the finished jobs' moves
+# and evaluations, prove cancellation propagates cut_reason,
 # serve two clients at once, answer stats and a corpus lookup over TCP,
 # survive a kill -9 with the job log answering for pre-restart ids (a
 # finished job's result byte-identical, a traced job's events included,
@@ -68,6 +69,22 @@ echo "== second submission (cache hit) =="
 OUT2=$("$ASTRX" submit simple-ota --socket "$SOCK" "${AUTH[@]}" --seed 2 --moves 500 --wait --json)
 echo "$OUT2" | grep -q '"state":"done"' || fail "second job did not finish"
 echo "$OUT2" | grep -q '"cache":"hit"' || fail "second submission should hit the compile cache"
+
+echo "== stats sum the finished jobs =="
+# num KEY JSON: the first integer member KEY of JSON.
+num() { echo "$2" | grep -o "\"$1\":[0-9]*" | sed -n '1s/.*://p'; }
+STATS=$("$ASTRX" stats --socket "$SOCK" "${AUTH[@]}" --json)
+TELEMETRY=$(echo "$STATS" | grep -o '"telemetry":{[^}]*}')
+EVALS=$(echo "$STATS" | grep -o '"evals":{[^}]*}')
+MOVES=$(( $(num moves "$OUT1") + $(num moves "$OUT2") ))
+[ "$(num moves "$TELEMETRY")" = "$MOVES" ] \
+  || fail "stats $TELEMETRY, but the two jobs made $MOVES moves"
+# Each exact evaluation counts one full or one incremental, and each
+# resync one more full.
+JOB_EVALS=$(( $(num evals "$OUT1") + $(num evals "$OUT2") ))
+COUNTED=$(( $(num full "$EVALS") + $(num incremental "$EVALS") - $(num resyncs "$EVALS") ))
+[ "$COUNTED" = "$JOB_EVALS" ] \
+  || fail "stats $EVALS count $COUNTED evaluations, but the two jobs made $JOB_EVALS"
 
 echo "== cancellation propagates cut_reason =="
 ID=$("$ASTRX" submit simple-ota --socket "$SOCK" "${AUTH[@]}" --moves 20000000 --json | sed 's/[^0-9]//g')

@@ -158,6 +158,11 @@ let test_compile_device_refs () =
         "cl1 out 0 'cl'\n.endbias",
         "cl1 out 0 'area()'\n.endbias",
         "bias network: cl1: area() is only allowed in .obj/.spec" );
+      ("simple-ota", "w='w5'", "w='0'", "bias network: xamp.m5: width 0 = 0 is not positive");
+      ( "simple-ota",
+        "m6 bp bp vss vss nmos w='w5' l='l5'\niref vdd bp 'ib'\n.ends",
+        "m6 bp bp vss vss nmos w='wz' l='l5'\niref vdd bp 'ib'\n.ends\n.param wz=0",
+        "bias network: xamp.m6: width wz = 0 is not positive" );
       ( "bicmos-two-stage",
         "q1 out n2 vss npn 'qarea'",
         "q1 out n2 vss npn'qarea'",

@@ -266,6 +266,54 @@ let test_pool_determinism_and_trace () =
   | _ -> Alcotest.fail "no events array");
   Serve.Pool.shutdown pool
 
+(* [stats]' [telemetry] and [evals] blocks sum every restart of every
+   finished job: three served jobs against the same three runs in
+   process. *)
+let test_pool_stats_sum_finished_jobs () =
+  let pool = running_pool () in
+  let moves = 300 and seeds = [ 1; 2; 3 ] in
+  let ids = List.map (fun seed -> ok (Serve.Pool.submit pool (submission ~seed ~moves ()))) seeds in
+  List.iter (fun id -> Alcotest.(check string) "finished" "done" (wait_done pool id)) ids;
+  let stats = Serve.Pool.stats_json pool in
+  Serve.Pool.shutdown pool;
+  let p =
+    match Core.Compile.compile_source ota_source with
+    | Ok p -> p
+    | Error e -> Alcotest.failf "compile: %s" e
+  in
+  let runs =
+    List.concat_map (fun seed -> snd (Core.Oblx.run_job ~seed ~moves ~runs:1 ~jobs:1 p)) seeds
+  in
+  let sum f = List.fold_left (fun a (r : Core.Oblx.result) -> a + f r) 0 runs in
+  let block k = Option.get (Obs.Json.mem_opt k stats) in
+  let check_sum o k expected =
+    Alcotest.(check (option (float 0.0))) k (Some (float_of_int expected)) (jnum o k)
+  in
+  check_sum (block "telemetry") "moves" (sum (fun r -> r.Core.Oblx.moves));
+  check_sum (block "telemetry") "accepted" (sum (fun r -> r.Core.Oblx.accepted));
+  let evals f = sum (fun r -> f (Option.get r.Core.Oblx.eval_stats)) in
+  List.iter
+    (fun (k, f) -> check_sum (block "evals") k (evals f))
+    Core.Eval.Incr.
+      [
+        ("full", fun s -> s.full_evals);
+        ("incremental", fun s -> s.incr_evals);
+        ("op_hits", fun s -> s.op_hits);
+        ("op_misses", fun s -> s.op_misses);
+        ("rom_builds", fun s -> s.rom_builds);
+        ("rom_reuses", fun s -> s.rom_reuses);
+        ("spec_evals", fun s -> s.spec_evals);
+        ("spec_reuses", fun s -> s.spec_reuses);
+        ("resyncs", fun s -> s.resyncs);
+        ("resync_mismatches", fun s -> s.resync_mismatches);
+        ("probes", fun s -> s.probes);
+        ("probe_rom_builds", fun s -> s.probe_rom_builds);
+      ];
+  (* Each exact evaluation counts one full or incremental; a resync adds
+     one more full. *)
+  check_sum (block "evals") "full"
+    (sum (fun r -> r.Core.Oblx.evals) - evals (fun s -> s.incr_evals) + evals (fun s -> s.resyncs))
+
 let test_pool_shutdown_cancels_queued () =
   let pool = frozen_pool ~queue_capacity:4 () in
   let id = ok (Serve.Pool.submit pool (submission ())) in
@@ -1922,6 +1970,7 @@ let () =
           Alcotest.test_case "cancel queued" `Quick test_pool_cancel_queued;
           Alcotest.test_case "deadline cut" `Slow test_pool_deadline_cut;
           Alcotest.test_case "determinism + trace" `Slow test_pool_determinism_and_trace;
+          Alcotest.test_case "stats sum finished jobs" `Slow test_pool_stats_sum_finished_jobs;
           Alcotest.test_case "shutdown cancels queued" `Quick
             test_pool_shutdown_cancels_queued;
           Alcotest.test_case "wait_s on cancelled queued job" `Quick
