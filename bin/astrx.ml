@@ -990,9 +990,8 @@ let stats_cmd =
       | Some (Json.Obj _ as jr), Some (Json.Obj _ as c) ->
           Printf.printf
             "journal: %s bytes, %s rotation(s), %s rejected line(s); corpus: %s entries, %s \
-             replayed, %s rejected line(s)\n"
-            (n jr "bytes") (n jr "rotations") (n jr "rejected") (n c "entries") (n c "replayed")
-            (n c "rejected")
+             shape(s)\n"
+            (n jr "bytes") (n jr "rotations") (n jr "rejected") (n c "entries") (n c "shapes")
       | _ -> ());
       (match Json.mem_opt "evals" j with
       | Some (Json.Obj _ as ev) ->

@@ -71,7 +71,9 @@ let state_dir_arg =
     & opt (some string) (Some "oblxd-state")
     & info [ "state-dir" ] ~docv:"DIR"
         ~doc:
-          "Directory receiving one job-<id>.json per finished job; --no-state disables")
+          "Directory holding jobs.log, the job journal replayed at startup (the winner \
+           corpus is rebuilt from it), and one job-<id>.json per finished job; --no-state \
+           disables")
 
 let no_state_arg =
   Arg.(value & flag & info [ "no-state" ] ~doc:"Keep no on-disk job records")
@@ -120,15 +122,6 @@ let warm_fraction_arg =
           "With --warm-start: at most this fraction of a job's restarts get warm seeds \
            (floored; the rest stay cold so the search keeps exploring)")
 
-let corpus_capacity_arg =
-  Arg.(
-    value
-    & opt int 256
-    & info [ "corpus-capacity" ] ~docv:"N"
-        ~doc:
-          "Winner-corpus bound (entries, worst-cost-evicted); journaled in \
-           state-dir/corpus.log")
-
 let quiet_arg = Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"No startup banner")
 
 let parse_tcp s =
@@ -149,7 +142,7 @@ let read_token file =
     (fun () -> match input_line ic with line -> String.trim line | exception End_of_file -> "")
 
 let run socket tcp auth_token_file log_rotate_bytes workers queue cache
-    state_dir no_state default_moves warm_start warm_fraction corpus_capacity max_connections idle_timeout quiet =
+    state_dir no_state default_moves warm_start warm_fraction max_connections idle_timeout quiet =
   let workers = match workers with Some w -> Int.max 0 w | None -> Core.Oblx.default_jobs () in
   let state_dir = if no_state then None else state_dir in
   match (match tcp with None -> Ok None | Some s -> Result.map Option.some (parse_tcp s)) with
@@ -188,7 +181,6 @@ let run socket tcp auth_token_file log_rotate_bytes workers queue cache
                   log_rotate_bytes;
                   warm = warm_start;
                   warm_fraction = Float.max 0.0 (Float.min 1.0 warm_fraction);
-                  corpus_capacity = Int.max 1 corpus_capacity;
                 };
             }
           in
@@ -214,9 +206,8 @@ let run socket tcp auth_token_file log_rotate_bytes workers queue cache
               | Some d -> Printf.printf "oblxd: job records and jobs.log in %s/\n%!" d
               | None -> ());
               if warm_start then
-                Printf.printf "oblxd: warm-start on (fraction %.2f, corpus capacity %d)\n%!"
+                Printf.printf "oblxd: warm-start on (fraction %.2f)\n%!"
                   (Float.max 0.0 (Float.min 1.0 warm_fraction))
-                  (Int.max 1 corpus_capacity)
             end
           in
           (match Serve.Server.run ~ready ~tcp_port cfg with
@@ -238,5 +229,5 @@ let () =
             const run $ socket_arg $ tcp_arg $ auth_token_file_arg $ log_rotate_bytes_arg
             $ workers_arg $ queue_arg $ cache_arg
             $ state_dir_arg $ no_state_arg $ default_moves_arg $ warm_start_arg
-            $ warm_fraction_arg $ corpus_capacity_arg $ max_connections_arg
+            $ warm_fraction_arg $ max_connections_arg
             $ idle_timeout_arg $ quiet_arg)))

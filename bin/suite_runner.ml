@@ -3,32 +3,44 @@
 
    suite_runner [seed [moves [runs [jobs [trace-file [trace-level]]]]]]
 
-   With runs > 1 each circuit is synthesized by the domain-parallel
-   multi-start engine (Oblx.best_of) and the winning run is reported.
-   With a trace file, every circuit's annealing telemetry is appended to
-   the same JSONL stream (docs/OBSERVABILITY.md); trace-level is one of
+   An empty argument ('') takes its default. With runs > 1 each circuit
+   is synthesized by the domain-parallel multi-start engine
+   (Oblx.best_of) and the winning run is reported. With a trace file,
+   every circuit's annealing telemetry is appended to the same JSONL
+   stream (docs/OBSERVABILITY.md); trace-level is one of
    summary|stage|moves (default stage). *)
 
+let usage = "suite_runner [seed [moves [runs [jobs [trace-file [trace-level]]]]]]"
+
 let () =
-  let arg k = if Array.length Sys.argv > k then Some (int_of_string Sys.argv.(k)) else None in
-  let seed = Option.value (arg 1) ~default:1 in
-  let moves = arg 2 in
-  let runs = Option.value (arg 3) ~default:1 in
-  let jobs = arg 4 in
+  let arg k = if Array.length Sys.argv > k && Sys.argv.(k) <> "" then Some Sys.argv.(k) else None in
+  let int_arg k =
+    Option.map
+      (fun s ->
+        match int_of_string_opt s with
+        | Some v -> v
+        | None ->
+            prerr_endline ("usage: " ^ usage);
+            exit 2)
+      (arg k)
+  in
+  let seed = Option.value (int_arg 1) ~default:1 in
+  let moves = int_arg 2 in
+  let runs = Option.value (int_arg 3) ~default:1 in
+  let jobs = int_arg 4 in
   let obs =
-    if Array.length Sys.argv > 5 then begin
-      let level =
-        if Array.length Sys.argv > 6 then
-          match Obs.Event.level_of_string Sys.argv.(6) with
-          | Ok l -> l
-          | Error e ->
+    match arg 5 with
+    | None -> Obs.Trace.none
+    | Some file ->
+        let level =
+          match Option.map Obs.Event.level_of_string (arg 6) with
+          | Some (Ok l) -> l
+          | None -> Obs.Event.Stage
+          | Some (Error e) ->
               prerr_endline e;
               exit 2
-        else Obs.Event.Stage
-      in
-      Obs.Trace.make ~level [ Obs.Sink.jsonl_file Sys.argv.(5) ]
-    end
-    else Obs.Trace.none
+        in
+        Obs.Trace.make ~level [ Obs.Sink.jsonl_file file ]
   in
   Printf.printf "%-22s %8s %8s %10s %8s %s\n" "circuit" "cost" "evals" "ms/eval" "time" "unmet";
   List.iter

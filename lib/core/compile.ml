@@ -2,30 +2,12 @@ exception Error of string
 
 let err fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
 
-(* Compile-time environment: user variables at their initial values plus
-   .param definitions (checked acyclic before use). *)
-let initial_env vars params =
-  let rec lookup path =
-    match path with
-    | [ name ] -> begin
-        match List.assoc_opt name vars with
-        | Some v -> v
-        | None -> begin
-            match List.assoc_opt name params with
-            | Some e -> Netlist.Expr.eval { Netlist.Expr.lookup; call = Spec.math_call } e
-            | None -> raise Not_found
-          end
-      end
-    | _ -> raise Not_found
-  in
-  { Netlist.Expr.lookup; call = Spec.math_call }
-
 (* Element values take variables, parameters and math builtins only. The
    template divides by every MOS width (rd = rd_ohm_m / W): a .var grid
    keeps a width the variables reach off zero, so one they do not reach
    is fixed here and must be positive. *)
-let check_values scope where (c : Netlist.Circuit.t) =
-  let fixed = initial_env [] scope.Spec.params in
+let check_values scope names where (c : Netlist.Circuit.t) =
+  let fixed = Spec.value_env names (fun () -> [||]) in
   Array.iter
     (fun e ->
       let fail m = err "%s: %s: %s" where (Netlist.Circuit.element_name e) m in
@@ -71,7 +53,7 @@ let compile ?corner (ast : Netlist.Ast.problem) =
     in
     (* Names resolve in one scope: user variables (state slots in
        declaration order), then .params. Every .param resolves in the
-       element-value context. *)
+       element-value context, and [names] keeps each name's tree. *)
     let scope =
       {
         Spec.vars = List.map (fun (v : Netlist.Ast.var_decl) -> v.var_name) ast.vars;
@@ -79,16 +61,20 @@ let compile ?corner (ast : Netlist.Ast.problem) =
         measure = None;
       }
     in
+    let names = Hashtbl.create 16 in
     List.iter
       (fun (name, e) ->
         match Spec.resolve ~param:name scope e with
-        | Ok _ -> ()
+        | Ok r -> if not (Hashtbl.mem names name) then Hashtbl.add names name r
         | Error m -> err "param %s: %s" name m)
       ast.params;
+    List.iter
+      (fun v -> Hashtbl.replace names v (Result.get_ok (Spec.resolve scope (Netlist.Expr.Ref [ v ]))))
+      scope.Spec.vars;
     (* 2. Elaborate and template-expand the bias network. *)
     if ast.bias = [] then err "no .bias block: the relaxed-dc formulation needs a bias network";
     let bias_raw = Netlist.Elab.flatten ~subckts:ast.subckts ast.bias in
-    check_values scope "bias network" bias_raw;
+    check_values scope names "bias network" bias_raw;
     let bias = Template.expand ~registry bias_raw in
     (* Reject elements the bias formulation does not support. *)
     Array.iter
@@ -110,7 +96,7 @@ let compile ?corner (ast : Netlist.Ast.problem) =
       List.map
         (fun (j : Netlist.Ast.jig) ->
           let flat = Netlist.Elab.flatten ~subckts:ast.subckts j.jig_body in
-          check_values scope ("jig " ^ j.jig_name) flat;
+          check_values scope names ("jig " ^ j.jig_name) flat;
           let c = Template.expand ~registry flat in
           let tfs =
             List.map
@@ -210,9 +196,10 @@ let compile ?corner (ast : Netlist.Ast.problem) =
              | Ok r -> (cname, r)
              | Error e -> err "corner %s: %s" cname e)
     in
-    (* 6. Build the variable vector: user variables then node voltages. *)
-    let init_vals = List.map (fun (v : Netlist.Ast.var_decl) -> (v.var_name, default_init v)) ast.vars in
-    let env0 = initial_env init_vals ast.params in
+    (* 6. Build the variable vector: user variables then node voltages.
+       The supply bounds read the variables' unsnapped initial values. *)
+    let init_vals = Array.of_list (List.map default_init ast.vars) in
+    let env0 = Spec.value_env names (fun () -> init_vals) in
     let supply_bounds =
       Array.fold_left
         (fun (lo, hi) (e : Netlist.Circuit.element) ->
@@ -321,7 +308,7 @@ let compile ?corner (ast : Netlist.Ast.problem) =
       {
         Problem.title = ast.title;
         registry;
-        params = ast.params;
+        names;
         state0;
         bias;
         tl;

@@ -15,28 +15,9 @@ exception Measurement_failed of string
    environment built once can serve a whole annealing run whose state
    record is swapped (or mutated) underneath it — the incremental session
    allocates its environments in [Incr.create] instead of once per
-   evaluation. *)
+   evaluation. Names read their compile-resolved trees. *)
 let value_env_get (p : Problem.t) (get_st : unit -> State.t) =
-  let rec lookup seen path =
-    match path with
-    | [ name ] -> begin
-        match State.lookup_value (get_st ()) name with
-        | v -> v
-        | exception Not_found -> begin
-            match List.assoc_opt name p.Problem.params with
-            | Some e ->
-                if List.mem name seen then
-                  raise (Netlist.Expr.Eval_error ("parameter cycle at " ^ name))
-                else
-                  Netlist.Expr.eval
-                    { Netlist.Expr.lookup = lookup (name :: seen); call = Spec.math_call }
-                    e
-            | None -> raise Not_found
-          end
-      end
-    | _ -> raise Not_found
-  in
-  { Netlist.Expr.lookup = lookup []; call = Spec.math_call }
+  Spec.value_env p.Problem.names (fun () -> (get_st ()).State.values)
 
 let value_env (p : Problem.t) (st : State.t) = value_env_get p (fun () -> st)
 

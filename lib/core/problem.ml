@@ -71,7 +71,9 @@ type analysis = {
 type t = {
   title : string;
   registry : Devices.Registry.t;
-  params : (string * Netlist.Expr.t) list;
+  names : (string, Spec.t) Hashtbl.t;
+      (** every variable's and [.param]'s resolved tree, by name: the
+          element-value names, resolved once at compile time *)
   state0 : State.t;
   bias : Netlist.Circuit.t;  (** template-expanded bias network *)
   tl : Treelink.t;

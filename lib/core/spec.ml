@@ -330,25 +330,25 @@ let read_field d field (op : Mna.Dc.op_info) =
    either engine. *)
 let rom b what tf = match b.rom tf with Ok r -> r | Error e -> raise (Failed (what ^ ": " ^ e))
 
-let rec eval (b : backend) (st : State.t) e =
+let rec eval_at (b : backend) (values : float array) e =
   match e with
   | Const v -> v
-  | Var i -> st.State.values.(i)
-  | Neg a -> -.eval b st a
-  | Add (x, y) -> eval b st x +. eval b st y
-  | Sub (x, y) -> eval b st x -. eval b st y
-  | Mul (x, y) -> eval b st x *. eval b st y
+  | Var i -> values.(i)
+  | Neg a -> -.eval_at b values a
+  | Add (x, y) -> eval_at b values x +. eval_at b values y
+  | Sub (x, y) -> eval_at b values x -. eval_at b values y
+  | Mul (x, y) -> eval_at b values x *. eval_at b values y
   | Div (x, y) ->
-      let d = eval b st y in
-      if d = 0.0 then raise (Netlist.Expr.Eval_error "division by zero") else eval b st x /. d
-  | Pow (x, y) -> Float.pow (eval b st x) (eval b st y)
-  | Math (m, args) -> apply_math m (List.map (eval b st) args)
+      let d = eval_at b values y in
+      if d = 0.0 then raise (Netlist.Expr.Eval_error "division by zero") else eval_at b values x /. d
+  | Pow (x, y) -> Float.pow (eval_at b values x) (eval_at b values y)
+  | Math (m, args) -> apply_math m (List.map (eval_at b values) args)
   | Op (d, field) -> read_field d field (b.op d)
   | Dc_gain tf -> b.dc_gain tf
   | Ugf tf -> Option.value ~default:0.0 (b.ugf tf)
   | Pm tf -> Option.value ~default:180.0 (b.pm tf)
   | Gain_at (tf, f) ->
-      let f = eval b st f in
+      let f = eval_at b values f in
       b.gain_at tf f
   | Bw3db tf -> Option.value ~default:0.0 (b.bw3db tf)
   | Pole1 tf -> Option.value ~default:0.0 (Awe.Rom.dominant_pole_hz (rom b "pole1" tf))
@@ -358,7 +358,7 @@ let rec eval (b : backend) (st : State.t) e =
       let w = b.step tf in
       Mna.Tran.peak_slew ~times:w.times w.v ~t_from:w.t_step ~t_to:w.t_stop
   | Settle (tf, tol) ->
-      let tol = eval b st tol in
+      let tol = eval_at b values tol in
       let w = b.step tf in
       Mna.Tran.settling_time ~times:w.times w.v ~t_from:w.t_step ~tol
   | Noise_out_uv tf ->
@@ -379,3 +379,31 @@ let rec eval (b : backend) (st : State.t) e =
   | Area -> b.area ()
   | Power -> b.power ()
   | Supply_current src -> Float.abs (b.supply_current src)
+
+let eval b (st : State.t) e = eval_at b st.State.values e
+
+(* Element values read no engine primitive: {!resolve} without [measure]
+   builds no measurement. *)
+let no_engine =
+  let none _ = raise (Failed "an element value reads no measurement") in
+  {
+    op = none;
+    dc_gain = none;
+    ugf = none;
+    pm = none;
+    gain_at = (fun _ -> none);
+    bw3db = none;
+    rom = none;
+    step = none;
+    noise_density = none;
+    area = none;
+    power = none;
+    supply_current = none;
+  }
+
+let value_env names values =
+  let lookup = function
+    | [ name ] -> eval_at no_engine (values ()) (Hashtbl.find names name)
+    | _ -> raise Not_found
+  in
+  { Netlist.Expr.lookup; call = math_call }

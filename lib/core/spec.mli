@@ -117,3 +117,11 @@ type backend = {
     @raise Failed when a shared formula has no value
     and whatever [b] raises. *)
 val eval : backend -> State.t -> t -> float
+
+(** [value_env names values] — the element-value environment: a bare
+    name evaluates its resolved tree in [names] (resolved without
+    [measure]) with {!eval}'s arithmetic, variable [i] reading
+    [(values ()).(i)]; a call applies {!math_call}. A name [names] does
+    not hold raises [Not_found], which {!Netlist.Expr.eval} reports as an
+    unknown reference. *)
+val value_env : (string, t) Hashtbl.t -> (unit -> float array) -> Netlist.Expr.env

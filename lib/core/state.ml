@@ -120,13 +120,3 @@ let set_grid_slot t i k =
       t.values.(i) <- grid_value ~vmin ~vmax ~grid ~n:s k;
       old
   | User _ | Node_voltage _ -> invalid_arg "State.set_grid_slot: not discrete"
-
-let lookup_value t name =
-  let rec scan i =
-    if i >= Array.length t.info then raise Not_found
-    else
-      match t.info.(i) with
-      | User { name = n; _ } when n = name -> t.values.(i)
-      | User _ | Node_voltage _ -> scan (i + 1)
-  in
-  scan 0

@@ -3,10 +3,10 @@ module Json = Obs.Json
 (* The winner corpus: finished jobs' winning design vectors keyed by the
    problem's shape hash ({!Netlist.Canon.problem_shape_hash} — the canon
    rendering with spec target values dropped), so "same circuit, tweaked
-   specs" finds its predecessors. Bounded in memory, journal-backed on
-   disk (state_dir/corpus.log, JSONL, replayed on restart, compacted via
-   tmp+rename like the job journal). Entries are plain data — values,
-   grid indices, Hustin probabilities — and cross the wire as JSON. *)
+   specs" finds its predecessors. An in-memory index derived from the
+   pool's job journal: it has no file and no lock of its own. Entries are
+   plain data — values, grid indices, Hustin probabilities — and cross
+   the wire as JSON. *)
 
 type entry = {
   en_shape : string;
@@ -30,7 +30,7 @@ let warm_start_of_entry (e : entry) =
   }
 
 (* ------------------------------------------------------------------ *)
-(* JSON codec — the journal line and the wire form are the same object  *)
+(* JSON codec — the wire form and a journaled warm seed alike           *)
 (* ------------------------------------------------------------------ *)
 
 let farr a = Json.Arr (Array.to_list a |> List.map (fun v -> Json.Num v))
@@ -72,235 +72,61 @@ let entry_of_json j =
   | exception Json.Decode_error m -> Error ("corpus entry: " ^ m)
 
 (* ------------------------------------------------------------------ *)
-(* The bounded, journal-backed store                                    *)
+(* The per-shape index                                                  *)
 (* ------------------------------------------------------------------ *)
 
 type t = {
-  mutex : Mutex.t;
-  table : (string, entry list) Hashtbl.t;  (** shape -> entries, best cost first *)
-  per_shape : int;
-  capacity : int;  (** total entries across all shapes *)
-  mutable total : int;
-  mutable log : out_channel option;
-  log_path : string option;
-  mutable logged_lines : int;  (** appended since the last compaction *)
+  table : (string, entry list) Hashtbl.t;  (** shape -> entries, best first *)
   mutable adds : int;
   mutable evictions : int;
   mutable hits : int;  (** lookups that returned at least one entry *)
   mutable lookups : int;
-  mutable replayed : int;
-  mutable rejected : int;  (** journal lines replay could not parse or decode *)
 }
 
-let locked t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
+let per_shape = 4
+let create () = { table = Hashtbl.create 64; adds = 0; evictions = 0; hits = 0; lookups = 0 }
 
 (* Two entries carry the same information when they agree on (shape,
    canon, cost, values); provenance (job id, name) may differ. Recording
-   the same winner twice — a rerun at the same seed — is a no-op add. *)
+   the same winner twice — a rerun at the same seed — keeps one entry. *)
 let same (a : entry) (b : entry) =
   a.en_shape = b.en_shape && a.en_canon = b.en_canon && a.en_cost = b.en_cost
   && a.en_values = b.en_values
 
-(* Caller holds the lock. Insert best-first; on cost ties the incumbent
-   stays (earlier information wins, like the annealer's winner fold). *)
-let insert_locked t (e : entry) =
-  let bucket = Option.value (Hashtbl.find_opt t.table e.en_shape) ~default:[] in
-  if List.exists (same e) bucket then false
-  else begin
-    let rec ins = function
-      | [] -> [ e ]
-      | x :: rest -> if e.en_cost < x.en_cost then e :: x :: rest else x :: ins rest
-    in
-    let bucket = ins bucket in
-    let bucket, dropped =
-      let rec take n = function
-        | [] -> ([], 0)
-        | _ :: rest when n = 0 -> ([], 1 + List.length rest)
-        | x :: rest ->
-            let kept, d = take (n - 1) rest in
-            (x :: kept, d)
-      in
-      take t.per_shape bucket
-    in
-    (* The new entry may itself be what got truncated away. *)
-    if List.exists (same e) bucket then begin
-      Hashtbl.replace t.table e.en_shape bucket;
-      t.total <- t.total + 1 - dropped;
-      t.evictions <- t.evictions + dropped;
-      (* Over total capacity: evict the globally worst-cost entry (ties:
-         the lexicographically last shape). *)
-      while t.total > t.capacity do
-        let victim = ref None in
-        Hashtbl.iter
-          (fun shape es ->
-            match List.rev es with
-            | [] -> ()
-            | worst :: _ -> begin
-                match !victim with
-                | Some (_, w, vs) when w > worst.en_cost || (w = worst.en_cost && vs >= shape) ->
-                    ()
-                | Some _ | None -> victim := Some (worst, worst.en_cost, shape)
-              end)
-          t.table;
-        match !victim with
-        | None -> t.total <- 0 (* unreachable: total > 0 *)
-        | Some (worst, _, shape) ->
-            let es = Hashtbl.find t.table shape in
-            let es = List.filter (fun x -> not (same x worst)) es in
-            if es = [] then Hashtbl.remove t.table shape else Hashtbl.replace t.table shape es;
-            t.total <- t.total - 1;
-            t.evictions <- t.evictions + 1
-      done;
-      true
-    end
-    else begin
-      t.evictions <- t.evictions + 1;
-      false
-    end
-  end
-
-let append_locked t (e : entry) =
-  match t.log with
-  | None -> ()
-  | Some oc -> (
-      try
-        output_string oc (Json.to_string (entry_to_json e));
-        output_char oc '\n';
-        flush oc;
-        t.logged_lines <- t.logged_lines + 1
-      with Sys_error _ -> () (* best-effort, like the job journal *))
-
-(* Rewrite the journal as exactly the live entries, atomically. A kill -9
-   at any point leaves either the old complete log or the new one. Caller
-   holds the lock. *)
-let compact_locked t =
-  match (t.log_path, t.log) with
-  | Some path, Some oc -> begin
-      let tmp = path ^ ".tmp" in
-      match open_out tmp with
-      | exception Sys_error _ -> ()
-      | tmp_oc -> (
-          try
-            Hashtbl.fold (fun shape es acc -> (shape, es) :: acc) t.table []
-            |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-            |> List.iter (fun (_, es) ->
-                   List.iter
-                     (fun e ->
-                       output_string tmp_oc (Json.to_string (entry_to_json e));
-                       output_char tmp_oc '\n')
-                     es);
-            close_out tmp_oc;
-            Sys.rename tmp path;
-            (try close_out oc with Sys_error _ -> ());
-            t.log <-
-              (try Some (open_out_gen [ Open_append; Open_creat ] 0o644 path)
-               with Sys_error _ -> None);
-            t.logged_lines <- t.total
-          with Sys_error _ -> ( try close_out tmp_oc with Sys_error _ -> ()))
-    end
-  | _ -> ()
+(* Best cost first, the lower job id on ties: a total order, so a bucket
+   is the first [per_shape] distinct entries of everything added, in
+   whatever order the jobs finished. Among [same] entries the lower job
+   id ranks first and is the one kept. *)
+let order (a : entry) (b : entry) =
+  match Float.compare a.en_cost b.en_cost with 0 -> Int.compare a.en_job b.en_job | c -> c
 
 let add t (e : entry) =
-  locked t (fun () ->
-      if insert_locked t e then begin
-        t.adds <- t.adds + 1;
-        append_locked t e;
-        (* The journal accumulates superseded entries (evicted or
-           deduplicated); compact once it clearly outgrows the live set. *)
-        if t.logged_lines > (4 * t.total) + 64 then compact_locked t
-      end)
+  let bucket = Option.value (Hashtbl.find_opt t.table e.en_shape) ~default:[] in
+  if not (List.exists (fun x -> same e x && order x e <= 0) bucket) then begin
+    let bucket = List.merge order [ e ] (List.filter (fun x -> not (same e x)) bucket) in
+    let kept = List.filteri (fun i _ -> i < per_shape) bucket in
+    Hashtbl.replace t.table e.en_shape kept;
+    t.evictions <- t.evictions + List.length bucket - List.length kept;
+    if List.memq e kept then t.adds <- t.adds + 1
+  end
 
 let lookup t shape =
-  locked t (fun () ->
-      t.lookups <- t.lookups + 1;
-      let es = Option.value (Hashtbl.find_opt t.table shape) ~default:[] in
-      if es <> [] then t.hits <- t.hits + 1;
-      es)
+  t.lookups <- t.lookups + 1;
+  let es = Option.value (Hashtbl.find_opt t.table shape) ~default:[] in
+  if es <> [] then t.hits <- t.hits + 1;
+  es
 
-let create ?(capacity = 256) ?(per_shape = 4) ?path () =
-  if capacity < 1 then invalid_arg "Corpus.create: capacity must be >= 1";
-  if per_shape < 1 then invalid_arg "Corpus.create: per_shape must be >= 1";
-  let t =
-    {
-      mutex = Mutex.create ();
-      table = Hashtbl.create 64;
-      per_shape;
-      capacity;
-      total = 0;
-      log = None;
-      log_path = path;
-      logged_lines = 0;
-      adds = 0;
-      evictions = 0;
-      hits = 0;
-      lookups = 0;
-      replayed = 0;
-      rejected = 0;
-    }
-  in
-  match path with
-  | None -> t
-  | Some p ->
-      (* Replay the journal (later lines supersede nothing — [add]'s
-         insert rule is order-independent up to ties, and duplicates are
-         no-ops), then open it for appending. A line that does not parse
-         or decode — a torn final line from a crash mid-append among
-         them — is counted in [rejected] and skipped. *)
-      let replayed = ref 0 in
-      (match open_in p with
-      | exception Sys_error _ -> ()
-      | ic ->
-          (try
-             while true do
-               match Result.bind (Json.of_string (input_line ic)) entry_of_json with
-               | Error _ -> t.rejected <- t.rejected + 1
-               | Ok e ->
-                   incr replayed;
-                   ignore (insert_locked t e)
-             done
-           with End_of_file -> ());
-          close_in ic);
-      t.log <-
-        (try Some (open_out_gen [ Open_append; Open_creat ] 0o644 p) with Sys_error _ -> None);
-      t.logged_lines <- !replayed;
-      t.replayed <- !replayed;
-      (* Startup compaction keeps a crash-looped daemon's journal bounded. *)
-      locked t (fun () -> if t.logged_lines > (4 * t.total) + 64 then compact_locked t);
-      t
-
-let close t =
-  locked t (fun () ->
-      match t.log with
-      | Some oc ->
-          t.log <- None;
-          (try close_out oc with Sys_error _ -> ())
-      | None -> ())
-
-type stats = {
-  entries : int;
-  shapes : int;
-  adds : int;
-  evictions : int;
-  hits : int;
-  lookups : int;
-  replayed : int;
-  rejected : int;
-}
+type stats = { entries : int; shapes : int; adds : int; evictions : int; hits : int; lookups : int }
 
 let stats t =
-  locked t (fun () ->
-      {
-        entries = t.total;
-        shapes = Hashtbl.length t.table;
-        adds = t.adds;
-        evictions = t.evictions;
-        hits = t.hits;
-        lookups = t.lookups;
-        replayed = t.replayed;
-        rejected = t.rejected;
-      })
+  {
+    entries = Hashtbl.fold (fun _ es n -> n + List.length es) t.table 0;
+    shapes = Hashtbl.length t.table;
+    adds = t.adds;
+    evictions = t.evictions;
+    hits = t.hits;
+    lookups = t.lookups;
+  }
 
 (* The corpus key of a problem source: parse and shape-hash. [None] when
    the source does not parse — an unparseable submit fails at compile

@@ -5,11 +5,15 @@
     the same circuit with tweaked specs finds its predecessors and the
     pool can seed a fraction of its annealing restarts from prior winners.
 
-    Bounded in memory (a few best-cost entries per shape, a total entry
-    cap), journal-backed on disk ([state_dir/corpus.log], JSONL, one entry
-    per line, replayed on restart and compacted via tmp+rename so a
-    kill -9 never tears it). Entries are plain data and cross the wire
-    ([corpus_lookup]) as the same JSON object the journal stores.
+    The corpus is derived from the pool's job journal, not kept beside
+    it: the pool adds a plain job's winner as the job finishes done, and
+    at startup rebuilds the index from the jobs [jobs.log] replays as
+    done. An index holds, per shape, the best four distinct winners,
+    ordered by (cost, job id) — a function of the set of entries added,
+    so a restarted daemon rebuilds exactly the corpus it had. It has no
+    file and no lock: the pool's mutex serializes every call. Entries are
+    plain data and cross the wire ([corpus_lookup], a submit's [warm]
+    seeds) as the JSON object {!entry_to_json} writes.
 
     Note the corpus is an {e optimization input}, not part of a job's
     identity: the pool snapshots the corpus at submit time into the job's
@@ -43,36 +47,27 @@ val entry_of_json : Obs.Json.t -> (entry, string) result
 
 type t
 
-(** [create ?capacity ?per_shape ?path ()] — an empty corpus holding at
-    most [capacity] (default 256) entries, the best [per_shape] (default
-    4) per shape. With [path], the JSONL journal there is replayed first
-    (torn or malformed lines skipped and counted in [stats]' [rejected])
-    and then opened for appending;
-    without it the corpus is memory-only. *)
-val create : ?capacity:int -> ?per_shape:int -> ?path:string -> unit -> t
+(** [create ()] — an empty index. *)
+val create : unit -> t
 
-(** [add t e] — record a winner. Only an entry that carries new
-    information is inserted, journaled and counted in [adds]; one already
-    present (same shape, canon, cost and values) or immediately evicted as
-    worse than the [per_shape] incumbents changes nothing. Thread-safe. *)
+(** [add t e] — record a winner. Of entries that carry the same
+    information (same shape, canon, cost and values) the one with the
+    lower job id is kept; an entry that ranks below its shape's best four
+    is dropped. [adds] counts the entries taken in, [evictions] those
+    pushed out. *)
 val add : t -> entry -> unit
 
-(** [lookup t shape] — the entries for [shape], best cost first (possibly
-    []). Thread-safe. *)
+(** [lookup t shape] — the entries for [shape], best first (possibly
+    []). *)
 val lookup : t -> string -> entry list
-
-(** Close the journal channel (after workers have drained). *)
-val close : t -> unit
 
 type stats = {
   entries : int;
   shapes : int;
-  adds : int;  (** inserts that carried new information *)
+  adds : int;  (** entries taken in since the index was created *)
   evictions : int;
   hits : int;  (** lookups that found at least one entry *)
   lookups : int;
-  replayed : int;  (** journal lines replayed at startup *)
-  rejected : int;  (** journal lines replay could not parse or decode *)
 }
 
 val stats : t -> stats

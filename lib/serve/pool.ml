@@ -13,7 +13,6 @@ type config = {
           {e consumption}, so with it off every existing run is
           bit-identical to a corpus-free daemon. *)
   warm_fraction : float;  (** fraction of a job's restarts to seed warm *)
-  corpus_capacity : int;  (** total winner-corpus entries kept in memory *)
 }
 
 let default_config =
@@ -26,7 +25,6 @@ let default_config =
     log_rotate_bytes = None;
     warm = false;
     warm_fraction = 0.5;
-    corpus_capacity = 256;
   }
 
 type job_state = Queued | Running | Done | Failed | Cancelled
@@ -88,7 +86,7 @@ type t = {
   worker_jobs : int array;
   mutable domains : unit Domain.t list;
   started_wall : float;
-  corpus : Corpus.t;
+  corpus : Corpus.t;  (** the done plain jobs' winners, guarded by [mutex] *)
 }
 
 let locked t f =
@@ -272,11 +270,12 @@ let finish_record ?(inputs = false) (j : job) =
    harmless jobs.log.tmp) or the new complete one — never a torn journal.
 
    Lock order: [t.mutex] (to render every job consistently) then
-   [t.log_mutex] (to swap the channel); [log_append] takes only
-   [log_mutex], and nothing takes [t.mutex] while holding [log_mutex], so
-   this cannot deadlock. A finish racing the rotation can append its
-   record right after the swap — a duplicate terminal line for that id,
-   which replay applies idempotently. *)
+   [t.log_mutex] (to swap the channel), the order [finish] takes them in
+   to append its line; [log_append] takes only [log_mutex], and nothing
+   takes [t.mutex] while holding [log_mutex], so this cannot deadlock.
+   A finish cannot interleave with the rotation; a submit admitted just
+   before it appends its submit line after the swap, a duplicate that
+   replay rejects and counts. *)
 let rotate t =
   match t.cfg.state_dir with
   | None -> ()
@@ -379,11 +378,40 @@ let count_runs t runs =
         r.Core.Oblx.eval_stats)
     runs
 
-(* [runs] are the job's annealing results, counted under the same lock
-   that marks the job finished: a client that sees it done sees it
-   counted. *)
+(* A done plain job's corpus entry: its winner under the hashes its
+   outcome records. A sweep records no winner, and an outcome journaled
+   before it carried [canon] has no canon. *)
+let corpus_entry (j : job) =
+  match (j.state, j.outcome) with
+  | ( Done,
+      Some
+        {
+          Proto.jo_winner = Some (values, grid, probs);
+          jo_canon = Some canon;
+          jo_shape = Some shape;
+          jo_best_cost;
+          _;
+        } ) ->
+      Some
+        {
+          Corpus.en_shape = shape;
+          en_canon = canon;
+          en_job = j.id;
+          en_name = j.spec.Proto.sb_name;
+          en_cost = jo_best_cost;
+          en_values = values;
+          en_grid = grid;
+          en_probs = probs;
+        }
+  | _ -> None
+
+(* [runs] are the job's annealing results, counted, and a done job's
+   winner entered in the corpus, under the same lock that marks the job
+   finished; its finish line is appended under that lock too. So a
+   client that sees it done sees it counted, finds its corpus entry, and
+   can rely on a restarted daemon replaying it done. *)
 let finish t (j : job) ~worker ~state ?error ?outcome ?(runs = []) () =
-  let rendered, line =
+  let rendered =
     locked t (fun () ->
         count_runs t runs;
         j.state <- state;
@@ -398,10 +426,11 @@ let finish t (j : job) ~worker ~state ?error ?outcome ?(runs = []) () =
             | Some o -> t.worker_moves.(w) <- t.worker_moves.(w) + o.Proto.jo_moves
             | None -> ())
         | _ -> ());
-        (job_json ~full:true t j, finish_record j))
+        Option.iter (Corpus.add t.corpus) (corpus_entry j);
+        log_append t (finish_record j);
+        job_json ~full:true t j)
   in
   persist t j rendered;
-  log_append t line;
   maybe_rotate t
 
 (* --- Replay: jobs.log lines back into job records ------------------- *)
@@ -534,8 +563,9 @@ let sum_evals all =
   List.fold_left (fun a (r : Core.Oblx.result) -> a + r.Core.Oblx.evals) 0 all
 
 (* The one builder of a plain job's outcome: every restart [all] over
-   problem [p], and the winner [best] among them. *)
-let outcome_of_run p ~shape (best : Core.Oblx.result) all =
+   problem [p], the winner [best] among them, and the source's (canon,
+   shape) hashes when it parsed. *)
+let outcome_of_run p ~hashes (best : Core.Oblx.result) all =
   {
     Proto.jo_best_cost = best.Core.Oblx.best_cost;
     jo_moves = sum_moves all;
@@ -546,7 +576,8 @@ let outcome_of_run p ~shape (best : Core.Oblx.result) all =
     jo_winner_restart = Some (winner_index best all);
     jo_winner_score = Some (Core.Oblx.score p best);
     jo_sweep = [];
-    jo_shape = shape;
+    jo_shape = Option.map snd hashes;
+    jo_canon = Option.map fst hashes;
     jo_warm = best.Core.Oblx.warm;
     jo_winner =
       Some
@@ -722,6 +753,7 @@ let run_sweep t (j : job) ~worker =
       jo_winner_score = None;
       jo_sweep = rows;
       jo_shape = None;
+      jo_canon = None;
       jo_warm = None;
       jo_winner = None;
     }
@@ -758,26 +790,6 @@ let hashes_of_source src =
   | ast -> Some (Netlist.Canon.problem_hash ast, Netlist.Canon.problem_shape_hash ast)
   | exception Netlist.Parser.Error _ -> None
 
-(* Record a finished job's winner in the corpus before the job reads done,
-   so a client that sees it done finds the entry. Recording is
-   unconditional on [cfg.warm]: the corpus fills passively like the
-   journal; [warm] only gates whether submits read from it. *)
-let record_corpus t (j : job) (o : Proto.outcome) hashes =
-  match (o.Proto.jo_winner, hashes) with
-  | Some (values, grid, probs), Some (canon, shape) ->
-      Corpus.add t.corpus
-        {
-          Corpus.en_shape = shape;
-          en_canon = canon;
-          en_job = j.id;
-          en_name = j.spec.Proto.sb_name;
-          en_cost = o.Proto.jo_best_cost;
-          en_values = values;
-          en_grid = grid;
-          en_probs = probs;
-        }
-  | _ -> ()
-
 let run_job t (j : job) ~worker =
   if j.spec.Proto.sb_sweep <> [] then run_sweep t j ~worker
   else
@@ -806,10 +818,10 @@ let run_job t (j : job) ~worker =
                 ~poll:(fun () -> Atomic.get j.cancel)
                 ~obs:(job_obs j) p
             in
-            let hashes = hashes_of_source j.spec.Proto.sb_source in
-            let outcome = outcome_of_run p ~shape:(Option.map snd hashes) best all in
+            let outcome =
+              outcome_of_run p ~hashes:(hashes_of_source j.spec.Proto.sb_source) best all
+            in
             let state = if Atomic.get j.cancel <> None then Cancelled else Done in
-            if state = Done then record_corpus t j outcome hashes;
             finish t j ~worker:(Some worker) ~state ~outcome ~runs:all ()
       end
 
@@ -888,13 +900,16 @@ let create cfg =
       worker_jobs = Array.make (Int.max 1 cfg.workers) 0;
       domains = [];
       started_wall = now ();
-      corpus =
-        Corpus.create ~capacity:cfg.corpus_capacity
-          ?path:(Option.map (fun dir -> Filename.concat dir "corpus.log") cfg.state_dir)
-          ();
+      corpus = Corpus.create ();
     }
   in
-  List.iter (fun (j : job) -> Hashtbl.replace t.jobs j.id j) restored_jobs;
+  (* The corpus is the done jobs' winners, rebuilt from the replayed
+     records. *)
+  List.iter
+    (fun (j : job) ->
+      Hashtbl.replace t.jobs j.id j;
+      Option.iter (Corpus.add t.corpus) (corpus_entry j))
+    restored_jobs;
   (* A job the previous daemon never finished cannot be resumed (its worker
      died mid-anneal); fail it loudly rather than letting it vanish. This
      also journals the verdict, so a second restart replays it as failed. *)
@@ -915,6 +930,9 @@ let create cfg =
             Gc.set { (Gc.get ()) with Gc.minor_heap_size = Core.Oblx.arena_minor_heap_words };
             worker_loop t ~worker:w));
   t
+
+(* The corpus_lookup verb, and a warm submit's snapshot. *)
+let corpus_lookup t ~shape = locked t (fun () -> Corpus.lookup t.corpus shape)
 
 let submit t (s : Proto.submit) =
   if s.Proto.sb_runs < 1 then Error "runs must be >= 1"
@@ -957,7 +975,7 @@ let submit t (s : Proto.submit) =
                 | _ when n = 0 -> []
                 | e :: rest -> e :: take (n - 1) rest
               in
-              match take n_warm (Corpus.lookup t.corpus shape) with
+              match take n_warm (corpus_lookup t ~shape) with
               | [] -> s
               | warm -> { s with Proto.sb_warm = warm }
             end
@@ -1116,13 +1134,10 @@ let stats_json t =
               [
                 ("entries", num_i c.Corpus.entries);
                 ("shapes", num_i c.Corpus.shapes);
-                ("capacity", num_i t.cfg.corpus_capacity);
                 ("adds", num_i c.Corpus.adds);
                 ("evictions", num_i c.Corpus.evictions);
                 ("hits", num_i c.Corpus.hits);
                 ("lookups", num_i c.Corpus.lookups);
-                ("replayed", num_i c.Corpus.replayed);
-                ("rejected", num_i c.Corpus.rejected);
                 ("warm", Json.Bool t.cfg.warm);
                 ("warm_fraction", Json.Num t.cfg.warm_fraction);
               ] );
@@ -1141,10 +1156,6 @@ let stats_json t =
                          else Json.Null );
                      ])) );
         ])
-
-(* --- The corpus_lookup verb ------------------------------------------- *)
-
-let corpus_lookup t ~shape = Corpus.lookup t.corpus shape
 
 (* --- The resynthesize fast path --------------------------------------- *)
 
@@ -1292,7 +1303,6 @@ let shutdown t =
   in
   List.iter (fun j -> finish t j ~worker:None ~state:Cancelled ()) queued;
   List.iter Domain.join domains;
-  Corpus.close t.corpus;
   (* Workers are gone and submissions are refused: nothing appends past
      this point, so the journal can close. (A second shutdown call raises
      on the closed channel; swallow it — idempotence is the contract.) *)

@@ -17,7 +17,9 @@
     {!create} replays it, so a restarted daemon still answers
     [status]/[result] for every pre-restart job id with the same record;
     jobs the old daemon left [Queued]/[Running] cannot be resumed and are
-    replayed as [Failed] with error ["daemon restarted"]. A line replay
+    replayed as [Failed] with error ["daemon restarted"]. A job's finish
+    line is appended before the job reads finished, so a job a client saw
+    done replays done. A line replay
     cannot parse or decode is counted (the [journal.rejected] stat) and
     never applied: a job whose finish line is rejected replays as
     interrupted. With [log_rotate_bytes],
@@ -69,7 +71,6 @@ type config = {
       (** at most this fraction of a job's restarts get warm seeds
           (floored, so [runs = 1] always stays fully cold); the rest run
           cold so the search never collapses onto its own history *)
-  corpus_capacity : int;  (** total winner-corpus entries kept *)
 }
 
 val default_config : config
@@ -103,8 +104,8 @@ val result_json : t -> int -> (Obs.Json.t, string) result
 
 (** [stats_json t] — jobs by state, queue depth, [restored_jobs] (jobs
     replayed from the log at startup), compile-cache hit rate, journal
-    size/rotations and the lines its replay rejected, the winner corpus
-    (with its own rejected count), per-worker moves/s, and the
+    size/rotations and the lines its replay rejected, the winner corpus's
+    size and lookup counts, per-worker moves/s, and the
     [telemetry] ([moves], [accepted]) and [evals] (incremental-evaluator
     counters) blocks: sums over every restart of every job finished since
     boot, counted under the lock that marks the job finished. *)
@@ -112,10 +113,12 @@ val stats_json : t -> Obs.Json.t
 
 (** {2 Warm starts — the winner corpus and the resynthesize fast path}
 
-    Every finished (non-sweep) job records its winning variable vector,
-    final cost, and end-of-run Hustin distribution in a bounded {!Corpus}
-    keyed by the problem's shape hash, journaled in
-    [state_dir/corpus.log]. With
+    Every done (non-sweep) job's winning variable vector, final cost, and
+    end-of-run Hustin distribution enter a {!Corpus} keyed by the
+    problem's shape hash, under the lock that marks the job done, and
+    {!create} rebuilds it from the jobs [jobs.log] replays as done (a
+    done job whose outcome lacks [canon], journaled before the outcome
+    carried it, stays out). With
     [config.warm] on, a plain submit snapshots the best corpus entries for
     its shape into [sb_warm] — at most [warm_fraction] of the restarts —
     before journaling, so the snapshot is part of the job's recorded

@@ -87,13 +87,14 @@ type outcome = {
   jo_winner_score : float option;  (** {!Core.Oblx.score} of the winner *)
   jo_sweep : sweep_row list;  (** non-empty only for sweep jobs *)
   jo_shape : string option;  (** the problem's shape hash, when it parsed *)
+  jo_canon : string option;  (** the problem's canon hash, when it parsed *)
   jo_warm : string option;
       (** provenance of the winning restart's seed (a corpus label), or
           [None] when a cold restart won / no warm seeds were attached *)
   jo_winner : (float array * int array * float array) option;
       (** winner's (values, grid indices, Hustin probs) — recorded on the
-          job so [resynthesize] can warm-start from it even after the
-          corpus evicted the entry *)
+          job: [resynthesize] warm-starts from it, and the pool rebuilds
+          the winner corpus from the done jobs' winners *)
 }
 
 let num_i i = Json.Num (float_of_int i)
@@ -283,6 +284,7 @@ let outcome_to_json (o : outcome) =
        ("sizes", Json.Obj (List.map (fun (k, v) -> (k, Json.Num v)) o.jo_sizes));
      ]
     @ (match o.jo_shape with Some s -> [ ("shape", Json.Str s) ] | None -> [])
+    @ (match o.jo_canon with Some c -> [ ("canon", Json.Str c) ] | None -> [])
     @ (match o.jo_warm with Some w -> [ ("warm", Json.Str w) ] | None -> [])
     @ (match o.jo_winner with
       | None -> []
@@ -309,6 +311,7 @@ let outcome_of_json_exn j =
     jo_winner_score = nullable "winner_score" Json.to_float j;
     jo_sweep = Option.value (optional "sweep" (list sweep_row_of_json_exn) j) ~default:[];
     jo_shape = optional "shape" Json.to_str j;
+    jo_canon = optional "canon" Json.to_str j;
     jo_warm = optional "warm" Json.to_str j;
     jo_winner =
       Option.map

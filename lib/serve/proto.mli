@@ -132,13 +132,14 @@ type outcome = {
   jo_winner_score : float option;  (** {!Core.Oblx.score} of the winner *)
   jo_sweep : sweep_row list;  (** non-empty only for sweep jobs *)
   jo_shape : string option;  (** the problem's shape hash, when it parsed *)
+  jo_canon : string option;  (** the problem's canon hash, when it parsed *)
   jo_warm : string option;
       (** provenance of the winning restart's seed (a corpus label), or
           [None] when a cold restart won / no warm seeds were attached *)
   jo_winner : (float array * int array * float array) option;
       (** winner's (values, grid indices, Hustin probs) — recorded on the
-          job so [resynthesize] can warm-start from it even after the
-          corpus evicted the entry *)
+          job: [resynthesize] warm-starts from it, and the pool rebuilds
+          the winner corpus from the done jobs' winners *)
 }
 
 (** {2 Codecs}
@@ -160,9 +161,10 @@ val submit_of_json : Obs.Json.t -> (submit, string) result
 (** The outcome's members in result-record order: ["cut_reason"] (which
     the status view shows too), then the detail block — ["best_cost"],
     ["moves"], ["evals"], ["winner_restart"], ["winner_score"],
-    ["predicted"], ["sizes"], and when present ["shape"], ["warm"], the
-    three ["winner_*"] arrays and the ["sweep"] rows. The decoder accepts
-    any object holding those members, such as a whole result record. *)
+    ["predicted"], ["sizes"], and when present ["shape"], ["canon"],
+    ["warm"], the three ["winner_*"] arrays and the ["sweep"] rows. The
+    decoder accepts any object holding those members, such as a whole
+    result record. *)
 val outcome_to_json : outcome -> Obs.Json.t
 
 val outcome_of_json : Obs.Json.t -> (outcome, string) result

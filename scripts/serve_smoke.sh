@@ -7,8 +7,10 @@
 # serve two clients at once, answer stats and a corpus lookup over TCP,
 # survive a kill -9 with the job log answering for pre-restart ids (a
 # finished job's result byte-identical, a traced job's events included,
-# no journal line rejected), resynthesize a replayed job warm from its
-# winner, and shut down leaving neither listener behind. CI runs this as
+# no journal line rejected) and the winner corpus rebuilt from it
+# byte-identical, resynthesize a replayed job warm from its winner, and
+# shut down leaving neither listener behind and no state file beside the
+# job log and the job records. CI runs this as
 # the serve-smoke job; locally it is `make serve-smoke`. Everything lives
 # in a temp dir, nothing is left behind.
 set -euo pipefail
@@ -133,6 +135,8 @@ for id in "$DONE_ID" "$TRACED_ID"; do
   "$ASTRX" result "$id" --socket "$SOCK" "${AUTH[@]}" --json > "$DIR/done-$id-before.json" \
     || fail "no result for job $id before the restart"
 done
+"$ASTRX" corpus "$SHAPE" --socket "$SOCK" "${AUTH[@]}" --json > "$DIR/corpus-before.json" \
+  || fail "no corpus before the restart"
 # Leave a job running when the daemon dies: it cannot be resumed and must
 # be replayed as failed("daemon restarted").
 ORPHAN_ID=$("$ASTRX" submit simple-ota --socket "$SOCK" "${AUTH[@]}" --moves 20000000 --json | sed 's/[^0-9]//g')
@@ -147,6 +151,12 @@ for id in "$DONE_ID" "$TRACED_ID"; do
     || { diff "$DIR/done-$id-before.json" "$DIR/done-$id-after.json" >&2 || true
          fail "replayed job $id's result is not byte-identical"; }
 done
+# The corpus is rebuilt from the replayed job log, entry for entry.
+"$ASTRX" corpus "$SHAPE" --socket "$SOCK" "${AUTH[@]}" --json > "$DIR/corpus-after.json" \
+  || fail "no corpus after the restart"
+cmp -s "$DIR/corpus-before.json" "$DIR/corpus-after.json" \
+  || { diff "$DIR/corpus-before.json" "$DIR/corpus-after.json" >&2 || true
+       fail "the rebuilt corpus for shape $SHAPE is not byte-identical"; }
 ORES=$("$ASTRX" result "$ORPHAN_ID" --socket "$SOCK" "${AUTH[@]}" --json) || fail "restarted daemon does not know job $ORPHAN_ID"
 echo "$ORES" | grep -q '"state":"failed"' || fail "interrupted job $ORPHAN_ID not failed on replay"
 echo "$ORES" | grep -q 'daemon restarted' || fail "interrupted job $ORPHAN_ID lacks the restart verdict"
@@ -177,5 +187,8 @@ if "$ASTRX" stats --socket "$TCP" "${AUTH[@]}" --json >/dev/null 2>&1; then
   fail "TCP listener survived the shutdown"
 fi
 ls "$DIR/state" | grep -q '^job-' || fail "no job records in the state dir"
+# One journal: the state dir holds jobs.log and the job records, nothing else.
+EXTRA=$(ls "$DIR/state" | grep -v -e '^jobs\.log$' -e '^job-[0-9]*\.json$' || true)
+[ -z "$EXTRA" ] || fail "the state dir holds more than the job log and records: $EXTRA"
 
 echo "serve-smoke: OK"

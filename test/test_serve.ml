@@ -1385,10 +1385,11 @@ let test_pool_corpus_crash_durability () =
   let dir = temp_state_dir "corpus" in
   rm_rf dir;
   (* Pool A records a winner, then is abandoned without shutdown — the
-     crash case. The corpus journal is flushed per add, so pool B over the
-     same state_dir must replay the identical entry, and a warm job
-     submitted to either pool must synthesize bit-identically: the
-     journaled snapshot, not the daemon's lifetime, owns the seeds. *)
+     crash case — right after the job reads done. A job reads done only
+     once its finish line is journaled, so pool B over the same state_dir
+     must rebuild the identical entry from it, and a warm job submitted to
+     either pool must synthesize bit-identically: the journaled snapshot,
+     not the daemon's lifetime, owns the seeds. *)
   let cfg = { Serve.Pool.default_config with workers = 1; queue_capacity = 8;
               state_dir = Some dir; warm = true; warm_fraction = 1.0 } in
   let pool_a = Serve.Pool.create cfg in
@@ -1415,11 +1416,10 @@ let test_pool_corpus_crash_durability () =
     (Array.for_all2
        (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b)
        entry_a.Serve.Corpus.en_values entry_b.Serve.Corpus.en_values);
-  (match Obs.Json.mem_opt "corpus" (Serve.Pool.stats_json pool_b) with
-  | Some c ->
-      Alcotest.(check bool) "replay counted" true
-        (match jnum c "replayed" with Some n -> n >= 1.0 | None -> false)
-  | None -> Alcotest.fail "no corpus stats block");
+  Alcotest.(check bool) "replay counted" true
+    (match jnum (Serve.Pool.stats_json pool_b) "restored_jobs" with
+    | Some n -> n >= 1.0
+    | None -> false);
   let warm_cost pool =
     let id = ok (Serve.Pool.submit pool (submission ~seed:6 ~moves:300 ())) in
     Alcotest.(check string) "warm job finished" "done" (wait_done pool id);
@@ -1608,6 +1608,7 @@ let gen_outcome f =
     let* winner_score = opt f in
     let* sweep = list_size (0 -- 2) (gen_row f) in
     let* shape = opt gen_str in
+    let* canon = opt gen_str in
     let* warm = opt gen_str in
     let+ winner =
       opt
@@ -1625,6 +1626,7 @@ let gen_outcome f =
       jo_winner_score = winner_score;
       jo_sweep = sweep;
       jo_shape = shape;
+      jo_canon = canon;
       jo_warm = warm;
       jo_winner = winner;
     })
@@ -1847,31 +1849,10 @@ let test_corpus_decode_names_field () =
             (contains e (Printf.sprintf "%S" k)))
     cases
 
-let test_corpus_replay_counts_rejected () =
-  let dir = temp_state_dir "corpus-rejected" in
-  rm_rf dir;
-  Unix.mkdir dir 0o755;
-  let path = Filename.concat dir "corpus.log" in
-  let good = Obs.Json.to_string (Serve.Corpus.entry_to_json corpus_entry) in
-  write_lines path
-    [
-      good;
-      {|{"shape":"s","values":"none"}|};
-      String.sub good 0 20;
-      corpus_json_with "name" (Some (Obs.Json.Num 5.0));
-      corpus_json_with "grid" None;
-    ];
-  let c = Serve.Corpus.create ~path () in
-  let st = Serve.Corpus.stats c in
-  Alcotest.(check int) "the good line replays" 1 st.Serve.Corpus.replayed;
-  Alcotest.(check int) "the bad, torn and defaulted lines are counted" 4 st.Serve.Corpus.rejected;
-  Serve.Corpus.close c;
-  rm_rf dir
-
 (* Garbled corpus lines, as [prop_garbled_lines_rejected] garbles the job
-   log: replay never raises, counts every line as replayed or rejected,
-   and a line that still decodes carries every member the encoder writes
-   (none was defaulted) and round-trips through the codec. *)
+   log: the decoder never raises, and a line that still decodes carries
+   every member the encoder writes (none was defaulted) and round-trips
+   through the codec. *)
 let prop_garbled_corpus_lines =
   QCheck.Test.make ~name:"truncated or mutated corpus lines decode whole or are rejected"
     ~count:200
@@ -1884,30 +1865,146 @@ let prop_garbled_corpus_lines =
         else String.mapi (fun i c -> if i = pos then byte else c) line
       in
       let members = [ "shape"; "canon"; "job"; "name"; "cost"; "values"; "grid"; "probs" ] in
-      let decoded l =
-        Result.bind (Obs.Json.of_string l) (fun j ->
-            Result.map (fun e -> (j, e)) (Serve.Corpus.entry_of_json j))
-      in
       let whole (j, e) =
         List.for_all (fun k -> Obs.Json.mem_opt k j <> None) members
         && Serve.Corpus.entry_of_json (Serve.Corpus.entry_to_json e) = Ok e
       in
-      let dir = temp_state_dir "corpus-garble" in
-      rm_rf dir;
-      Unix.mkdir dir 0o755;
-      write_lines (Filename.concat dir "corpus.log") [ garbled ];
-      match Serve.Corpus.create ~path:(Filename.concat dir "corpus.log") () with
-      | exception e -> QCheck.Test.fail_reportf "replay raised %s" (Printexc.to_string e)
-      | c ->
-          let st = Serve.Corpus.stats c in
-          Serve.Corpus.close c;
-          rm_rf dir;
-          (* A mutated byte may be a newline, which splits the line. *)
-          let pieces = String.split_on_char '\n' garbled in
-          let ok = List.filter_map (fun l -> Result.to_option (decoded l)) pieces in
-          List.for_all whole ok
-          && st.Serve.Corpus.replayed = List.length ok
-          && st.Serve.Corpus.replayed + st.Serve.Corpus.rejected = List.length pieces)
+      (* A mutated byte may be a newline, which splits the line. *)
+      List.for_all
+        (fun l ->
+          match
+            Result.bind (Obs.Json.of_string l) (fun j ->
+                Result.map (fun e -> (j, e)) (Serve.Corpus.entry_of_json j))
+          with
+          | exception e -> QCheck.Test.fail_reportf "decode raised %s" (Printexc.to_string e)
+          | Ok d -> whole d
+          | Error _ -> true)
+        (String.split_on_char '\n' garbled))
+
+(* The corpus is a function of the done plain jobs: a 1-worker pool
+   finishes a mix out of id order, and every shape's lookup reads the same
+   live, after a restart, and after a restart on a compacted journal. *)
+let test_corpus_is_finished_jobs () =
+  let dir = temp_state_dir "corpus-derived" in
+  rm_rf dir;
+  let cfg ?log_rotate_bytes workers =
+    {
+      Serve.Pool.default_config with
+      workers;
+      queue_capacity = 32;
+      state_dir = Some dir;
+      log_rotate_bytes;
+    }
+  in
+  let pool = Serve.Pool.create (cfg 1) in
+  (* A blocker holds the worker while the rest queues. *)
+  let blocker = ok (Serve.Pool.submit pool (submission ~seed:99 ~moves:100_000_000 ())) in
+  let rec wait_running () =
+    if jstr (ok (Serve.Pool.status_json pool blocker)) "state" = Some "queued" then begin
+      Unix.sleepf 0.01;
+      wait_running ()
+    end
+  in
+  wait_running ();
+  let plain =
+    List.map (fun seed -> ok (Serve.Pool.submit pool (submission ~seed ~moves:150 ()))) [ 1; 2; 3; 4; 5 ]
+  in
+  let ota =
+    ok
+      (Serve.Pool.submit pool
+         (submission ~name:"ota"
+            ~source:(Option.get (Suite.Ckts.find "ota")).Suite.Ckts.source
+            ~moves:100 ()))
+  in
+  (* Same source and seed as the first plain submit, so the same winner;
+     a higher id, but it runs first. *)
+  let dup = ok (Serve.Pool.submit pool (submission ~seed:1 ~moves:150 ~priority:5 ())) in
+  let sweep =
+    ok
+      (Serve.Pool.submit pool
+         { (submission ~moves:100 ()) with Serve.Proto.sb_sweep = [ List.hd sweep_variants ] })
+  in
+  let failed = ok (Serve.Pool.submit pool (submission ~source:broken_source ())) in
+  let cancelled = ok (Serve.Pool.submit pool (submission ~seed:6 ~moves:150 ())) in
+  ok (Serve.Pool.cancel pool cancelled);
+  ok (Serve.Pool.cancel pool blocker);
+  List.iter (fun id -> ignore (wait_done pool id)) ((dup :: plain) @ [ ota; sweep; failed ]);
+  let path = Filename.concat dir "jobs.log" in
+  let finish_line id =
+    let rec go k = function
+      | [] -> Alcotest.failf "job %d has no finish line" id
+      | l :: rest -> (
+          match Obs.Json.of_string l with
+          | Ok j when jstr j "log" = Some "finish" && jnum j "id" = Some (float_of_int id) -> k
+          | _ -> go (k + 1) rest)
+    in
+    go 0 (read_lines path)
+  in
+  Alcotest.(check bool) "the duplicate finished first" true
+    (finish_line dup < finish_line (List.hd plain));
+  let shapes =
+    List.map
+      (fun src -> Option.get (Serve.Corpus.shape_of_source src))
+      [ ota_source; (Option.get (Suite.Ckts.find "ota")).Suite.Ckts.source ]
+  in
+  let rendered pool =
+    List.map
+      (fun shape ->
+        Obs.Json.to_string
+          (Obs.Json.Arr (List.map Serve.Corpus.entry_to_json (Serve.Pool.corpus_lookup pool ~shape))))
+      shapes
+  in
+  let live = rendered pool in
+  let entries = List.concat_map (fun shape -> Serve.Pool.corpus_lookup pool ~shape) shapes in
+  let listed id = List.length (List.filter (fun e -> e.Serve.Corpus.en_job = id) entries) in
+  Alcotest.(check int) "the ota winner is listed" 1 (listed ota);
+  Alcotest.(check int) "the duplicate is listed under the lower id" 1 (listed (List.hd plain));
+  Alcotest.(check int) "and not under its own" 0 (listed dup);
+  List.iter
+    (fun (what, id) -> Alcotest.(check int) (what ^ " job absent") 0 (listed id))
+    [ ("sweep", sweep); ("cancelled", cancelled); ("failed", failed); ("blocker", blocker) ];
+  Alcotest.(check int) "the best four of five distinct winners" 4
+    (List.length (Serve.Pool.corpus_lookup pool ~shape:(List.hd shapes)));
+  let record = ok (Serve.Pool.result_json pool (List.hd plain)) in
+  Serve.Pool.shutdown pool;
+  let pool = Serve.Pool.create (cfg 0) in
+  Alcotest.(check (list string)) "restarted" live (rendered pool);
+  Serve.Pool.shutdown pool;
+  (* A submit past a 1-byte limit compacts the journal. *)
+  let pool = Serve.Pool.create (cfg ~log_rotate_bytes:1 0) in
+  ignore (ok (Serve.Pool.submit pool (submission ())));
+  Alcotest.(check bool) "the journal was compacted" true
+    (jnum (Option.get (Obs.Json.mem_opt "journal" (Serve.Pool.stats_json pool))) "rotations"
+    >= Some 1.0);
+  Serve.Pool.shutdown pool;
+  let pool = Serve.Pool.create (cfg 0) in
+  Alcotest.(check (list string)) "restarted after a compaction" live (rendered pool);
+  Serve.Pool.shutdown pool;
+  (* A done finish line journaled before the outcome carried [canon]. *)
+  let drop_canon = function
+    | Obs.Json.Obj kvs -> Obs.Json.Obj (List.filter (fun (k, _) -> k <> "canon") kvs)
+    | j -> j
+  in
+  write_lines path
+    (List.map
+       (fun l ->
+         match Obs.Json.of_string l with
+         | Ok (Obs.Json.Obj kvs as j) when jnum j "id" = Some (float_of_int (List.hd plain)) ->
+             Obs.Json.to_string
+               (Obs.Json.Obj
+                  (List.map (fun (k, v) -> (k, if k = "outcome" then drop_canon v else v)) kvs))
+         | _ -> l)
+       (read_lines path));
+  let pool = Serve.Pool.create (cfg 0) in
+  Alcotest.(check string) "its record replays intact"
+    (Obs.Json.to_string (drop_canon record))
+    (Obs.Json.to_string (ok (Serve.Pool.result_json pool (List.hd plain))));
+  Alcotest.(check bool) "and stays out of the corpus" true
+    (List.for_all
+       (fun e -> e.Serve.Corpus.en_job <> List.hd plain)
+       (Serve.Pool.corpus_lookup pool ~shape:(List.hd shapes)));
+  Serve.Pool.shutdown pool;
+  rm_rf dir
 
 let test_resynthesize_sweep_refused () =
   let dir = temp_state_dir "resynth-sweep" in
@@ -2036,11 +2133,10 @@ let () =
             test_pool_corpus_records_and_seeds;
           Alcotest.test_case "corpus survives a crash, bits unchanged" `Slow
             test_pool_corpus_crash_durability;
+          Alcotest.test_case "corpus is the finished jobs" `Slow test_corpus_is_finished_jobs;
           Alcotest.test_case "resynthesize fast path" `Slow test_pool_resynthesize;
           Alcotest.test_case "resynthesize refuses a sweep" `Slow
             test_resynthesize_sweep_refused;
-          Alcotest.test_case "corpus replay counts rejected lines" `Quick
-            test_corpus_replay_counts_rejected;
           Alcotest.test_case "corpus decode errors name the field" `Quick
             test_corpus_decode_names_field;
           QCheck_alcotest.to_alcotest prop_garbled_corpus_lines;
