@@ -83,7 +83,8 @@ bench-sweep:
 # The resynthesize scenario measured end to end: a cold run vs one seeded
 # from the parent winner (values + learned Hustin distribution) on a
 # spec-retargeted problem, scored by moves-to-target, plus the warm-off
-# bit-identity guard; writes bench/results/warm-start-latest.json.
+# bit-identity guard; writes bench/results/warm-start-latest.json, and
+# fails when the committed copy it replaces differs (a stale artifact).
 # WARM_FLOOR gates the best cold/warm ratio — like PERF_INCR_FLOOR it
 # needs no core-count scaling (the win is sample efficiency).
 WARM_FLOOR ?= 1.5

@@ -47,6 +47,30 @@ let write_artifact path json =
   write path;
   Option.iter (fun stamp -> write (stamped_path path stamp)) !runstamp
 
+(* The paths (dotted members, bracketed indices) where two JSON values
+   differ; numbers compare by their printed 17-digit form, which
+   round-trips every float. *)
+let rec json_diff path a b =
+  let sub k = if path = "" then k else path ^ "." ^ k in
+  match (a, b) with
+  | Obs.Json.Obj xs, Obs.Json.Obj ys ->
+      let keys = List.sort_uniq String.compare (List.map fst xs @ List.map fst ys) in
+      List.concat_map
+        (fun k ->
+          match (List.assoc_opt k xs, List.assoc_opt k ys) with
+          | Some x, Some y -> json_diff (sub k) x y
+          | Some _, None | None, Some _ | None, None -> [ sub k ])
+        keys
+  | Obs.Json.Arr xs, Obs.Json.Arr ys when List.length xs = List.length ys ->
+      List.concat
+        (List.mapi (fun i (x, y) -> json_diff (Printf.sprintf "%s[%d]" path i) x y)
+           (List.combine xs ys))
+  | _ -> if Obs.Json.to_string a = Obs.Json.to_string b then [] else [ path ]
+
+let drop_member k = function
+  | Obs.Json.Obj xs -> Obs.Json.Obj (List.remove_assoc k xs)
+  | j -> j
+
 let sep title =
   Printf.printf "\n%s\n%s\n%s\n" (String.make 78 '=') title (String.make 78 '=')
 
@@ -1735,8 +1759,18 @@ let sweep_bench () =
    unless some circuit's cold/warm ratio reaches F. A side guard reruns
    the first circuit with [warm_starts = [||]] and insists the winner is
    bit-identical to the plain call — the warm-off cold path must never
-   move. *)
+   move. Every field of the artifact but the host's baseline block is a
+   function of the seed and the budget, so the bench also fails when the
+   committed artifact (read before it is overwritten) disagrees with the
+   fresh run at the same seed and budget: a change that moves a
+   trajectory regenerates it. *)
 let warm_start_bench () =
+  let path = "bench/results/warm-start-latest.json" in
+  let committed =
+    match In_channel.with_open_bin path In_channel.input_all with
+    | text -> Result.to_option (Obs.Json.of_string text)
+    | exception Sys_error _ -> None
+  in
   sep "WARM-START -- corpus-seeded restarts vs cold (resynthesize fast path)";
   let n_moves = Option.value !moves ~default:6_000 in
   let circuits = [ "simple-ota"; "two-stage"; "folded-cascode" ] in
@@ -1836,7 +1870,6 @@ let warm_start_bench () =
     List.fold_left (fun a (_, _, _, _, _, _, r, _, _, _, _) -> Float.max a r) 0.0 rows
   in
   Printf.printf "\nbest warm-start speedup (moves to cold's best): %.2fx\n" best_ratio;
-  let path = "bench/results/warm-start-latest.json" in
   let num v = Obs.Json.Num v in
   let int v = num (float_of_int v) in
   let json =
@@ -1869,15 +1902,44 @@ let warm_start_bench () =
       ]
   in
   write_artifact path json;
-  match !floor_opt with
-  | None -> ()
-  | Some f ->
-      Printf.printf "floor check: best ratio %.2fx (floor %.2fx)\n" best_ratio f;
-      if best_ratio < f then begin
-        Printf.eprintf "warm-start: FAIL: best ratio %.2fx below floor %.2fx\n" best_ratio f;
-        exit 1
-      end
-      else Printf.printf "floor check: PASS\n"
+  let stale =
+    match committed with
+    | None ->
+        Printf.printf "artifact check: no committed %s to compare\n" path;
+        false
+    | Some c ->
+        let run_of j = (Obs.Json.mem_opt "seed" j, Obs.Json.mem_opt "moves" j) in
+        if run_of c <> run_of json then begin
+          Printf.printf "artifact check: the committed artifact has another seed or budget\n";
+          false
+        end
+        else begin
+          match json_diff "" (drop_member "baseline" c) (drop_member "baseline" json) with
+          | [] ->
+              Printf.printf "artifact check: PASS (matches the committed artifact)\n";
+              false
+          | diffs ->
+              Printf.eprintf
+                "warm-start: FAIL: the committed artifact is stale in %s; commit the fresh %s\n"
+                (String.concat ", " diffs) path;
+              true
+        end
+  in
+  let below_floor =
+    match !floor_opt with
+    | None -> false
+    | Some f ->
+        Printf.printf "floor check: best ratio %.2fx (floor %.2fx)\n" best_ratio f;
+        if best_ratio < f then begin
+          Printf.eprintf "warm-start: FAIL: best ratio %.2fx below floor %.2fx\n" best_ratio f;
+          true
+        end
+        else begin
+          Printf.printf "floor check: PASS\n";
+          false
+        end
+  in
+  if stale || below_floor then exit 1
 
 let usage () =
   print_endline

@@ -411,6 +411,10 @@ let output_noise_v2_per_hz (lin : Mna.Linearize.t) ~value ~ops ~sel =
           acc)
     0.0 idx.Mna.Sysmat.circuit.Netlist.Circuit.elements
 
+(* One remembered in-loop step response: [w_tf]'s at the user variables
+   [w_key] (a [Problem.user_slice]). *)
+type wave_slot = { w_tf : string; w_key : float array; w_wave : (Spec.wave, string) result }
+
 (* The in-loop backend of [Spec.eval]: device references read the
    relaxed-dc operating points, transfer-function measurements the AWE
    models, and step responses the coarse in-loop transient.
@@ -427,11 +431,19 @@ type spec_ctx = {
   mutable cx_ops : (string * Mna.Dc.op_info) list;
   mutable cx_node_leaving : float array;
   mutable cx_roms : (string * (Awe.Rom.t, string) result) list;
-  mutable cx_trans : (string * (Spec.wave, string) result) list;
-      (* transients run for this context's state, per tf: [slew_rate] and
-         [settle] of one tf read one simulation. Emptied whenever the
-         context is repointed. *)
+  cx_waves : wave_slot option array;
+      (* in-loop transients, failures included, keyed on the tf and the
+         state's [Problem.user_slice] bits — all a step response reads.
+         [slew_rate] and [settle] of one tf read one simulation, and the
+         incremental session's context, which outlives every repoint,
+         serves a user point the anneal revisits (an undone move, a
+         node-voltage or Newton move) without simulating it again. *)
+  mutable cx_waves_next : int;  (* round-robin slot to overwrite *)
 }
+
+(* Slots of the in-loop transient memo: the anneal's revisits mostly
+   return within a few user-variable moves. *)
+let wave_memo_slots = 8
 
 (* The step response of [tf] under its jig's .tran card at step [dt]. *)
 let step_wave (p : Problem.t) ~value (tf : Spec.tf) ~dt =
@@ -451,15 +463,23 @@ let spec_backend (p : Problem.t) (cx : spec_ctx) =
   let rom (tf : Spec.tf) = rom_of cx.cx_roms tf.Spec.tf_name in
   (* The in-loop step size is the coarse [dtloop] when declared, else the
      exact [dt] (Verify always re-measures at the exact [dt]). Simulated
-     once per tf and context state, failure included. *)
+     once per tf and user point held in [cx_waves], failure included. *)
   let step (tf : Spec.tf) =
+    let name = tf.Spec.tf_name and values = cx.cx_st.State.values in
+    let seen = function
+      | Some s when String.equal s.w_tf name && Problem.same_user_bits s.w_key values ->
+          Some s.w_wave
+      | Some _ | None -> None
+    in
     let w =
-      match List.assoc_opt tf.Spec.tf_name cx.cx_trans with
+      match Array.find_map seen cx.cx_waves with
       | Some w -> w
       | None ->
           let dt tc = Option.value tc.Netlist.Ast.tr_dtloop ~default:tc.Netlist.Ast.tr_dt in
           let w = try Ok (step_wave p ~value tf ~dt) with Measurement_failed m -> Error m in
-          cx.cx_trans <- (tf.Spec.tf_name, w) :: cx.cx_trans;
+          cx.cx_waves.(cx.cx_waves_next) <-
+            Some { w_tf = name; w_key = Problem.user_slice p values; w_wave = w };
+          cx.cx_waves_next <- (cx.cx_waves_next + 1) mod Array.length cx.cx_waves;
           w
     in
     match w with Ok w -> w | Error m -> raise (Measurement_failed m)
@@ -503,7 +523,8 @@ let spec_ctx (st : State.t) (bp : bias_point) roms =
     cx_ops = bp.ops;
     cx_node_leaving = bp.node_leaving;
     cx_roms = roms;
-    cx_trans = [];
+    cx_waves = Array.make wave_memo_slots None;
+    cx_waves_next = 0;
   }
 
 (* One spec in a context: failures and non-finite results both report as
@@ -895,7 +916,8 @@ module Incr = struct
         cx_ops = [];
         cx_node_leaving = [||];
         cx_roms = [];
-        cx_trans = [];
+        cx_waves = Array.make wave_memo_slots None;
+        cx_waves_next = 0;
       }
     in
     let spec_b = spec_backend p spec_cx in
@@ -990,7 +1012,8 @@ module Incr = struct
     ss.spec_cx.cx_ops <- [];
     ss.spec_cx.cx_node_leaving <- [||];
     ss.spec_cx.cx_roms <- [];
-    ss.spec_cx.cx_trans <- [];
+    Array.fill ss.spec_cx.cx_waves 0 wave_memo_slots None;
+    ss.spec_cx.cx_waves_next <- 0;
     Array.iter
       (fun ec ->
         ec.fl.flen <- 0;
@@ -1322,7 +1345,6 @@ module Incr = struct
     cx.cx_ops <- bp.ops;
     cx.cx_node_leaving <- bp.node_leaving;
     cx.cx_roms <- roms;
-    cx.cx_trans <- [];
     (* Corner rows bypass the session caches entirely: the same full
        recompute the from-scratch evaluator does, so both paths agree bit
        for bit. (sd_always keeps them permanently stale below.) *)
@@ -1525,7 +1547,6 @@ module Incr = struct
       cx.cx_ops <- ops_list;
       cx.cx_node_leaving <- ss.p_cur;
       cx.cx_roms <- roms;
-      cx.cx_trans <- [];
       let spec_values =
         List.mapi
           (fun i (s : Problem.spec) ->

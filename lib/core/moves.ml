@@ -10,6 +10,9 @@ type t = {
   user_cont : int array;  (** continuous user vars *)
   node_vars : int array;  (** indices of node-voltage vars *)
   mutable last_var : int;  (** variable touched by the last move, -1 = none *)
+  mutable last_global : (float array * (int * float) list option) option;
+      (** the last NR-full global solve: its user-variable bits and its
+          node-value writes ([None]: the solve failed) *)
 }
 
 let classes = [| "user-disc"; "user-cont"; "node-v"; "nr-partial"; "nr-full"; "multi" |]
@@ -65,6 +68,7 @@ let make ?session (p : Problem.t) =
     user_cont;
     node_vars;
     last_var = -1;
+    last_global = None;
   }
 
 (* --- Newton-Raphson over the free node voltages. --- *)
@@ -247,14 +251,18 @@ let newton_step (p : Problem.t) (st : State.t) ~damping = newton_step_with p st 
    (gmin stepping, source stepping): "a simulator performs a complete
    Newton-Raphson before it evaluates circuit performance" — this move
    gives the annealer exactly that, on demand. The solution's node
-   voltages are mapped back onto the relaxed-dc variables. *)
-let newton_global (p : Problem.t) (st : State.t) =
+   voltages, mapped back onto the relaxed-dc variables, come back as
+   (variable, value) writes; [None] when the solve fails. The solve reads
+   only the state's user variables, so the writes are a function of their
+   bits. *)
+let global_writes (p : Problem.t) (st : State.t) =
   let env = Eval.value_env p st in
   let value e = Netlist.Expr.eval env e in
   match Mna.Dc.solve ~value ~registry:p.Problem.registry p.Problem.bias with
-  | Error _ -> false
+  | Error _ -> None
   | Ok sol ->
       let base = Problem.node_var_base p in
+      let writes = ref [] in
       Array.iteri
         (fun k members ->
           match members with
@@ -262,12 +270,34 @@ let newton_global (p : Problem.t) (st : State.t) =
               match p.Problem.tl.Treelink.of_node.(node) with
               | Treelink.Free (_, off) ->
                   let v = Mna.Dc.node_voltage sol node -. value off in
-                  st.State.values.(base + k) <- State.clamp st (base + k) v
+                  writes := (base + k, State.clamp st (base + k) v) :: !writes
               | Treelink.Fixed _ -> ()
             end
           | [] -> ())
         p.Problem.tl.Treelink.members;
+      Some !writes
+
+let apply_writes (st : State.t) = function
+  | None -> false
+  | Some writes ->
+      List.iter (fun (i, v) -> st.State.values.(i) <- v) writes;
       true
+
+let newton_global p st = apply_writes st (global_writes p st)
+
+(* [newton_global] for the NR-full move: the anneal's escalations mostly
+   come back to the user point of the last one (node-voltage and Newton
+   moves leave it alone), and there the last outcome is served again. *)
+let newton_global_memo ctx (st : State.t) =
+  let out =
+    match ctx.last_global with
+    | Some (key, out) when Problem.same_user_bits key st.State.values -> out
+    | Some _ | None ->
+        let out = global_writes ctx.p st in
+        ctx.last_global <- Some (Problem.user_slice ctx.p st.State.values, out);
+        out
+  in
+  apply_writes st out
 
 let newton_solve ?session p st =
   let rec loop it last =
@@ -338,7 +368,7 @@ let propose ctx (st : State.t) k rng =
         let ok =
           match newton_solve ?session:ctx.session p st with
           | Some change when change < 1e-6 -> true
-          | Some _ | None -> newton_global p st
+          | Some _ | None -> newton_global_memo ctx st
         in
         if ok then Some (fun () -> restore_nodes p st saved)
         else begin

@@ -54,5 +54,8 @@ val newton_step_with :
 
 (** [newton_global p st] solves the bias network with the full reference
     DC engine (gmin/source stepping) and writes the node voltages back
-    into the relaxed-dc state; false when the solve fails. *)
+    into the relaxed-dc state; false when the solve fails. The solve
+    reads only [st]'s user variables; the ["nr-full"] move keeps its last
+    outcome and reuses it at the same user-variable bits, while this
+    function always solves. *)
 val newton_global : Problem.t -> State.t -> bool

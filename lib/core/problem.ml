@@ -92,4 +92,19 @@ let n_user_vars t = t.analysis.n_user_vars
 (* Variable index of the first node-voltage variable. *)
 let node_var_base t = t.analysis.n_user_vars
 
+(* Element values, the bias network's and every jig's, read only the user
+   variables (names resolve to user slots and .params), so a simulation of
+   either circuit is a function of this slice's bits. *)
+let user_slice t (values : float array) = Array.sub values 0 (node_var_base t)
+
+(* Whether [values] holds [key]'s bits (a [user_slice]) in its user
+   slots: 0.0 and -0.0 differ, as do NaN payloads. *)
+let same_user_bits key (values : float array) =
+  let rec go i =
+    i < 0
+    || Int64.equal (Int64.bits_of_float key.(i)) (Int64.bits_of_float values.(i))
+       && go (i - 1)
+  in
+  go (Array.length key - 1)
+
 let find_spec t name = List.find_opt (fun s -> s.spec_name = name) t.specs

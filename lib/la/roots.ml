@@ -46,7 +46,11 @@ let find ?(max_iter = 120) ?(tol = 1e-12) c =
     let iter = ref 0 in
     while (not !converged) && !iter < max_iter do
       incr iter;
-      let worst = ref 0.0 in
+      (* The convergence test is max_i |step_i| < tol. A faithfully
+         rounded hypot is >= max(|re|, |im|), so a step with a part >= tol
+         fails it without a hypot, and once one step has failed (a NaN
+         norm fails too) no later norm can change the outcome. *)
+      let failed = ref false in
       for i = 0 to d - 1 do
         Poly.eval_cpx_at cs ~re:zr ~im:zi i ~out:p;
         let xr = zr.(i) and xi = zi.(i) in
@@ -60,9 +64,14 @@ let find ?(max_iter = 120) ?(tol = 1e-12) c =
             di := ni
           end
         done;
-        (* step = p / denom, or a fixed nudge off coincident iterates *)
+        (* step = p / denom, or a fixed nudge off coincident iterates
+           (|denom| < 1e-30, impossible once a part is >= 1e-30) *)
         let sr = ref 1e-6 and si = ref 1e-6 in
-        if not (Float.hypot !dr !di < 1e-30) then begin
+        if
+          Float.abs !dr >= 1e-30
+          || Float.abs !di >= 1e-30
+          || not (Float.hypot !dr !di < 1e-30)
+        then begin
           let pr = p.(0) and pi = p.(1) in
           if Float.abs !dr >= Float.abs !di then begin
             let q = !di /. !dr in
@@ -79,9 +88,12 @@ let find ?(max_iter = 120) ?(tol = 1e-12) c =
         end;
         zr.(i) <- xr -. !sr;
         zi.(i) <- xi -. !si;
-        worst := Float.max !worst (Float.hypot !sr !si)
+        if
+          (not !failed)
+          && (Float.abs !sr >= tol || Float.abs !si >= tol || not (Float.hypot !sr !si < tol))
+        then failed := true
       done;
-      if !worst < tol then converged := true
+      if not !failed then converged := true
     done;
     for k = 0 to d - 1 do
       if not (Float.is_finite zr.(k) && Float.is_finite zi.(k)) then

@@ -457,6 +457,101 @@ let test_moves_undo_restores () =
     done
   done
 
+let same_node_values p what (a : Core.State.t) (b : Core.State.t) =
+  for i = Core.Problem.node_var_base p to Core.State.n_vars a - 1 do
+    if
+      not
+        (Int64.equal
+           (Int64.bits_of_float a.Core.State.values.(i))
+           (Int64.bits_of_float b.Core.State.values.(i)))
+    then Alcotest.failf "%s: variable %d: %h vs %h" what i a.values.(i) b.values.(i)
+  done
+
+(* The NR-full move keeps its last global solve: the solve reads only the
+   user variables, so at repeated user bits (the move undone, or the node
+   voltages moved in between) the move must leave the node values a fresh
+   [newton_global] leaves on a copy. Near folded-cascode's start state
+   the iterated Newton step stalls, so every NR-full move there
+   escalates to the global solve. A failed solve (a NaN user variable)
+   must be refused with the node values restored, whether the failure
+   was computed or served. *)
+let test_nr_full_memo () =
+  let p = compile_suite "folded-cascode" in
+  let ctx = Core.Moves.make p in
+  let rng = Anneal.Rng.create 3 in
+  let st = Core.State.snapshot p.Core.Problem.state0 in
+  let nr_full ?(undo = false) what =
+    let fresh = Core.State.snapshot st in
+    Alcotest.(check bool) "global solve succeeds" true (Core.Moves.newton_global p fresh);
+    match Core.Moves.propose ctx st 4 rng with
+    | Some u ->
+        same_node_values p what fresh st;
+        if undo then u ()
+    | None -> Alcotest.failf "%s: NR-full move refused" what
+  in
+  for _ = 1 to 3 do
+    ignore (Core.Moves.propose ctx st 1 rng);
+    nr_full ~undo:true "new user point";
+    nr_full "same user point, undone";
+    ignore (Core.Moves.propose ctx st 2 rng);
+    nr_full "same user point, node voltage moved"
+  done;
+  st.Core.State.values.(0) <- Float.nan;
+  for k = 1 to 2 do
+    let before = Core.State.snapshot st in
+    (match Core.Moves.propose ctx st 4 rng with
+    | Some _ -> Alcotest.failf "failed solve %d: NR-full move accepted" k
+    | None -> ());
+    same_node_values p (Printf.sprintf "failed solve %d: node values restored" k) before st
+  done
+
+(* Everything an in-loop simulation reads of the state — every element
+   value of the bias network and of each jig, and the tree-link node
+   expressions — keeps its bits when only the node-voltage slice changes:
+   the user-variable slice is a complete memo key for the NR-full global
+   solve and for the in-loop transient. *)
+let test_values_ignore_node_slice () =
+  List.iter
+    (fun (e : Suite.Ckts.entry) ->
+      let p = compile_suite e.name in
+      let exprs =
+        List.concat_map
+          (fun (c : Netlist.Circuit.t) ->
+            List.concat_map Netlist.Circuit.values (Array.to_list c.Netlist.Circuit.elements))
+          (p.Core.Problem.bias
+          :: List.map (fun (j : Core.Problem.jig) -> j.Core.Problem.jig_circuit) p.Core.Problem.jigs)
+        @ List.map
+            (function Core.Treelink.Fixed x | Core.Treelink.Free (_, x) -> x)
+            (Array.to_list p.Core.Problem.tl.Core.Treelink.of_node)
+      in
+      let read st =
+        let env = Core.Eval.value_env p st in
+        List.map
+          (fun x ->
+            match Netlist.Expr.eval env x with
+            | v -> Ok (Int64.bits_of_float v)
+            | exception ex -> Error (Printexc.to_string ex))
+          exprs
+      in
+      let st = Core.State.snapshot p.Core.Problem.state0 in
+      let rng = Anneal.Rng.create 5 in
+      for _ = 1 to 3 do
+        for i = 0 to Core.Problem.node_var_base p - 1 do
+          let lo, hi = Core.State.bounds st.Core.State.info.(i) in
+          st.values.(i) <- lo +. (Anneal.Rng.float rng *. (hi -. lo))
+        done;
+        let before = read st in
+        List.iter
+          (fun v ->
+            for i = Core.Problem.node_var_base p to Core.State.n_vars st - 1 do
+              st.values.(i) <- v
+            done;
+            if read st <> before then
+              Alcotest.failf "%s: an element value reads the node-voltage slice" e.name)
+          [ Float.nan; -0.0; 1e6; -3.7 ]
+      done)
+    Suite.Ckts.all
+
 let test_oblx_short_run_deterministic () =
   let p = compile_suite "simple-ota" in
   let r1 = Core.Oblx.synthesize ~seed:4 ~moves:800 p in
@@ -592,6 +687,9 @@ let () =
       ( "oblx",
         [
           Alcotest.test_case "moves undo" `Quick test_moves_undo_restores;
+          Alcotest.test_case "NR-full memo" `Quick test_nr_full_memo;
+          Alcotest.test_case "element values ignore node voltages" `Quick
+            test_values_ignore_node_slice;
           Alcotest.test_case "determinism" `Slow test_oblx_short_run_deterministic;
           Alcotest.test_case "trace (fig 2)" `Slow test_oblx_trace_collected;
         ] );

@@ -181,6 +181,51 @@ let probe_clean_slice ?(moves = 300) name =
 let probe_clean_case name =
   Alcotest.test_case ("clean probe " ^ name) `Slow (fun () -> probe_clean_slice name)
 
+(* The in-loop transient memo: a tran-buffer walk that keeps coming back
+   to user points it has simulated — a user-variable move and its undo,
+   then node-voltage, nr-partial and nr-full moves at the old user bits —
+   must cost what the full evaluator (a fresh context each time) costs,
+   and a walk on a reset session must repeat one on a fresh session. *)
+let revisit_walk p ss =
+  let st = Core.State.snapshot p.Core.Problem.state0 in
+  let ctx = Core.Moves.make ~session:ss p in
+  let rng = Anneal.Rng.create 11 in
+  let w = Core.Weights.create () in
+  let totals = ref [] in
+  let eval () =
+    let incr = Core.Eval.Incr.cost ss w st in
+    check_breakdown "tran-buffer" (Core.Eval.cost p w st) incr;
+    totals := incr.Core.Eval.total :: !totals
+  in
+  eval ();
+  for _ = 1 to 8 do
+    (match Core.Moves.propose ctx st 1 rng with
+    | Some undo ->
+        eval ();
+        undo ();
+        eval ()
+    | None -> Alcotest.fail "no user-variable move");
+    List.iter
+      (fun k -> match Core.Moves.propose ctx st k rng with Some _ -> eval () | None -> ())
+      [ 2; 3; 4 ]
+  done;
+  List.rev !totals
+
+let test_transient_memo_revisits () =
+  let p = compile "tran-buffer" in
+  let ss = Core.Eval.Incr.create p in
+  let first = revisit_walk p ss in
+  Core.Eval.Incr.reset ss;
+  let after_reset = revisit_walk p ss in
+  let fresh = revisit_walk p (Core.Eval.Incr.create p) in
+  Alcotest.(check int) "walk lengths" (List.length fresh) (List.length after_reset);
+  List.iteri
+    (fun i (a, b) -> check_bits "tran-buffer" (Printf.sprintf "cost %d after reset" i) a b)
+    (List.combine fresh after_reset);
+  List.iteri
+    (fun i (a, b) -> check_bits "tran-buffer" (Printf.sprintf "cost %d, second walk" i) a b)
+    (List.combine fresh first)
+
 (* The measured view itself (ops, roms, spec values) must round-trip. *)
 let test_measure_identical () =
   let p = compile "simple-ota" in
@@ -338,6 +383,8 @@ let () =
           Alcotest.test_case "measure identical" `Quick test_measure_identical;
           Alcotest.test_case "invalidate recovers" `Quick test_invalidate_recovers;
           Alcotest.test_case "probe invalidate recovers" `Quick test_probe_invalidate_recovers;
+          Alcotest.test_case "transient memo at revisited user points" `Quick
+            test_transient_memo_revisits;
         ] );
       ( "synthesis equivalence",
         [

@@ -316,6 +316,15 @@ let ref_eval_cpx c z =
   done;
   !acc
 
+(* How often the reference took the paths where [Roots.find] decides a
+   test without a hypot or only by one: runs stopped by [max_iter], whose
+   every iteration failed the convergence test, and denominators with
+   both parts below 1e-30, where the norm alone decides whether the
+   iterates coincide (counted again when it nudges them apart). *)
+let ref_capped = ref 0
+let ref_tiny_denoms = ref 0
+let ref_nudges = ref 0
+
 let ref_roots ?(max_iter = 120) ?(tol = 1e-12) c =
   let c = La.Poly.trim c in
   let d = La.Poly.degree c in
@@ -347,8 +356,12 @@ let ref_roots ?(max_iter = 120) ?(tol = 1e-12) c =
         for j = 0 to d - 1 do
           if j <> i then denom := Complex.mul !denom (Complex.sub z.(i) z.(j))
         done;
+        if Float.abs !denom.re < 1e-30 && Float.abs !denom.im < 1e-30 then incr ref_tiny_denoms;
         let step =
-          if Complex.norm !denom < 1e-30 then { Complex.re = 1e-6; im = 1e-6 }
+          if Complex.norm !denom < 1e-30 then begin
+            incr ref_nudges;
+            { Complex.re = 1e-6; im = 1e-6 }
+          end
           else Complex.div p !denom
         in
         z.(i) <- Complex.sub z.(i) step;
@@ -356,6 +369,7 @@ let ref_roots ?(max_iter = 120) ?(tol = 1e-12) c =
       done;
       if !worst < tol then converged := true
     done;
+    if not !converged then incr ref_capped;
     if not (Array.for_all cfinite z) then failwith "Roots.find: diverged";
     let out = Array.map (cscale r) z in
     let dc = La.Poly.derivative c in
@@ -471,6 +485,28 @@ let prop_roots_find =
       | Ok a, Ok b -> cpxs_same a b
       | Error m, Error m' -> m = m'
       | _ -> false)
+
+(* [prop_roots_find]'s generator, over as many seeds as the property
+   draws, reaches both paths with finite roots — capped runs of degree 5
+   and 6 come from real roots spread over up to twelve decades — and
+   there the kernel keeps the reference's bits. *)
+let test_roots_paths_reached () =
+  let capped = ref 0 and tiny = ref 0 and nudged = ref 0 in
+  for seed = 0 to 499 do
+    let c = poly_input (Random.State.make [| seed; 29 |]) in
+    let c0 = !ref_capped and t0 = !ref_tiny_denoms and n0 = !ref_nudges in
+    match (roots_outcome La.Roots.find c, roots_outcome ref_roots c) with
+    | Ok a, Ok b ->
+        if not (cpxs_same a b) then Alcotest.failf "seed %d: roots differ" seed;
+        if !ref_capped > c0 && Array.length b >= 5 then incr capped;
+        if !ref_tiny_denoms > t0 then incr tiny;
+        if !ref_nudges > n0 then incr nudged
+    | Error m, Error m' -> if m <> m' then Alcotest.failf "seed %d: %s vs %s" seed m m'
+    | Ok _, Error _ | Error _, Ok _ -> Alcotest.failf "seed %d: outcomes differ" seed
+  done;
+  Alcotest.(check bool) "degree 5-6 runs stopped by max_iter" true (!capped > 0);
+  Alcotest.(check bool) "denominators with both parts below 1e-30" true (!tiny > 0);
+  Alcotest.(check bool) "coincident iterates nudged apart" true (!nudged > 0)
 
 let test_roots_diverged () =
   let c = [| Float.nan; 1.0; 1.0 |] in
@@ -1689,6 +1725,8 @@ let () =
         @ [
             Alcotest.test_case "kernels: Roots.find diverges like the reference" `Quick
               test_roots_diverged;
+            Alcotest.test_case "kernels: Roots.find's capped and coincident paths" `Quick
+              test_roots_paths_reached;
             Alcotest.test_case "kernels: Dc.solve and Tran.simulate keep the first element error"
               `Quick test_dc_errors;
           ] );
